@@ -4,7 +4,17 @@ with a lexicon-driven weak-supervised loss."""
 
 __version__ = "0.1.0"
 
-from .corpus import ClassLabel, LabeledCorpus, SplitSpec, combine, split
+from .corpus import (
+    ClassLabel,
+    LabeledCorpus,
+    SplitSpec,
+    combine,
+    load_hon,
+    load_labeled_lines,
+    load_olid,
+    load_unlabeled,
+    split,
+)
 from .embeddings import EmbeddingTable, TokenMatrix, embed, load_table, synthetic_table
 from .ensemble import (
     EnsembleBundle,
@@ -60,8 +70,12 @@ __all__ = [
     "evaluate",
     "forward",
     "load_bundle",
+    "load_hon",
+    "load_labeled_lines",
     "load_lexicon",
+    "load_olid",
     "load_table",
+    "load_unlabeled",
     "normalize",
     "param_count",
     "predict",

@@ -55,9 +55,25 @@ EXIT_DATA = 3
 EXIT_NUMERIC = 4
 
 
+def _embeddings_spec(spec: str) -> str:
+    """--embeddings value: a vector file path, or synthetic:<seed>:<dim>."""
+    if not spec.startswith("synthetic:"):
+        return spec
+    try:
+        _, seed, dim = spec.split(":")
+        if int(seed) < 0 or int(dim) < 1:
+            raise ValueError
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"{spec!r}: expected synthetic:<seed>:<dim> with integers seed >= 0, dim >= 1"
+        ) from None
+    return spec
+
+
 def _add_embedding_args(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--embeddings",
+        type=_embeddings_spec,
         default="synthetic:0:64",
         help="word-vector source: a text file path, or synthetic:<seed>:<dim>",
     )
@@ -72,24 +88,37 @@ def _add_data_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--split-seed", type=int, default=0)
 
 
-def _add_train_args(p: argparse.ArgumentParser) -> None:
+def _add_run_args(p: argparse.ArgumentParser) -> None:
+    """Flags of every subcommand that trains (train, weak-train, tune)."""
     p.add_argument("--config", help="JSON config file; flags override its values")
     p.add_argument("--out", required=True, help="output directory for the run")
     p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--batch-size", type=int, default=None)
+
+
+def _add_member_args(p: argparse.ArgumentParser) -> None:
+    """Flags of the subcommands that build and train new members."""
     p.add_argument("--epochs", type=int, default=None)
     p.add_argument("--ensemble-size", "-k", type=int, default=None)
-    p.add_argument("--batch-size", type=int, default=None)
     p.add_argument("--lr", type=float, default=None)
-    p.add_argument("--tune-lr", type=float, default=None)
-    p.add_argument("--tune-epochs", type=int, default=None)
     p.add_argument("--variant", choices=["cnn_rnn_fc", "cnn_fc"], default=None)
     p.add_argument("--rnn", choices=["gru", "lstm"], default=None)
     p.add_argument("--conv-axis", choices=["sequence", "embedding"], default=None)
     p.add_argument("--seq-len", type=int, default=None)
-    p.add_argument("--trials", type=int, default=1,
-                   help="rerun T times with seeds seed+1000*t and report mean metrics")
     p.add_argument("--jobs", type=int, default=1,
                    help="parallel workers across ensemble members")
+
+
+def _class_weights_spec(spec: str) -> "str | ClassWeights":
+    """--class-weights value: a keyword, or the parsed explicit weights."""
+    if spec in ("uniform", "imbalance"):
+        return spec
+    try:
+        return ClassWeights(np.array([float(x) for x in spec.split(",")]))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"{spec!r}: expected uniform, imbalance or three positive reals"
+        ) from None
 
 
 def _add_lexicon_args(p: argparse.ArgumentParser) -> None:
@@ -98,7 +127,7 @@ def _add_lexicon_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--lex-positive", help="positive lexicon, one term per line")
     p.add_argument("--bounds-k", type=float, default=None,
                    help="scale on lexicon evidence ratios (default 1.0)")
-    p.add_argument("--class-weights", default=None,
+    p.add_argument("--class-weights", type=_class_weights_spec, default=None,
                    help='"uniform", "imbalance", or three comma-separated reals')
 
 
@@ -111,12 +140,16 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("train", help="supervised ensemble training")
-    _add_train_args(p)
+    _add_run_args(p)
+    _add_member_args(p)
+    p.add_argument("--trials", type=int, default=1,
+                   help="rerun T times with seeds seed+1000*t and report mean metrics")
     _add_data_args(p)
     _add_embedding_args(p)
 
     p = sub.add_parser("weak-train", help="weak-supervised training on unlabeled posts")
-    _add_train_args(p)
+    _add_run_args(p)
+    _add_member_args(p)
     _add_embedding_args(p)
     _add_lexicon_args(p)
     p.add_argument("--unlabeled", required=True, help="text file, one post per line")
@@ -124,7 +157,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--split-seed", type=int, default=0)
 
     p = sub.add_parser("tune", help="freeze features, retrain the classifier head")
-    _add_train_args(p)
+    _add_run_args(p)
+    p.add_argument("--tune-lr", type=float, default=None)
+    p.add_argument("--tune-epochs", type=int, default=None)
     _add_embedding_args(p)
     p.add_argument("--bundle", required=True, help="directory of a saved ensemble")
     p.add_argument("--target", required=True,
@@ -193,13 +228,14 @@ def _resolve_train(args, file_cfg: dict, loss_mode: str) -> TrainConfig:
     return cfg
 
 
-def _parse_class_weights(spec: "str | None", stats) -> "ClassWeights | None":
+def _resolve_class_weights(
+    spec: "str | ClassWeights | None", stats
+) -> "ClassWeights | None":
     if spec is None or spec == "uniform":
         return None
     if spec == "imbalance":
         return imbalance_weights(stats)
-    parts = [float(x) for x in spec.split(",")]
-    return ClassWeights(np.array(parts))
+    return spec
 
 
 def _make_table(args):
@@ -334,7 +370,7 @@ def cmd_weak_train(args) -> int:
         print("every post has vacuous bounds: the lexicons match no tokens, "
               "so the weak loss is identically 0; aborting", file=sys.stderr)
         return EXIT_DATA
-    cfg.class_weights = _parse_class_weights(args.class_weights, stats)
+    cfg.class_weights = _resolve_class_weights(args.class_weights, stats)
     rng = np.random.default_rng(args.split_seed)
     order = rng.permutation(len(pool))
     n_valid = max(1, len(pool) // 10)

@@ -26,6 +26,7 @@ from .errors import (
     CheckpointIntegrityError,
     CheckpointVersionError,
     EmptyClass,
+    InvalidConfig,
     NumericError,
     PreprocessingMismatch,
 )
@@ -33,8 +34,15 @@ from .layers import ParamGroup, cross_entropy
 from .metrics import accumulate, report
 from .model import ModelParams, TopologyConfig, build, forward
 from .optim import Adam
-from .text import RawPost, preprocess
-from .weaksup import ClassWeights, Lexicon, compute_bounds, count_lexicon, weak_loss
+from .text import RawPost, TokenSequence, preprocess
+from .weaksup import (
+    ClassBounds,
+    ClassWeights,
+    Lexicon,
+    compute_bounds,
+    count_lexicon,
+    weak_loss,
+)
 
 log = logging.getLogger(__name__)
 
@@ -61,13 +69,15 @@ class TrainConfig:
 
     def validate(self) -> None:
         if self.ensemble_size < 1:
-            raise ValueError("ensemble size must be >= 1")
+            raise InvalidConfig("ensemble size must be >= 1")
+        if self.epochs < 1 or self.tune_epochs < 1:
+            raise InvalidConfig("epochs and tune epochs must be >= 1")
         if self.base_lr <= 0 or self.tune_lr <= 0:
-            raise ValueError("learning rates must be positive")
+            raise InvalidConfig("learning rates must be positive")
         if self.loss_mode not in (SUPERVISED, WEAK):
-            raise ValueError(f"unknown loss mode {self.loss_mode!r}")
+            raise InvalidConfig(f"unknown loss mode {self.loss_mode!r}")
         if self.batch_size < 1:
-            raise ValueError("batch size must be >= 1")
+            raise InvalidConfig("batch size must be >= 1")
 
     def weights(self) -> ClassWeights:
         return self.class_weights or ClassWeights.uniform()
@@ -121,7 +131,15 @@ def _batches(items: list, size: int):
 
 
 class _PostLoss:
-    """Per-post loss closure for one member and loss mode."""
+    """The one path from a post to its class probabilities and loss, for
+    one member's training call (or one ``tune`` call) and loss mode.
+
+    A post is preprocessed, and its target (the label, or the lexicon
+    bounds in weak mode) computed, the first time it is seen; every later
+    epoch and validation pass reuses both.  The cache is keyed by
+    ``id(post)`` and each entry keeps the post itself, so no id can be
+    reused while the cache lives.
+    """
 
     def __init__(self, topo, table, cfg, lexicon):
         self.topo = topo
@@ -129,15 +147,27 @@ class _PostLoss:
         self.cfg = cfg
         self.lexicon = lexicon
         self.weights = cfg.weights()
+        self._encoded: dict[int, tuple[RawPost, TokenSequence, "int | ClassBounds"]] = {}
 
-    def loss(self, params, post: RawPost, train: bool, rng) -> Tensor:
-        seq = preprocess(post)
+    def _encode(self, post: RawPost) -> tuple[TokenSequence, "int | ClassBounds"]:
+        entry = self._encoded.get(id(post))
+        if entry is None:
+            seq = preprocess(post)
+            if self.cfg.loss_mode == SUPERVISED:
+                target = post.label
+            else:
+                target = compute_bounds(count_lexicon(seq, self.lexicon), self.cfg.bounds_k)
+            entry = self._encoded[id(post)] = (post, seq, target)
+        return entry[1], entry[2]
+
+    def loss(self, params, post: RawPost, train: bool = False, rng=None) -> tuple[Tensor, Tensor]:
+        """Class probabilities and loss of one post."""
+        seq, target = self._encode(post)
         matrix = embed(seq, self.table, self.topo.seq_len)
         probs = forward(params, self.topo, matrix, train=train, rng=rng)
         if self.cfg.loss_mode == SUPERVISED:
-            return cross_entropy(probs, post.label)
-        bounds = compute_bounds(count_lexicon(seq, self.lexicon), self.cfg.bounds_k)
-        return weak_loss(probs, bounds, self.weights)
+            return probs, cross_entropy(probs, target)
+        return probs, weak_loss(probs, target, self.weights)
 
 
 def _mean_loss_eval(params, posts, post_loss: _PostLoss) -> tuple[float, "float | None"]:
@@ -145,17 +175,10 @@ def _mean_loss_eval(params, posts, post_loss: _PostLoss) -> tuple[float, "float 
     total = 0.0
     pairs = []
     for post in posts:
-        seq = preprocess(post)
-        matrix = embed(seq, post_loss.table, post_loss.topo.seq_len)
-        probs = forward(params, post_loss.topo, matrix)
+        probs, loss = post_loss.loss(params, post)
+        total += loss.data.item()
         if post_loss.cfg.loss_mode == SUPERVISED:
-            total += cross_entropy(probs, post.label).data.item()
             pairs.append((post.label, int(np.argmax(probs.data))))
-        else:
-            bounds = compute_bounds(
-                count_lexicon(seq, post_loss.lexicon), post_loss.cfg.bounds_k
-            )
-            total += weak_loss(probs, bounds, post_loss.weights).data.item()
     mean = total / max(len(posts), 1)
     recall = None
     if pairs:
@@ -166,7 +189,7 @@ def _mean_loss_eval(params, posts, post_loss: _PostLoss) -> tuple[float, "float 
 def _train_batch(params, batch, post_loss, optimizer, rng, epoch_no) -> float:
     total = None
     for post in batch:
-        loss = post_loss.loss(params, post, train=True, rng=rng)
+        _, loss = post_loss.loss(params, post, train=True, rng=rng)
         total = loss if total is None else total + loss
     mean = total * (1.0 / len(batch))
     value = mean.data.item()
@@ -224,6 +247,10 @@ def train_member(
             for batch in batches
         ]
         valid_loss, valid_recall = _mean_loss_eval(params, valid_list, post_loss)
+        if not np.isfinite(valid_loss):
+            raise NumericError(
+                f"non-finite validation loss at epoch {epoch} (member seed {member_seed})"
+            )
         trace.epochs.append(EpochRecord(
             epoch=epoch,
             train_loss=float(np.mean(epoch_losses)),
@@ -348,13 +375,13 @@ def tune(
     if min(counts) == 0:
         raise EmptyClass(f"tuning set is missing a class: counts {counts}")
     sup_cfg = TrainConfig(**{**cfg.__dict__, "loss_mode": SUPERVISED})
+    post_loss = _PostLoss(bundle.topology, table, sup_cfg, None)
     tuned_members = []
     for index, member in enumerate(bundle.members):
         params = member.copy()
         params.feature.trainable = False
         rng = np.random.default_rng([cfg.seed + index, 2])
         optimizer = Adam(lr=cfg.tune_lr)
-        post_loss = _PostLoss(bundle.topology, table, sup_cfg, None)
         for epoch in range(1, cfg.tune_epochs + 1):
             sample = balanced_epoch_sample(target_train, rng)
             for batch in _batches(sample, cfg.batch_size):

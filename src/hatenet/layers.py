@@ -66,7 +66,7 @@ def init_lstm(rng: np.random.Generator, d_in: int, hidden: int) -> dict[str, Ten
     return p
 
 
-def gru_forward(inputs: Tensor, p: dict[str, Tensor], h0: "Tensor | None" = None) -> Tensor:
+def gru_forward(inputs: Tensor, p: dict[str, Tensor]) -> Tensor:
     """Gated recurrent unit over (T, D) inputs; returns all T hidden states.
 
     z_t = sigmoid(W_z x_t + U_z h + b_z)
@@ -76,7 +76,7 @@ def gru_forward(inputs: Tensor, p: dict[str, Tensor], h0: "Tensor | None" = None
     """
     t_steps = inputs.data.shape[0]
     hidden = p["u_z"].data.shape[0]
-    h = h0 if h0 is not None else zeros(hidden)
+    h = zeros(hidden)
     states = []
     for t in range(t_steps):
         x = inputs.row(t)
@@ -88,17 +88,12 @@ def gru_forward(inputs: Tensor, p: dict[str, Tensor], h0: "Tensor | None" = None
     return stack(states)
 
 
-def lstm_forward(
-    inputs: Tensor,
-    p: dict[str, Tensor],
-    h0: "Tensor | None" = None,
-    c0: "Tensor | None" = None,
-) -> Tensor:
+def lstm_forward(inputs: Tensor, p: dict[str, Tensor]) -> Tensor:
     """LSTM with forget/input/output gates over (T, D); returns hidden states."""
     t_steps = inputs.data.shape[0]
     hidden = p["u_i"].data.shape[0]
-    h = h0 if h0 is not None else zeros(hidden)
-    c = c0 if c0 is not None else zeros(hidden)
+    h = zeros(hidden)
+    c = zeros(hidden)
     states = []
     for t in range(t_steps):
         x = inputs.row(t)

@@ -129,7 +129,7 @@ class ClassWeights:
 
     def __post_init__(self):
         self.w = np.asarray(self.w, dtype=np.float64)
-        if self.w.shape != (N_CLASSES,) or np.any(self.w <= 0):
+        if self.w.shape != (N_CLASSES,) or not np.all(np.isfinite(self.w) & (self.w > 0)):
             raise ValueError(f"class weights must be 3 positive reals, got {self.w}")
 
     @classmethod

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -325,3 +328,56 @@ class TestPreprocessCommand:
         lines = capsys.readouterr().out.splitlines()
         assert json.loads(lines[0])["tokens"] == ["MENTIONHERE", "run", "fast"]
         assert json.loads(lines[1])["tokens"] == ["HASHTAGHERE", "hat", "off"]
+
+
+LEXICON_ARGS = [
+    "--lex-hate", str(FIXTURES / "lex_hate.txt"),
+    "--lex-offensive", str(FIXTURES / "lex_offensive.txt"),
+    "--lex-positive", str(FIXTURES / "lex_positive.txt"),
+]
+
+
+@pytest.mark.parametrize("command, flags, code", [
+    ("train", ["-k", "0"], cli.EXIT_DATA),
+    ("train", ["--lr", "-1"], cli.EXIT_DATA),
+    ("train", ["--batch-size", "0"], cli.EXIT_DATA),
+    ("train", ["--epochs", "0"], cli.EXIT_DATA),
+    ("train", ["--embeddings", "synthetic:x:4"], cli.EXIT_USAGE),
+    ("train", ["--embeddings", "synthetic:0"], cli.EXIT_USAGE),
+    ("weak-train", ["--class-weights", "foo"], cli.EXIT_USAGE),
+    ("weak-train", ["--class-weights", "1,2"], cli.EXIT_USAGE),
+])
+def test_bad_values_exit_without_traceback(tmp_path, command, flags, code):
+    if command == "train":
+        base = ["train", "--config", write_config(tmp_path),
+                "--labeled-lines", write_lines_corpus(tmp_path)]
+    else:
+        base = ["weak-train", "--config", write_config(tmp_path),
+                "--unlabeled", str(FIXTURES / "unlabeled_lines.txt"), *LEXICON_ARGS]
+    argv = base + ["--embeddings", "synthetic:0:6", "--out", str(tmp_path / "run"), *flags]
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "hatenet.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == code, proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+TUNE_ARGV = ["tune", "--bundle", "b", "--target", "t", "--out", "o"]
+WEAK_ARGV = ["weak-train", "--unlabeled", "u", "--out", "o"]
+TRAIN_ARGV = ["train", "--out", "o"]
+
+
+@pytest.mark.parametrize("argv, dead", [
+    (TUNE_ARGV, ["--seq-len", "8"]),
+    (TUNE_ARGV, ["--trials", "2"]),
+    (TUNE_ARGV, ["-k", "3"]),
+    (WEAK_ARGV, ["--trials", "2"]),
+    (TRAIN_ARGV, ["--tune-lr", "1e-3"]),
+])
+def test_subcommands_reject_flags_they_never_read(argv, dead):
+    cli.build_parser().parse_args(argv)  # complete without the dead flag
+    with pytest.raises(SystemExit) as exc:
+        run(argv + dead)
+    assert exc.value.code == cli.EXIT_USAGE

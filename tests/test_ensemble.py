@@ -422,3 +422,79 @@ class TestEvaluate:
         bundle, _ = train_ensemble(cfg, topo, table, corpus, corpus)
         rep = evaluate(bundle, corpus, table)
         assert rep["micro_f1"] >= 0.95
+
+
+@pytest.fixture
+def preprocess_calls(monkeypatch):
+    """Counts hatenet.ensemble.preprocess calls per post object."""
+    import hatenet.ensemble as ensemble_mod
+
+    calls = Counter()
+    kept = []  # holds every counted post so that no id is reused
+
+    def counting(post):
+        calls[id(post)] += 1
+        kept.append(post)
+        return preprocess(post)
+
+    monkeypatch.setattr(ensemble_mod, "preprocess", counting)
+    return calls
+
+
+class TestPreprocessOnce:
+    def test_supervised_member(self, topo, table, preprocess_calls):
+        corpus = separable_corpus(4, seed=30)
+        valid = separable_corpus(2, seed=31)
+        cfg = TrainConfig(ensemble_size=1, epochs=4, seed=0, batch_size=4)
+        train_member(0, cfg, topo, table, corpus, valid)
+        assert preprocess_calls
+        assert max(preprocess_calls.values()) == 1
+        assert len(preprocess_calls) <= len(corpus.posts) + len(valid.posts)
+
+    def test_weak_member(self, topo, table, preprocess_calls):
+        lexicon = Lexicon([MARKERS[0]], [MARKERS[1]], [MARKERS[2]])
+        pool = [RawPost(p.text) for p in separable_corpus(4, seed=32).posts]
+        cfg = TrainConfig(ensemble_size=1, epochs=3, seed=0, loss_mode=WEAK,
+                          batch_size=4, bounds_k=3.0)
+        train_member(0, cfg, topo, table, pool, pool[:3], lexicon=lexicon)
+        assert max(preprocess_calls.values()) == 1
+        assert len(preprocess_calls) <= len(pool)
+
+    def test_tune_all_members(self, topo, table, preprocess_calls):
+        corpus = separable_corpus(4, seed=33)
+        bundle, _ = train_ensemble(
+            TrainConfig(ensemble_size=2, epochs=1, seed=0, batch_size=8),
+            topo, table, corpus, corpus,
+        )
+        preprocess_calls.clear()
+        target = separable_corpus(3, seed=34)
+        tune(bundle, target, TrainConfig(ensemble_size=2, seed=0, tune_epochs=3,
+                                         batch_size=4), table)
+        assert max(preprocess_calls.values()) == 1
+        assert len(preprocess_calls) <= len(target.posts)
+
+
+def test_nonfinite_validation_loss_names_epoch(topo):
+    from hatenet.errors import NumericError
+
+    table = synthetic_table(0, 6)
+    poison = preprocess(RawPost("poison")).tokens[0]
+    table.vectors[poison] = np.full(6, np.nan)  # reached only by validation posts
+    corpus = separable_corpus(4, seed=35)
+    valid = LabeledCorpus(
+        [RawPost(f"poison {p.text}", label=p.label) for p in corpus.posts[::4]], "valid"
+    )
+    cfg = TrainConfig(ensemble_size=1, epochs=2, seed=0, batch_size=8)
+    with pytest.raises(NumericError, match="validation loss at epoch 1"):
+        train_member(0, cfg, topo, table, corpus, valid)
+
+
+@pytest.mark.parametrize("bad", [
+    {"ensemble_size": 0}, {"epochs": 0}, {"tune_epochs": 0}, {"base_lr": -1.0},
+    {"tune_lr": 0.0}, {"batch_size": 0}, {"loss_mode": "other"},
+])
+def test_train_config_rejects_bad_values(bad):
+    from hatenet.errors import InvalidConfig
+
+    with pytest.raises(InvalidConfig):
+        TrainConfig(**bad).validate()
