@@ -37,7 +37,13 @@ class Tensor:
     # -- graph traversal ------------------------------------------------
 
     def backward(self):
-        """Accumulate d(self)/d(node) into .grad for every upstream node."""
+        """Accumulate d(self)/d(node) into .grad for every upstream node.
+
+        Each node's backward closure receives the node's own gradient and
+        holds only its parents, never its output, so a graph has no
+        reference cycles and is freed as soon as the last reference to its
+        root is dropped.
+        """
         if self.data.size != 1:
             raise ShapeMismatch("backward requires a scalar loss")
         topo: list[Tensor] = []
@@ -59,44 +65,37 @@ class Tensor:
         self.grad = np.ones_like(self.data)
         for node in reversed(topo):
             if node._backward is not None:
-                node._backward()
+                node._backward(node.grad)
 
     # -- arithmetic -----------------------------------------------------
 
     def __add__(self, other):
         other = _as_tensor(other)
-        out = Tensor(self.data + other.data, (self, other))
 
-        def bwd():
-            self.grad += _unbroadcast(out.grad, self.data.shape)
-            other.grad += _unbroadcast(out.grad, other.data.shape)
+        def bwd(g):
+            self.grad += _unbroadcast(g, self.data.shape)
+            other.grad += _unbroadcast(g, other.data.shape)
 
-        out._backward = bwd
-        return out
+        return Tensor(self.data + other.data, (self, other), bwd)
 
     __radd__ = __add__
 
     def __mul__(self, other):
         other = _as_tensor(other)
-        out = Tensor(self.data * other.data, (self, other))
 
-        def bwd():
-            self.grad += _unbroadcast(out.grad * other.data, self.data.shape)
-            other.grad += _unbroadcast(out.grad * self.data, other.data.shape)
+        def bwd(g):
+            self.grad += _unbroadcast(g * other.data, self.data.shape)
+            other.grad += _unbroadcast(g * self.data, other.data.shape)
 
-        out._backward = bwd
-        return out
+        return Tensor(self.data * other.data, (self, other), bwd)
 
     __rmul__ = __mul__
 
     def __neg__(self):
-        out = Tensor(-self.data, (self,))
+        def bwd(g):
+            self.grad += -g
 
-        def bwd():
-            self.grad += -out.grad
-
-        out._backward = bwd
-        return out
+        return Tensor(-self.data, (self,), bwd)
 
     def __sub__(self, other):
         return self + (-_as_tensor(other))
@@ -110,10 +109,8 @@ class Tensor:
         a, b = self.data, other.data
         if a.ndim != 2 or b.ndim not in (1, 2) or a.shape[1] != b.shape[0]:
             raise ShapeMismatch(f"matmul of {a.shape} and {b.shape}")
-        out = Tensor(a @ b, (self, other))
 
-        def bwd():
-            g = out.grad
+        def bwd(g):
             if b.ndim == 1:
                 self.grad += np.outer(g, b)
                 other.grad += a.T @ g
@@ -121,120 +118,86 @@ class Tensor:
                 self.grad += g @ b.T
                 other.grad += a.T @ g
 
-        out._backward = bwd
-        return out
+        return Tensor(a @ b, (self, other), bwd)
 
     # -- shape ops ------------------------------------------------------
 
     def reshape(self, *shape):
-        out = Tensor(self.data.reshape(*shape), (self,))
+        def bwd(g):
+            self.grad += g.reshape(self.data.shape)
 
-        def bwd():
-            self.grad += out.grad.reshape(self.data.shape)
-
-        out._backward = bwd
-        return out
+        return Tensor(self.data.reshape(*shape), (self,), bwd)
 
     def transpose(self):
         if self.data.ndim != 2:
             raise ShapeMismatch("transpose expects a 2-d tensor")
-        out = Tensor(self.data.T, (self,))
 
-        def bwd():
-            self.grad += out.grad.T
+        def bwd(g):
+            self.grad += g.T
 
-        out._backward = bwd
-        return out
-
-    def row(self, i: int):
-        out = Tensor(self.data[i], (self,))
-
-        def bwd():
-            self.grad[i] += out.grad
-
-        out._backward = bwd
-        return out
+        return Tensor(self.data.T, (self,), bwd)
 
     def pick(self, i: int):
         """Scalar element of a vector."""
         if self.data.ndim != 1:
             raise ShapeMismatch("pick expects a vector")
-        out = Tensor(self.data[i], (self,))
 
-        def bwd():
-            self.grad[i] += out.grad
+        def bwd(g):
+            self.grad[i] += g
 
-        out._backward = bwd
-        return out
+        return Tensor(self.data[i], (self,), bwd)
 
     # -- reductions and nonlinearities -----------------------------------
 
     def sum(self):
-        out = Tensor(self.data.sum(), (self,))
+        def bwd(g):
+            self.grad += g
 
-        def bwd():
-            self.grad += out.grad
-
-        out._backward = bwd
-        return out
+        return Tensor(self.data.sum(), (self,), bwd)
 
     def relu(self):
-        out = Tensor(np.maximum(self.data, 0.0), (self,))
+        def bwd(g):
+            self.grad += g * (self.data > 0)
 
-        def bwd():
-            self.grad += out.grad * (self.data > 0)
-
-        out._backward = bwd
-        return out
+        return Tensor(np.maximum(self.data, 0.0), (self,), bwd)
 
     def sigmoid(self):
         y = 1.0 / (1.0 + np.exp(-self.data))
-        out = Tensor(y, (self,))
 
-        def bwd():
-            self.grad += out.grad * y * (1.0 - y)
+        def bwd(g):
+            self.grad += g * y * (1.0 - y)
 
-        out._backward = bwd
-        return out
+        return Tensor(y, (self,), bwd)
 
     def tanh(self):
         y = np.tanh(self.data)
-        out = Tensor(y, (self,))
 
-        def bwd():
-            self.grad += out.grad * (1.0 - y * y)
+        def bwd(g):
+            self.grad += g * (1.0 - y * y)
 
-        out._backward = bwd
-        return out
+        return Tensor(y, (self,), bwd)
 
     def log(self):
-        out = Tensor(np.log(self.data), (self,))
+        def bwd(g):
+            self.grad += g / self.data
 
-        def bwd():
-            self.grad += out.grad / self.data
-
-        out._backward = bwd
-        return out
+        return Tensor(np.log(self.data), (self,), bwd)
 
     def minimum(self, cap: float):
         """Elementwise min(x, cap); subgradient 1 strictly below the cap."""
-        out = Tensor(np.minimum(self.data, cap), (self,))
 
-        def bwd():
-            self.grad += out.grad * (self.data < cap)
+        def bwd(g):
+            self.grad += g * (self.data < cap)
 
-        out._backward = bwd
-        return out
+        return Tensor(np.minimum(self.data, cap), (self,), bwd)
 
     def clip_min(self, floor: float):
         """Elementwise max(x, floor); subgradient 1 strictly above the floor."""
-        out = Tensor(np.maximum(self.data, floor), (self,))
 
-        def bwd():
-            self.grad += out.grad * (self.data > floor)
+        def bwd(g):
+            self.grad += g * (self.data > floor)
 
-        out._backward = bwd
-        return out
+        return Tensor(np.maximum(self.data, floor), (self,), bwd)
 
     def softmax(self):
         if self.data.ndim != 1:
@@ -242,14 +205,11 @@ class Tensor:
         shifted = self.data - self.data.max()
         e = np.exp(shifted)
         y = e / e.sum()
-        out = Tensor(y, (self,))
 
-        def bwd():
-            g = out.grad
+        def bwd(g):
             self.grad += y * (g - np.dot(g, y))
 
-        out._backward = bwd
-        return out
+        return Tensor(y, (self,), bwd)
 
 
 def _as_tensor(x) -> Tensor:
@@ -268,14 +228,12 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
 
 def stack(rows: list[Tensor]) -> Tensor:
     """Stack T vectors of identical shape into a (T, ...) tensor."""
-    out = Tensor(np.stack([r.data for r in rows]), tuple(rows))
 
-    def bwd():
+    def bwd(g):
         for i, r in enumerate(rows):
-            r.grad += out.grad[i]
+            r.grad += g[i]
 
-    out._backward = bwd
-    return out
+    return Tensor(np.stack([r.data for r in rows]), tuple(rows), bwd)
 
 
 def conv1d(x: Tensor, filters: Tensor, bias: Tensor, pad: int) -> Tensor:
@@ -300,10 +258,8 @@ def conv1d(x: Tensor, filters: Tensor, bias: Tensor, pad: int) -> Tensor:
     y = np.broadcast_to(bias.data[:, None], (c_out, t_out)).copy()
     for w in range(width):
         y += filters.data[:, :, w] @ xp[:, w : w + t_out]
-    out = Tensor(y, (x, filters, bias))
 
-    def bwd():
-        g = out.grad
+    def bwd(g):
         bias.grad += g.sum(axis=1)
         dxp = np.zeros_like(xp)
         for w in range(width):
@@ -311,8 +267,7 @@ def conv1d(x: Tensor, filters: Tensor, bias: Tensor, pad: int) -> Tensor:
             dxp[:, w : w + t_out] += filters.data[:, :, w].T @ g
         x.grad += dxp[:, pad : pad + t] if pad else dxp
 
-    out._backward = bwd
-    return out
+    return Tensor(y, (x, filters, bias), bwd)
 
 
 def maxpool1d(x: Tensor, rate: int) -> Tensor:
@@ -328,14 +283,12 @@ def maxpool1d(x: Tensor, rate: int) -> Tensor:
         raise ShapeMismatch(f"pool rate {rate} exceeds T={t}")
     windows = x.data[:, : t_out * rate].reshape(c, t_out, rate)
     idx = windows.argmax(axis=2)
-    out = Tensor(windows.max(axis=2), (x,))
 
-    def bwd():
+    def bwd(g):
         cols = idx + np.arange(t_out)[None, :] * rate
-        np.add.at(x.grad, (np.arange(c)[:, None], cols), out.grad)
+        np.add.at(x.grad, (np.arange(c)[:, None], cols), g)
 
-    out._backward = bwd
-    return out
+    return Tensor(windows.max(axis=2), (x,), bwd)
 
 
 def global_maxpool(x: Tensor) -> Tensor:
@@ -343,13 +296,11 @@ def global_maxpool(x: Tensor) -> Tensor:
     if x.data.ndim != 2:
         raise ShapeMismatch("global_maxpool expects (T, H)")
     idx = x.data.argmax(axis=0)
-    out = Tensor(x.data.max(axis=0), (x,))
 
-    def bwd():
-        np.add.at(x.grad, (idx, np.arange(x.data.shape[1])), out.grad)
+    def bwd(g):
+        np.add.at(x.grad, (idx, np.arange(x.data.shape[1])), g)
 
-    out._backward = bwd
-    return out
+    return Tensor(x.data.max(axis=0), (x,), bwd)
 
 
 def dropout(x: Tensor, p: float, train: bool, rng: np.random.Generator) -> Tensor:
@@ -357,10 +308,8 @@ def dropout(x: Tensor, p: float, train: bool, rng: np.random.Generator) -> Tenso
     if not train or p == 0.0:
         return x
     mask = (rng.random(x.data.shape) >= p) / (1.0 - p)
-    out = Tensor(x.data * mask, (x,))
 
-    def bwd():
-        x.grad += out.grad * mask
+    def bwd(g):
+        x.grad += g * mask
 
-    out._backward = bwd
-    return out
+    return Tensor(x.data * mask, (x,), bwd)

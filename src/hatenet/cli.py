@@ -43,7 +43,7 @@ from .ensemble import (
     train_ensemble,
     tune,
 )
-from .errors import HatenetError, NonFiniteValue, NumericError
+from .errors import HatenetError, InvalidConfig, NonFiniteValue, NumericError
 from .metrics import format_report
 from .model import TopologyConfig
 from .text import RawPost, preprocess
@@ -68,6 +68,17 @@ def _embeddings_spec(spec: str) -> str:
             f"{spec!r}: expected synthetic:<seed>:<dim> with integers seed >= 0, dim >= 1"
         ) from None
     return spec
+
+
+def _positive_int(text: str) -> int:
+    """A count flag's value: an integer >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{text!r}: expected an integer >= 1")
+    return value
 
 
 def _add_embedding_args(p: argparse.ArgumentParser) -> None:
@@ -105,7 +116,7 @@ def _add_member_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--rnn", choices=["gru", "lstm"], default=None)
     p.add_argument("--conv-axis", choices=["sequence", "embedding"], default=None)
     p.add_argument("--seq-len", type=int, default=None)
-    p.add_argument("--jobs", type=int, default=1,
+    p.add_argument("--jobs", type=_positive_int, default=1,
                    help="parallel workers across ensemble members")
 
 
@@ -142,7 +153,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="supervised ensemble training")
     _add_run_args(p)
     _add_member_args(p)
-    p.add_argument("--trials", type=int, default=1,
+    p.add_argument("--trials", type=_positive_int, default=1,
                    help="rerun T times with seeds seed+1000*t and report mean metrics")
     _add_data_args(p)
     _add_embedding_args(p)
@@ -193,24 +204,49 @@ def build_parser() -> argparse.ArgumentParser:
 def _load_config_file(path: "str | None") -> dict:
     if not path:
         return {}
-    return json.loads(Path(path).read_text(encoding="utf-8"))
+    try:
+        cfg = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise InvalidConfig(f"{path} is not a JSON config file: {exc}") from None
+    if not isinstance(cfg, dict):
+        raise InvalidConfig(f"{path}: a config file holds one JSON object")
+    return cfg
+
+
+def _config_section(file_cfg: dict, name: str, cls) -> dict:
+    """The config file's `name` section, each value checked against the
+    type of the matching field's default in `cls`."""
+    section = file_cfg.get(name, {})
+    if not isinstance(section, dict):
+        raise InvalidConfig(f"config section {name!r} must be a JSON object")
+    defaults = cls().__dict__
+    for key, value in section.items():
+        if key not in defaults:
+            raise InvalidConfig(f"unknown {name} config field {key!r}")
+        default = defaults[key]
+        if default is None:  # class_weights: set from --class-weights, never the file
+            continue
+        expected = (int, float) if isinstance(default, float) else type(default)
+        if isinstance(value, bool) or not isinstance(value, expected):
+            raise InvalidConfig(
+                f"{name} config field {key!r} must be of type "
+                f"{type(default).__name__}, got {value!r}"
+            )
+    return dict(section)
 
 
 def _resolve_topology(args, file_cfg: dict) -> TopologyConfig:
-    merged = dict(file_cfg.get("topology", {}))
+    merged = _config_section(file_cfg, "topology", TopologyConfig)
     for flag, key in (("variant", "variant"), ("rnn", "rnn_kind"),
                       ("conv_axis", "conv_axis"), ("seq_len", "seq_len")):
         value = getattr(args, flag, None)
         if value is not None:
             merged[key] = value
-    try:
-        return TopologyConfig(**{**TopologyConfig().__dict__, **merged})
-    except TypeError as exc:
-        raise HatenetError(f"bad topology config: {exc}") from exc
+    return TopologyConfig(**{**TopologyConfig().__dict__, **merged})
 
 
 def _resolve_train(args, file_cfg: dict, loss_mode: str) -> TrainConfig:
-    merged = dict(file_cfg.get("train", {}))
+    merged = _config_section(file_cfg, "train", TrainConfig)
     for flag, key in (("seed", "seed"), ("epochs", "epochs"),
                       ("ensemble_size", "ensemble_size"),
                       ("batch_size", "batch_size"), ("lr", "base_lr"),
@@ -220,10 +256,7 @@ def _resolve_train(args, file_cfg: dict, loss_mode: str) -> TrainConfig:
         if value is not None:
             merged[key] = value
     merged["loss_mode"] = loss_mode
-    try:
-        cfg = TrainConfig(**{**TrainConfig().__dict__, **merged, "class_weights": None})
-    except TypeError as exc:
-        raise HatenetError(f"bad training config: {exc}") from exc
+    cfg = TrainConfig(**{**TrainConfig().__dict__, **merged, "class_weights": None})
     cfg.validate()
     return cfg
 

@@ -206,6 +206,64 @@ class TestRecurrent:
             assert got[t] == pytest.approx(h, abs=1e-12)
 
 
+def composed_gru(xs, p):
+    """The GRU as a per-step composition of Tensor ops, one node per op."""
+    h = Tensor(np.zeros(p["u_z"].data.shape[0]))
+    states = []
+    for x in xs:
+        z = (p["w_z"] @ x + p["u_z"] @ h + p["b_z"]).sigmoid()
+        r = (p["w_r"] @ x + p["u_r"] @ h + p["b_r"]).sigmoid()
+        g = (p["w_h"] @ x + p["u_h"] @ (r * h) + p["b_h"]).tanh()
+        h = (1.0 - z) * h + z * g
+        states.append(h)
+    return stack(states)
+
+
+def composed_lstm(xs, p):
+    """The LSTM as a per-step composition of Tensor ops, one node per op."""
+    h = c = Tensor(np.zeros(p["u_i"].data.shape[0]))
+    states = []
+    for x in xs:
+        i = (p["w_i"] @ x + p["u_i"] @ h + p["b_i"]).sigmoid()
+        f = (p["w_f"] @ x + p["u_f"] @ h + p["b_f"]).sigmoid()
+        o = (p["w_o"] @ x + p["u_o"] @ h + p["b_o"]).sigmoid()
+        g = (p["w_g"] @ x + p["u_g"] @ h + p["b_g"]).tanh()
+        c = f * c + i * g
+        h = o * c.tanh()
+        states.append(h)
+    return stack(states)
+
+
+@pytest.mark.parametrize("init, fused, composed", [
+    (init_gru, gru_forward, composed_gru),
+    (init_lstm, lstm_forward, composed_lstm),
+])
+def test_fused_recurrent_op_matches_step_composition(init, fused, composed):
+    t_steps, d_in, hidden = 6, 4, 5
+    rng = np.random.default_rng(12)
+    p = init(rng, d_in, hidden)
+    for key, tensor in p.items():
+        if key.startswith("b_"):
+            tensor.data[:] = rng.standard_normal(hidden)
+    q = {k: Tensor(v.data.copy()) for k, v in p.items()}
+    x = rng.standard_normal((t_steps, d_in))
+    lw = rng.standard_normal((t_steps, hidden))
+
+    inputs = Tensor(x)
+    out = fused(inputs, p)
+    (out * lw).sum().backward()
+    rows = [Tensor(x[t]) for t in range(t_steps)]
+    want = composed(rows, q)
+    (want * lw).sum().backward()
+
+    np.testing.assert_allclose(out.data, want.data, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(inputs.grad, np.stack([r.grad for r in rows]),
+                               rtol=0, atol=1e-10)
+    for key in p:
+        np.testing.assert_allclose(p[key].grad, q[key].grad, rtol=0, atol=1e-10,
+                                   err_msg=key)
+
+
 class TestFcAndLosses:
     def test_identity_affine(self):
         x = Tensor(np.array([1.0, -2.0, 3.0]))

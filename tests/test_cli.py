@@ -381,3 +381,40 @@ def test_subcommands_reject_flags_they_never_read(argv, dead):
     with pytest.raises(SystemExit) as exc:
         run(argv + dead)
     assert exc.value.code == cli.EXIT_USAGE
+
+
+@pytest.mark.parametrize("argv", [
+    TRAIN_ARGV + ["--trials", "0"],
+    TRAIN_ARGV + ["--trials", "-1"],
+    TRAIN_ARGV + ["--jobs", "0"],
+    WEAK_ARGV + ["--jobs", "0"],
+])
+def test_counts_below_one_are_usage_errors(argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.build_parser().parse_args(argv)
+    assert exc.value.code == cli.EXIT_USAGE
+
+
+def cli_subprocess(argv):
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "hatenet.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
+@pytest.mark.parametrize("content", [
+    '{"train": {"epochs": "2"}}',
+    '{"topology": {"seq_len": "12"}}',
+    "{not json",
+])
+def test_config_file_faults_exit_3_without_traceback(tmp_path, content):
+    config = tmp_path / "bad.json"
+    config.write_text(content)
+    proc = cli_subprocess([
+        "train", "--config", str(config),
+        "--labeled-lines", write_lines_corpus(tmp_path),
+        "--embeddings", "synthetic:0:6", "--out", str(tmp_path / "run"),
+    ])
+    assert proc.returncode == cli.EXIT_DATA, proc.stderr
+    assert "Traceback" not in proc.stderr

@@ -59,7 +59,7 @@ class TestCompare:
             out = x * x
             wrong = Tensor(out.data.sum(), (x,))
 
-            def bwd():
+            def bwd(g):
                 x.grad += 3.0 * np.ones(2)  # deliberately not 2x
 
             wrong._backward = bwd

@@ -1,9 +1,13 @@
+import gc
+
 import numpy as np
 import pytest
 
 from conftest import tiny_topology
 from hatenet.errors import InvalidConfig, ShapeMismatch
+from hatenet.layers import cross_entropy
 from hatenet.model import CNN_FC, CNN_RNN_FC, TopologyConfig, build, forward, param_count
+from hatenet.weaksup import ClassBounds, ClassWeights, weak_loss
 
 
 class TestBuild:
@@ -190,3 +194,46 @@ class TestForward:
         params = build(topo, 1)
         with pytest.raises(ShapeMismatch):
             forward(params, topo, np.zeros((6, 8)))
+
+
+def graph_size(root) -> int:
+    """Nodes reachable from root through the parents each node records."""
+    seen, stack = set(), [root]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            stack.extend(node._parents)
+    return len(seen)
+
+
+class TestGraphLifetime:
+    @pytest.mark.parametrize("rnn_kind", ["gru", "lstm"])
+    def test_graphs_free_without_cycle_collector(self, rnn_kind):
+        cfg = tiny_topology(rnn_kind=rnn_kind)
+        params = build(cfg, seed=0)
+        values = np.random.default_rng(0).standard_normal((cfg.seq_len, cfg.emb_dim))
+        bounds = ClassBounds(np.array([0.6, 0.0, 0.0]), np.ones(3))
+        gc.collect()
+        gc.disable()
+        try:
+            probs = forward(params, cfg, values, train=True, rng=np.random.default_rng(1))
+            cross_entropy(probs, 1).backward()
+            probs = forward(params, cfg, values, train=True, rng=np.random.default_rng(2))
+            weak_loss(probs, bounds, ClassWeights.uniform()).backward()
+            probs = forward(params, cfg, values)
+            del probs
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    @pytest.mark.parametrize("rnn_kind", ["gru", "lstm"])
+    def test_graph_size_independent_of_sequence_length(self, rnn_kind):
+        sizes = []
+        for seq_len in (12, 24):
+            cfg = tiny_topology(rnn_kind=rnn_kind, seq_len=seq_len)
+            params = build(cfg, seed=0)
+            values = np.random.default_rng(0).standard_normal((seq_len, cfg.emb_dim))
+            probs = forward(params, cfg, values, train=True, rng=np.random.default_rng(1))
+            sizes.append(graph_size(cross_entropy(probs, 0)))
+        assert sizes[0] == sizes[1]
