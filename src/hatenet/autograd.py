@@ -236,38 +236,75 @@ def stack(rows: list[Tensor]) -> Tensor:
     return Tensor(np.stack([r.data for r in rows]), tuple(rows), bwd)
 
 
-def conv1d(x: Tensor, filters: Tensor, bias: Tensor, pad: int) -> Tensor:
+def _tap_major(filters: np.ndarray) -> np.ndarray:
+    """(C_out, C_in, W) filters as (C_in, W*C_out): column block w is tap w."""
+    c_out, c_in, width = filters.shape
+    return filters.transpose(1, 2, 0).reshape(c_in, width * c_out)
+
+
+def _tap_slices(first: int, stop: int, width: int, pad: int, t_out: int):
+    """For each tap w, the output steps j0:j1 that input steps first..stop-1
+    reach through w (input step s feeds output step s + pad - w), and the
+    offset of the input step feeding j0 within that span."""
+    for w in range(width):
+        shift = first + pad - w
+        j0, j1 = max(shift, 0), min(stop + pad - w, t_out)
+        if j1 > j0:
+            yield w, j0, j1, j0 - shift
+
+
+def conv1d(x, filters: Tensor, bias: Tensor, pad: int) -> Tensor:
     """Stride-1 cross-correlation with symmetric zero padding.
 
     x: (C_in, T), filters: (C_out, C_in, W), bias: (C_out,).
     Output: (C_out, T + 2*pad - W + 1).
+
+    The input is read time-major and multiplied by the tap-major filters
+    (C_in, W*C_out) in one product over the span of steps holding a nonzero
+    value; leading and trailing all-zero steps (post padding) add exactly
+    nothing and are skipped.  Each tap's (T_out, C_out) slice of that product
+    is then added at its shift.  A plain ndarray ``x`` is a constant: it
+    gets no graph node and no gradient.
     """
-    if x.data.ndim != 2 or filters.data.ndim != 3:
+    xd = x.data if isinstance(x, Tensor) else np.asarray(x, dtype=np.float64)
+    if xd.ndim != 2 or filters.data.ndim != 3:
         raise ShapeMismatch("conv1d expects x (C_in, T) and filters (C_out, C_in, W)")
-    c_in, t = x.data.shape
+    c_in, t = xd.shape
     c_out, f_cin, width = filters.data.shape
     if f_cin != c_in or bias.data.shape != (c_out,):
         raise ShapeMismatch(
-            f"conv1d shapes disagree: x {x.data.shape}, filters "
+            f"conv1d shapes disagree: x {xd.shape}, filters "
             f"{filters.data.shape}, bias {bias.data.shape}"
         )
     t_out = t + 2 * pad - width + 1
     if t_out < 1:
         raise ShapeMismatch(f"filter width {width} too wide for T={t}, pad={pad}")
-    xp = np.pad(x.data, ((0, 0), (pad, pad)))
-    y = np.broadcast_to(bias.data[:, None], (c_out, t_out)).copy()
-    for w in range(width):
-        y += filters.data[:, :, w] @ xp[:, w : w + t_out]
+    steps = np.flatnonzero(xd.any(axis=0))
+    lo, hi = (int(steps[0]), int(steps[-1]) + 1) if steps.size else (0, 0)
+    live = xd.T[lo:hi]
+    z = (live @ _tap_major(filters.data)).reshape(hi - lo, width, c_out)
+    y = np.broadcast_to(bias.data, (t_out, c_out)).copy()
+    for w, j0, j1, i0 in _tap_slices(lo, hi, width, pad, t_out):
+        y[j0:j1] += z[i0 : i0 + j1 - j0, w]
+    needs_dx = isinstance(x, Tensor)
 
     def bwd(g):
-        bias.grad += g.sum(axis=1)
-        dxp = np.zeros_like(xp)
-        for w in range(width):
-            filters.grad[:, :, w] += g @ xp[:, w : w + t_out].T
-            dxp[:, w : w + t_out] += filters.data[:, :, w].T @ g
-        x.grad += dxp[:, pad : pad + t] if pad else dxp
+        g = g.T
+        bias.grad += g.sum(axis=0)
+        # row s of `shifted` holds, tap by tap, the output gradients input
+        # step s fed; only live steps are needed unless x wants a gradient
+        first, stop = (0, t) if needs_dx else (lo, hi)
+        shifted = np.zeros((stop - first, width, c_out))
+        for w, j0, j1, i0 in _tap_slices(first, stop, width, pad, t_out):
+            shifted[i0 : i0 + j1 - j0, w] = g[j0:j1]
+        shifted = shifted.reshape(stop - first, width * c_out)
+        d_taps = live.T @ shifted[lo - first : hi - first]
+        filters.grad += d_taps.reshape(c_in, width, c_out).transpose(2, 0, 1)
+        if needs_dx:
+            x.grad += (shifted @ _tap_major(filters.data).T).T
 
-    return Tensor(y, (x, filters, bias), bwd)
+    parents = (x, filters, bias) if needs_dx else (filters, bias)
+    return Tensor(y.T, parents, bwd)
 
 
 def maxpool1d(x: Tensor, rate: int) -> Tensor:

@@ -193,7 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--layer", help="run one registered check by name")
     p.add_argument("--all", action="store_true", help="run every registered check")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trials", type=int, default=20)
+    p.add_argument("--trials", type=_positive_int, default=20)
 
     p = sub.add_parser("preprocess", help="dump normalized token sequences")
     p.add_argument("--input", required=True, help="text file, one post per line")

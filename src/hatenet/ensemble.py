@@ -246,6 +246,13 @@ def train_member(
             _train_batch(params, batch, post_loss, optimizer, rng, epoch)
             for batch in batches
         ]
+        if epoch == 1 and cfg.loss_mode == WEAK and not any(epoch_losses):
+            log.warning(
+                "member seed %d: every weak training batch of epoch 1 has loss "
+                "0, so the member trains on a zero gradient; no lexicon bound "
+                "binds its predictions at bounds_k=%g (a larger bounds_k "
+                "tightens the bounds)", member_seed, cfg.bounds_k,
+            )
         valid_loss, valid_recall = _mean_loss_eval(params, valid_list, post_loss)
         if not np.isfinite(valid_loss):
             raise NumericError(

@@ -102,9 +102,20 @@ def _check_conv1d(seed: int, h: float) -> dict[str, float]:
     x, f, b = _rand(rng, 3, 7), _rand(rng, 2, 3, 3), _rand(rng, 2)
     lw = _loss_weights(rng, 2 * 7)
     tensors = {"x": x, "filters": f, "bias": b}
-    return compare(
+    errors = compare(
         lambda: (autograd.conv1d(x, f, b, pad=1).reshape(-1) * lw).sum(), tensors, h
     )
+    # a constant input with zero leading, interior and trailing steps, as a
+    # padded post: only the live span of steps is multiplied
+    const = rng.standard_normal((3, 9))
+    const[:, [0, 1, 5, 8]] = 0.0
+    lw = _loss_weights(rng, 2 * 9)
+    errors.update(compare(
+        lambda: (autograd.conv1d(const, f, b, pad=1).reshape(-1) * lw).sum(),
+        {"filters_const_x": f, "bias_const_x": b},
+        h,
+    ))
+    return errors
 
 
 def _windows_well_separated(data: np.ndarray, rate: int, margin: float) -> bool:
@@ -210,8 +221,7 @@ def _tiny_config(variant: str, rnn_kind: str = "gru") -> model.TopologyConfig:
 
 def _topology_margins_ok(params, config, values, h: float) -> bool:
     """Reject inputs whose pooled windows or relu preactivations sit on a kink."""
-    x = Tensor(values)
-    planes = x.transpose() if config.conv_axis == "sequence" else x
+    planes = values.T if config.conv_axis == "sequence" else values
     fp = params.feature.params
     convolved = autograd.conv1d(planes, fp["conv_w"], fp["conv_b"], config.conv_pad)
     if not _windows_well_separated(convolved.data, config.pool_rate, 20 * h):
@@ -289,6 +299,8 @@ _TOPOLOGY_TRIALS = 3
 def check(name: str, seed: int = 0, h: float = DEFAULT_STEP, trials: int = 20) -> GradCheckReport:
     """Run one registered check over several random seeds; report the
     worst per-tensor relative error."""
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     if name not in REGISTRY:
         raise KeyError(f"no gradient check registered under {name!r}")
     if name.startswith("topology_"):

@@ -194,8 +194,8 @@ def forward(
         )
     if train and config.dropout_p > 0 and rng is None:
         raise ValueError("train-mode forward needs an rng for dropout")
-    x = Tensor(values)
-    planes = x.transpose() if config.conv_axis == "sequence" else x
+    # the post matrix is a constant: conv1d gives it no node and no gradient
+    planes = values.T if config.conv_axis == "sequence" else values
     fp = params.feature.params
     convolved = conv1d(planes, fp["conv_w"], fp["conv_b"], config.conv_pad)
     pooled = maxpool1d(convolved, config.pool_rate)
@@ -205,6 +205,9 @@ def forward(
         features = global_maxpool(rnn(steps, fp))
     else:
         features = pooled.reshape(-1)
+    if not params.feature.trainable:
+        # a frozen extractor is a constant: backward stops at its features
+        features = Tensor(features.data)
     cp = params.classifier.params
     hidden = fc_forward(features, cp["fc1_w"], cp["fc1_b"], "relu")
     hidden = dropout(hidden, config.dropout_p, train, rng)

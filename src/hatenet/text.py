@@ -40,12 +40,13 @@ _EMOJI_RANGES = (
 )
 
 
+_EMOJI_RE = re.compile(
+    "[" + "".join(f"\\U{lo:08x}-\\U{hi:08x}" for lo, hi in _EMOJI_RANGES) + "]"
+)
+
+
 def _strip_emoji(text: str) -> str:
-    return "".join(
-        ch
-        for ch in text
-        if not any(lo <= ord(ch) <= hi for lo, hi in _EMOJI_RANGES)
-    )
+    return _EMOJI_RE.sub("", text)
 
 
 def normalize(text: str) -> str:

@@ -74,6 +74,44 @@ class TestConv1d:
         got = conv1d(Tensor(x), Tensor(f), Tensor(b), pad=pad).data
         np.testing.assert_allclose(got, brute_conv1d(x, f, b, pad), atol=1e-12)
 
+    @pytest.mark.parametrize("zero_steps", [
+        [0, 1, 2],            # leading (left padding of a short post)
+        [7, 8],               # trailing
+        [3, 5],               # interior (out-of-vocabulary tokens)
+        [0, 1, 4, 8],         # all three
+        list(range(9)),       # an all-zero input
+    ])
+    def test_zero_steps_match_brute_force(self, zero_steps):
+        rng = np.random.default_rng(len(zero_steps))
+        x = rng.standard_normal((3, 9))
+        x[:, zero_steps] = 0.0
+        f = rng.standard_normal((4, 3, 5))
+        b = rng.standard_normal(4)
+        for pad in (0, 2, 4):
+            want = brute_conv1d(x, f, b, pad)
+            for given in (x, Tensor(x)):
+                got = conv1d(given, Tensor(f), Tensor(b), pad=pad).data
+                np.testing.assert_allclose(got, want, atol=1e-12, rtol=0)
+
+    def test_constant_input_gets_no_node(self):
+        rng = np.random.default_rng(5)
+        x = rng.standard_normal((3, 8))
+        x[:, :3] = 0.0
+        f, b = Tensor(rng.standard_normal((2, 3, 3))), Tensor(rng.standard_normal(2))
+        lw = rng.standard_normal(16)
+        const = conv1d(x, f, b, pad=1)
+        assert const._parents == (f, b)
+        (const.reshape(-1) * lw).sum().backward()
+        grads = f.grad.copy(), b.grad.copy()
+        leaf = Tensor(x)
+        node = conv1d(leaf, f, b, pad=1)
+        assert node._parents == (leaf, f, b)
+        assert node.data.tobytes() == const.data.tobytes()
+        (node.reshape(-1) * lw).sum().backward()
+        np.testing.assert_allclose(f.grad, grads[0], atol=1e-12, rtol=0)
+        np.testing.assert_allclose(b.grad, grads[1], atol=1e-12, rtol=0)
+        assert leaf.grad.shape == x.shape
+
     def test_odd_width_same_pad_preserves_length(self):
         rng = np.random.default_rng(2)
         for t in (3, 10, 31):

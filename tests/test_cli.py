@@ -319,6 +319,16 @@ class TestGradcheckCommand:
         assert run(["gradcheck", "--layer", "fc_relu", "--trials", "1"]) \
             == cli.EXIT_NUMERIC
 
+    @pytest.mark.parametrize("argv", [
+        ["gradcheck", "--all", "--trials", "0"],
+        ["gradcheck", "--layer", "fc_relu", "--trials", "-1"],
+    ])
+    def test_trials_below_one_is_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == cli.EXIT_USAGE
+        assert "pass" not in capsys.readouterr().out
+
 
 class TestPreprocessCommand:
     def test_dumps_token_sequences(self, tmp_path, capsys):

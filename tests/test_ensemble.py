@@ -1,3 +1,4 @@
+import logging
 from collections import Counter
 
 import numpy as np
@@ -125,6 +126,23 @@ class TestTrainMember:
         )
         assert [rec.valid_loss for rec in trace.epochs] == [0.0, 0.0, 0.0]
         assert trace.best_epoch == 1
+
+    def test_zero_weak_loss_warns_once_per_member(self, topo, table, caplog):
+        # long posts with one lexicon hit each: at bounds_k=1 no bound binds
+        # a near-uniform prediction; at bounds_k=12 the hate bound does
+        lexicon = Lexicon([MARKERS[0]], [MARKERS[1]], [MARKERS[2]])
+        filler = " ".join(f"word{j}" for j in range(20))
+        pool = [RawPost(f"{MARKERS[0]} {filler} {i}") for i in range(8)]
+        for k, warned in ((1.0, 2), (12.0, 0)):
+            cfg = TrainConfig(ensemble_size=2, epochs=2, seed=0, loss_mode=WEAK,
+                              batch_size=4, bounds_k=k)
+            caplog.clear()
+            with caplog.at_level(logging.WARNING, logger="hatenet.ensemble"):
+                train_ensemble(cfg, topo, table, pool, pool[:2], lexicon=lexicon)
+            records = [r.getMessage() for r in caplog.records
+                       if "zero gradient" in r.getMessage()]
+            assert len(records) == warned
+            assert all(f"bounds_k={k:g}" in msg for msg in records)
 
     def test_weak_mode_learns_from_bounds(self, topo, table):
         lexicon = Lexicon([MARKERS[0]], [MARKERS[1]], [MARKERS[2]])
@@ -385,8 +403,6 @@ class TestTune:
         assert TrainConfig().tune_lr == 5e-4
 
     def test_unbalanced_warns(self, topo, table, caplog):
-        import logging
-
         bundle = self._bundle(topo, table)
         target = make_counts_corpus(3, 8, 5)
         with caplog.at_level(logging.WARNING, logger="hatenet.ensemble"):

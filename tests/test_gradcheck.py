@@ -22,6 +22,14 @@ class TestRegistry:
         with pytest.raises(KeyError):
             gradcheck.check("no_such_layer")
 
+    @pytest.mark.parametrize("trials", [0, -1])
+    def test_trials_below_one_rejected(self, trials):
+        # zero trials would run nothing and report every check as passed
+        with pytest.raises(ValueError):
+            gradcheck.check("fc_none", trials=trials)
+        with pytest.raises(ValueError):
+            gradcheck.run_all(trials=trials)
+
 
 class TestLayerChecks:
     @pytest.mark.parametrize("name", ["fc_none", "fc_relu", "fc_softmax"])
@@ -45,6 +53,13 @@ class TestLayerChecks:
         report = gradcheck.check(name, trials=3)
         assert report.passed, str(report)
         assert report.per_tensor  # one entry per parameter tensor
+
+    def test_conv1d_checks_constant_input_path(self):
+        report = gradcheck.check("conv1d", trials=2)
+        assert set(report.per_tensor) == {
+            "x", "filters", "bias", "filters_const_x", "bias_const_x",
+        }
+        assert report.passed, str(report)
 
     def test_report_string_mentions_status(self):
         report = gradcheck.check("fc_none", trials=1)

@@ -195,6 +195,25 @@ class TestForward:
         with pytest.raises(ShapeMismatch):
             forward(params, topo, np.zeros((6, 8)))
 
+    @pytest.mark.parametrize("variant,rnn_kind", [
+        (CNN_RNN_FC, "gru"), (CNN_RNN_FC, "lstm"), (CNN_FC, "gru"),
+    ])
+    def test_frozen_extractor_is_not_differentiated(self, variant, rnn_kind):
+        cfg = tiny_topology(variant=variant, rnn_kind=rnn_kind)
+        values = np.random.default_rng(6).standard_normal((cfg.seq_len, cfg.emb_dim))
+        values[:3] = 0.0  # left padding
+        grads = {}
+        for frozen in (False, True):
+            params = build(cfg, seed=5)
+            params.feature.trainable = not frozen
+            probs = forward(params, cfg, values, train=True, rng=np.random.default_rng(7))
+            cross_entropy(probs, 2).backward()
+            grads[frozen] = {k: t.grad for k, t in params.classifier.params.items()}
+            if frozen:
+                assert all(t.grad is None for t in params.feature.params.values())
+        for key, want in grads[False].items():
+            np.testing.assert_allclose(grads[True][key], want, atol=1e-12, rtol=0)
+
 
 def graph_size(root) -> int:
     """Nodes reachable from root through the parents each node records."""

@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hatenet.text import (
+    _EMOJI_RANGES,
+    _strip_emoji,
     HASHTAG_SENTINEL,
     MENTION_SENTINEL,
     RawPost,
@@ -41,6 +43,16 @@ class TestNormalize:
 
     def test_emoji_stripped(self):
         assert normalize("nice \U0001F600 day ❤️") == "nice day"
+
+    def test_emoji_regex_matches_range_predicate(self):
+        # every code point up to U+1FFFF, each kept or dropped exactly as
+        # the per-character range test decides
+        every = "".join(map(chr, range(0x20000)))
+        kept = "".join(
+            ch for ch in every
+            if not any(lo <= ord(ch) <= hi for lo, hi in _EMOJI_RANGES)
+        )
+        assert _strip_emoji(every) == kept
 
     def test_non_ascii_letters_kept(self):
         assert normalize("café blüht") == "café blüht"
