@@ -2,14 +2,17 @@
 
 Vector files use the standard text layout: one token per line followed by
 its coordinates, whitespace separated; an optional leading ``count dim``
-header line is tolerated.  A deterministic synthetic table is provided
-for tests and demos so no multi-gigabyte downloads are needed.
+header line is tolerated.  A loaded file is indexed by token, and each row
+is parsed when a post first looks its token up.  A deterministic
+synthetic table is provided for tests and demos so no multi-gigabyte
+downloads are needed.
 """
 
 from __future__ import annotations
 
 import hashlib
 import logging
+import threading
 
 import numpy as np
 
@@ -71,45 +74,127 @@ def synthetic_table(seed: int, dim: int) -> SyntheticTable:
     return SyntheticTable(seed, dim)
 
 
+class _IndexedTable(EmbeddingTable):
+    """A text vector file indexed by token; each row is parsed on first lookup.
+
+    ``vectors`` holds the rows parsed so far.  ``_rows`` maps each token
+    not yet resolved to its ``(lineno, line)``, or to a list of them in
+    file order when the token is listed more than once.  Resolving a
+    token parses its rows until one is well formed, stores that one in
+    ``vectors`` and drops the token from ``_rows``; a token without a
+    well-formed row stays absent.  Rows after a token's resolved row wait
+    in ``_later``, which only ``skipped`` reads.
+    """
+
+    def __init__(self, path: str, dim: int, rows: dict):
+        super().__init__(dim, {}, name=path)
+        self._rows = rows
+        self._later: list[tuple[int, str]] = []
+        self._skipped = 0
+        self._all_read = False
+        # --jobs threads share one table: a row is resolved under the lock,
+        # and stored in ``vectors`` before its token leaves ``_rows``.
+        self._lock = threading.Lock()
+
+    def get(self, token: str) -> "np.ndarray | None":
+        if token in self._rows:
+            with self._lock:
+                if token in self._rows:
+                    self._resolve(token)
+        return self.vectors.get(token)
+
+    def __len__(self) -> int:
+        self._read_all()
+        return len(self.vectors)
+
+    def __contains__(self, token: str) -> bool:
+        return self.get(token) is not None
+
+    @property
+    def skipped(self) -> int:
+        """Malformed rows in the file; parses every row not yet read."""
+        self._read_all()
+        return self._skipped
+
+    def _resolve(self, token: str) -> None:
+        entry = self._rows[token]
+        entries = entry if isinstance(entry, list) else [entry]
+        for i, (lineno, line) in enumerate(entries):
+            vec = self._parse(lineno, line)
+            if vec is not None:  # duplicates keep the first well-formed row
+                self.vectors[token] = vec
+                self._later.extend(entries[i + 1 :])
+                break
+        del self._rows[token]
+
+    def _parse(self, lineno: int, line: str) -> "np.ndarray | None":
+        parts = line.split()
+        if len(parts) != self.dim + 1:
+            log.warning("%s:%d: expected %d values, got %d; line skipped",
+                        self.name, lineno, self.dim, len(parts) - 1)
+            self._skipped += 1
+            return None
+        try:
+            return np.array([float(p) for p in parts[1:]], dtype=np.float64)
+        except ValueError:
+            log.warning("%s:%d: non-numeric vector component; line skipped",
+                        self.name, lineno)
+            self._skipped += 1
+            return None
+
+    def _read_all(self) -> None:
+        with self._lock:
+            if self._all_read:
+                return
+            for token in list(self._rows):
+                self._resolve(token)
+            for lineno, line in self._later:
+                self._parse(lineno, line)
+            self._later = []
+            self._all_read = True
+            if self._skipped:
+                log.warning("%s: skipped %d malformed line(s)", self.name, self._skipped)
+
+
 def load_table(path: str, dim: int) -> EmbeddingTable:
-    """Read a text vector file; malformed lines are skipped and counted.
+    """Index a text vector file by token; rows are parsed on first lookup.
+
+    One pass stores each line under its token and parses no number; a
+    ``count dim`` header on line 1 and blank lines are passed over.
+    ``get`` parses a token's row the first time it is asked for and keeps
+    the result.  Malformed rows (wrong arity, a non-numeric component) are
+    skipped with a warning naming their line when they are first parsed;
+    duplicates keep the first well-formed row.  ``len()`` and ``skipped``
+    parse every row not yet read, so they give the counts of a full parse.
 
     Raises EmptyTableError when no usable vector remains.
     """
-    vectors: dict[str, np.ndarray] = {}
-    skipped = 0
+    rows: dict[str, "tuple[int, str] | list[tuple[int, str]]"] = {}
     with open(path, encoding="utf-8", errors="replace") as fh:
         for lineno, line in enumerate(fh, start=1):
-            parts = line.rstrip("\n").split()
-            if not parts:
+            head = line.split(None, 1)
+            if not head:
                 continue
-            if lineno == 1 and len(parts) <= 2:
-                try:
-                    [int(p) for p in parts]
-                    continue  # header line: vocabulary size / dimension
-                except ValueError:
-                    pass
-            if len(parts) != dim + 1:
-                log.warning("%s:%d: expected %d values, got %d; line skipped",
-                            path, lineno, dim, len(parts) - 1)
-                skipped += 1
-                continue
-            token = parts[0]
-            try:
-                vec = np.array([float(p) for p in parts[1:]], dtype=np.float64)
-            except ValueError:
-                log.warning("%s:%d: non-numeric vector component; line skipped",
-                            path, lineno)
-                skipped += 1
-                continue
-            if token not in vectors:  # duplicates keep the first occurrence
-                vectors[token] = vec
-    if not vectors:
+            if lineno == 1:
+                parts = line.split()
+                if len(parts) <= 2:
+                    try:
+                        [int(p) for p in parts]
+                        continue  # header line: vocabulary size / dimension
+                    except ValueError:
+                        pass
+            token = head[0]
+            entry = rows.get(token)
+            if entry is None:
+                rows[token] = (lineno, line)
+            elif isinstance(entry, list):
+                entry.append((lineno, line))
+            else:
+                rows[token] = [entry, (lineno, line)]
+    table = _IndexedTable(path, dim, rows)
+    # in file order until one row is usable: one row unless none is
+    if not any(table.get(token) is not None for token in list(rows)):
         raise EmptyTableError(f"no usable vectors in {path}")
-    if skipped:
-        log.warning("%s: skipped %d malformed line(s)", path, skipped)
-    table = EmbeddingTable(dim, vectors, name=path)
-    table.skipped = skipped
     return table
 
 

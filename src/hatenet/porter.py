@@ -8,6 +8,12 @@ reproduces the algorithm as first published.  Expected outputs for a
 broad word list are frozen in tests/fixtures/porter_pairs.txt.
 """
 
+import functools
+
+# Stems memoised by ``stem``; a post's vocabulary repeats across posts,
+# epochs and members, so a warm cache skips nearly every stemming pass.
+STEM_CACHE_SIZE = 1 << 16
+
 _VOWELS = frozenset("aeiou")
 
 
@@ -208,6 +214,7 @@ def _step5b(word: str) -> str:
     return word
 
 
+@functools.lru_cache(maxsize=STEM_CACHE_SIZE)
 def stem(word: str) -> str:
     """Return the Porter stem of a lowercase word."""
     if not word:

@@ -1,5 +1,13 @@
+import logging
+import sys
+import tempfile
+import threading
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hatenet.embeddings import EmbeddingTable, embed, load_table, synthetic_table
 from hatenet.errors import EmptyTableError
@@ -53,6 +61,179 @@ class TestLoadTable:
         path = write_vectors(tmp_path / "v.txt", ["cat 1 2", "cat 9 9"])
         table = load_table(path, dim=2)
         np.testing.assert_array_equal(table.get("cat"), [1, 2])
+
+
+def eager_load(path, dim):
+    """The loader before rows were parsed lazily: every row parsed at load.
+
+    Returns (vectors, skipped); the reference for the lazy table's contract.
+    """
+    vectors = {}
+    skipped = 0
+    with open(path, encoding="utf-8", errors="replace") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            parts = line.rstrip("\n").split()
+            if not parts:
+                continue
+            if lineno == 1 and len(parts) <= 2:
+                try:
+                    [int(p) for p in parts]
+                    continue
+                except ValueError:
+                    pass
+            if len(parts) != dim + 1:
+                skipped += 1
+                continue
+            token = parts[0]
+            try:
+                vec = np.array([float(p) for p in parts[1:]], dtype=np.float64)
+            except ValueError:
+                skipped += 1
+                continue
+            if token not in vectors:
+                vectors[token] = vec
+    if not vectors:
+        raise EmptyTableError(f"no usable vectors in {path}")
+    return vectors, skipped
+
+
+class TestLazyTable:
+    def test_good_lookup_does_not_parse_bad_row(self, tmp_path, caplog):
+        path = write_vectors(tmp_path / "v.txt", ["ok 1 2", "bad x y", "fine 3 4"])
+        with caplog.at_level(logging.WARNING, logger="hatenet.embeddings"):
+            table = load_table(path, dim=2)
+            np.testing.assert_array_equal(table.get("fine"), [3, 4])
+        assert caplog.records == []
+
+    def test_row_warning_fires_once_when_resolved(self, tmp_path, caplog):
+        path = write_vectors(tmp_path / "v.txt", ["ok 1 2", "bad x y"])
+        table = load_table(path, dim=2)
+        with caplog.at_level(logging.WARNING, logger="hatenet.embeddings"):
+            assert table.get("bad") is None
+            assert table.get("bad") is None
+            assert "bad" not in table
+        messages = [r.getMessage() for r in caplog.records]
+        assert messages == [f"{path}:2: non-numeric vector component; line skipped"]
+
+    def test_malformed_first_duplicate_falls_through(self, tmp_path):
+        path = write_vectors(tmp_path / "v.txt", ["cat 1", "dog 3 4", "cat 5 6"])
+        table = load_table(path, dim=2)
+        np.testing.assert_array_equal(table.get("cat"), [5, 6])
+        assert table.skipped == 1
+        assert len(table) == 2
+
+    def test_malformed_later_duplicate_counts(self, tmp_path):
+        path = write_vectors(tmp_path / "v.txt", ["cat 1 2", "cat x y"])
+        table = load_table(path, dim=2)
+        np.testing.assert_array_equal(table.get("cat"), [1, 2])
+        assert table.skipped == 1
+        assert len(table) == 1
+
+    def test_all_malformed_fatal_at_load(self, tmp_path):
+        path = write_vectors(tmp_path / "v.txt", ["a 1", "b x y", "c 1 2 3", "a 1 2 3"])
+        with pytest.raises(EmptyTableError):
+            load_table(path, dim=2)
+
+    def test_crlf_with_header(self, tmp_path):
+        path = tmp_path / "v.txt"
+        path.write_bytes(b"2 2\r\ncat 1 2\r\ndog 3 4\r\n")
+        table = load_table(str(path), dim=2)
+        np.testing.assert_array_equal(table.get("dog"), [3, 4])
+        assert "2" not in table
+        assert len(table) == 2
+        assert table.skipped == 0
+
+    def test_repeated_get_same_array(self, tmp_path):
+        path = write_vectors(tmp_path / "v.txt", ["cat 1 2", "dog 3 4"])
+        table = load_table(path, dim=2)
+        assert table.get("dog") is table.get("dog")
+
+    def test_threads_share_lazy_rows(self, tmp_path):
+        dim = 300
+        lines = []
+        for i in range(300):
+            values = " ".join(str(i + k / 8) for k in range(dim))
+            lines.append(f"t{i % 200} {values}" if i % 7 else f"t{i % 200} x {values}")
+        path = write_vectors(tmp_path / "v.txt", lines)
+        want, want_skipped = eager_load(path, dim)
+        table = load_table(path, dim=dim)
+        tokens = [f"t{i}" for i in range(210)]
+        start = threading.Barrier(8)
+        failures = []
+
+        def worker():
+            start.wait(timeout=30)
+            for token in tokens:
+                got = table.get(token)
+                if (got is None) != (token not in want) or (
+                        got is not None and not np.array_equal(got, want[token])):
+                    failures.append(token)
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(thread.is_alive() for thread in threads)
+        assert failures == []
+        assert table.skipped == want_skipped
+        assert len(table) == len(want)
+
+    @given(
+        dim=st.integers(1, 3),
+        rows=st.lists(
+            st.tuples(
+                st.sampled_from(["blank", "header", "good", "arity", "text"]),
+                st.sampled_from(["a", "b", "c", "7", "x"]),
+                st.lists(st.sampled_from(["0", "1.5", "-2", "3e-1", "4"]), min_size=3, max_size=3),
+                st.sampled_from([" ", "\t", "  "]),
+                st.sampled_from(["\n", "\r\n"]),
+            ),
+            max_size=12,
+        ),
+        count_first=st.booleans(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_eager_loader(self, dim, rows, count_first):
+        lines = []
+        for kind, token, values, sep, end in rows:
+            if kind == "blank":
+                fields = ["", ""]
+            elif kind == "header":
+                fields = ["3", str(dim)] if sep != "\t" else ["12"]
+            elif kind == "good":
+                fields = [token] + values[:dim]
+            elif kind == "arity":
+                fields = [token] + values[: dim + 1 if sep == " " else dim - 1]
+            else:
+                fields = [token] + values[: dim - 1] + ["x1"]
+            lines.append(sep.join(fields) + end)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "v.txt"
+            path.write_bytes("".join(lines).encode("utf-8"))
+            try:
+                want, want_skipped = eager_load(str(path), dim)
+            except EmptyTableError:
+                with pytest.raises(EmptyTableError):
+                    load_table(str(path), dim)
+                return
+            table = load_table(str(path), dim)
+        if count_first:
+            assert len(table) == len(want)
+            assert table.skipped == want_skipped
+        for token in ["a", "b", "c", "7", "x", "3", "12", ""]:
+            got = table.get(token)
+            assert (got is None) == (token not in want)
+            if got is not None:
+                np.testing.assert_array_equal(got, want[token])
+            assert (token in table) == (token in want)
+        assert len(table) == len(want)
+        assert table.skipped == want_skipped
 
 
 class TestSyntheticTable:
