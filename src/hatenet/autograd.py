@@ -129,13 +129,14 @@ class Tensor:
         return Tensor(self.data.reshape(*shape), (self,), bwd)
 
     def transpose(self):
-        if self.data.ndim != 2:
-            raise ShapeMismatch("transpose expects a 2-d tensor")
+        """Swap the last two axes: (..., M, N) -> (..., N, M)."""
+        if self.data.ndim not in (2, 3):
+            raise ShapeMismatch("transpose expects a 2-d or 3-d tensor")
 
         def bwd(g):
-            self.grad += g.T
+            self.grad += g.swapaxes(-1, -2)
 
-        return Tensor(self.data.T, (self,), bwd)
+        return Tensor(self.data.swapaxes(-1, -2), (self,), bwd)
 
     def pick(self, i: int):
         """Scalar element of a vector."""
@@ -177,37 +178,16 @@ class Tensor:
 
         return Tensor(y, (self,), bwd)
 
-    def log(self):
-        def bwd(g):
-            self.grad += g / self.data
-
-        return Tensor(np.log(self.data), (self,), bwd)
-
-    def minimum(self, cap: float):
-        """Elementwise min(x, cap); subgradient 1 strictly below the cap."""
-
-        def bwd(g):
-            self.grad += g * (self.data < cap)
-
-        return Tensor(np.minimum(self.data, cap), (self,), bwd)
-
-    def clip_min(self, floor: float):
-        """Elementwise max(x, floor); subgradient 1 strictly above the floor."""
-
-        def bwd(g):
-            self.grad += g * (self.data > floor)
-
-        return Tensor(np.maximum(self.data, floor), (self,), bwd)
-
     def softmax(self):
-        if self.data.ndim != 1:
-            raise ShapeMismatch("softmax expects a vector")
-        shifted = self.data - self.data.max()
+        """Softmax of a vector, or of each row of a (B, C) matrix."""
+        if self.data.ndim not in (1, 2):
+            raise ShapeMismatch("softmax expects a vector or a (B, C) matrix")
+        shifted = self.data - self.data.max(axis=-1, keepdims=True)
         e = np.exp(shifted)
-        y = e / e.sum()
+        y = e / e.sum(axis=-1, keepdims=True)
 
         def bwd(g):
-            self.grad += y * (g - np.dot(g, y))
+            self.grad += y * (g - (g * y).sum(axis=-1, keepdims=True))
 
         return Tensor(y, (self,), bwd)
 
@@ -253,23 +233,70 @@ def _tap_slices(first: int, stop: int, width: int, pad: int, t_out: int):
             yield w, j0, j1, j0 - shift
 
 
+# input steps multiplied per product in conv1d, which bounds its transients
+CONV_BLOCK_ROWS = 256
+
+
+def _live_spans(batch: np.ndarray) -> list[tuple[int, int]]:
+    """For each (C_in, T) input of a batch, the steps from its first to its
+    last holding a nonzero value; (0, 0) for an all-zero input."""
+    alive = batch.any(axis=1)
+    t = alive.shape[1]
+    first = alive.argmax(axis=1)
+    stop = t - alive[:, ::-1].argmax(axis=1)
+    return [
+        (int(lo), int(hi)) if any_live else (0, 0)
+        for lo, hi, any_live in zip(first, stop, alive.any(axis=1))
+    ]
+
+
+def _span_blocks(batch: np.ndarray, spans: list[tuple[int, int]]):
+    """Split the inputs into runs of consecutive ones whose spans hold at
+    most CONV_BLOCK_ROWS steps in all (a longer input is a run of its own).
+    Yields each run as its (input, first step, stop step) triples and the
+    time-major rows of those steps, concatenated (a view for one input)."""
+
+    def rows(run):
+        if len(run) == 1:
+            i, j0, j1 = run[0]
+            return batch[i, :, j0:j1].T
+        return np.concatenate([batch[i, :, j0:j1].T for i, j0, j1 in run])
+
+    run: list[tuple[int, int, int]] = []
+    size = 0
+    for b, (lo, hi) in enumerate(spans):
+        if run and size + hi - lo > CONV_BLOCK_ROWS:
+            yield run, rows(run)
+            run, size = [], 0
+        run.append((b, lo, hi))
+        size += hi - lo
+    if run:
+        yield run, rows(run)
+
+
 def conv1d(x, filters: Tensor, bias: Tensor, pad: int) -> Tensor:
-    """Stride-1 cross-correlation with symmetric zero padding.
+    """Stride-1 cross-correlation with symmetric zero padding, over one
+    input or a batch.
 
-    x: (C_in, T), filters: (C_out, C_in, W), bias: (C_out,).
-    Output: (C_out, T + 2*pad - W + 1).
+    x: (C_in, T) or (B, C_in, T), filters: (C_out, C_in, W), bias: (C_out,).
+    Output: (C_out, T_out) or (B, C_out, T_out), T_out = T + 2*pad - W + 1.
 
-    The input is read time-major and multiplied by the tap-major filters
-    (C_in, W*C_out) in one product over the span of steps holding a nonzero
-    value; leading and trailing all-zero steps (post padding) add exactly
-    nothing and are skipped.  Each tap's (T_out, C_out) slice of that product
-    is then added at its shift.  A plain ndarray ``x`` is a constant: it
-    gets no graph node and no gradient.
+    Each input is read time-major, and only its live span, the steps from
+    its first to its last holding a nonzero value, is multiplied: leading
+    and trailing all-zero steps (post padding) add exactly nothing.  The
+    live rows of consecutive inputs are concatenated, up to CONV_BLOCK_ROWS
+    rows, and multiplied by the tap-major filters (C_in, W*C_out) in one
+    product; each tap's slice of an input's block of that product is then
+    added at its shift.  A plain ndarray ``x`` is a constant: it gets no
+    graph node and no gradient.
     """
     xd = x.data if isinstance(x, Tensor) else np.asarray(x, dtype=np.float64)
-    if xd.ndim != 2 or filters.data.ndim != 3:
-        raise ShapeMismatch("conv1d expects x (C_in, T) and filters (C_out, C_in, W)")
-    c_in, t = xd.shape
+    if xd.ndim not in (2, 3) or filters.data.ndim != 3:
+        raise ShapeMismatch(
+            "conv1d expects x (C_in, T) or (B, C_in, T) and filters (C_out, C_in, W)"
+        )
+    batch = xd if xd.ndim == 3 else xd[None]
+    n, c_in, t = batch.shape
     c_out, f_cin, width = filters.data.shape
     if f_cin != c_in or bias.data.shape != (c_out,):
         raise ShapeMismatch(
@@ -279,69 +306,92 @@ def conv1d(x, filters: Tensor, bias: Tensor, pad: int) -> Tensor:
     t_out = t + 2 * pad - width + 1
     if t_out < 1:
         raise ShapeMismatch(f"filter width {width} too wide for T={t}, pad={pad}")
-    steps = np.flatnonzero(xd.any(axis=0))
-    lo, hi = (int(steps[0]), int(steps[-1]) + 1) if steps.size else (0, 0)
-    live = xd.T[lo:hi]
-    z = (live @ _tap_major(filters.data)).reshape(hi - lo, width, c_out)
-    y = np.broadcast_to(bias.data, (t_out, c_out)).copy()
-    for w, j0, j1, i0 in _tap_slices(lo, hi, width, pad, t_out):
-        y[j0:j1] += z[i0 : i0 + j1 - j0, w]
+    spans = _live_spans(batch)
+    taps = _tap_major(filters.data)
+    y = np.empty((n, t_out, c_out))
+    y[:] = bias.data
+    for run, rows in _span_blocks(batch, spans):
+        z = (rows @ taps).reshape(-1, width, c_out)
+        offset = 0
+        for b, lo, hi in run:
+            for w, j0, j1, i0 in _tap_slices(lo, hi, width, pad, t_out):
+                y[b, j0:j1] += z[offset + i0 : offset + i0 + j1 - j0, w]
+            offset += hi - lo
+        del rows, z  # before the next run's are made
     needs_dx = isinstance(x, Tensor)
 
     def bwd(g):
-        g = g.T
-        bias.grad += g.sum(axis=0)
-        # row s of `shifted` holds, tap by tap, the output gradients input
-        # step s fed; only live steps are needed unless x wants a gradient
-        first, stop = (0, t) if needs_dx else (lo, hi)
-        shifted = np.zeros((stop - first, width, c_out))
-        for w, j0, j1, i0 in _tap_slices(first, stop, width, pad, t_out):
-            shifted[i0 : i0 + j1 - j0, w] = g[j0:j1]
-        shifted = shifted.reshape(stop - first, width * c_out)
-        d_taps = live.T @ shifted[lo - first : hi - first]
+        g = g.swapaxes(-1, -2).reshape(n, t_out, c_out)
+        bias.grad += g.sum(axis=(0, 1))
+        d_taps = np.zeros((c_in, width * c_out))
+        if needs_dx:
+            taps = _tap_major(filters.data)
+            dx = np.empty((n, t, c_in))
+        # row s of a run's `shifted` holds, tap by tap, the output gradients
+        # its input step s fed; only live steps are needed unless x wants a
+        # gradient, which needs every step
+        for run, rows in _span_blocks(batch, [(0, t)] * n if needs_dx else spans):
+            shifted = np.zeros((len(rows), width, c_out))
+            offset = 0
+            for b, first, stop in run:
+                for w, j0, j1, i0 in _tap_slices(first, stop, width, pad, t_out):
+                    shifted[offset + i0 : offset + i0 + j1 - j0, w] = g[b, j0:j1]
+                offset += stop - first
+            shifted = shifted.reshape(len(rows), width * c_out)
+            d_taps += rows.T @ shifted
+            if needs_dx:
+                dx[run[0][0] : run[-1][0] + 1] = (shifted @ taps.T).reshape(-1, t, c_in)
+            del rows, shifted
         filters.grad += d_taps.reshape(c_in, width, c_out).transpose(2, 0, 1)
         if needs_dx:
-            x.grad += (shifted @ _tap_major(filters.data).T).T
+            x.grad += dx.swapaxes(1, 2).reshape(xd.shape)
 
+    out = y.swapaxes(1, 2)
     parents = (x, filters, bias) if needs_dx else (filters, bias)
-    return Tensor(y.T, parents, bwd)
+    return Tensor(out if xd.ndim == 3 else out[0], parents, bwd)
 
 
 def maxpool1d(x: Tensor, rate: int) -> Tensor:
-    """Non-overlapping per-channel max over windows of width `rate`;
-    a trailing remainder shorter than `rate` is dropped."""
-    if x.data.ndim != 2:
-        raise ShapeMismatch("maxpool1d expects (C, T)")
+    """Non-overlapping per-channel max over windows of width `rate` along the
+    last (time) axis of (C, T) or (B, C, T); a trailing remainder shorter
+    than `rate` is dropped."""
+    if x.data.ndim not in (2, 3):
+        raise ShapeMismatch("maxpool1d expects (C, T) or (B, C, T)")
     if rate < 1:
         raise ShapeMismatch(f"pool rate must be >= 1, got {rate}")
-    c, t = x.data.shape
+    *lead, t = x.data.shape
     t_out = t // rate
     if t_out < 1:
         raise ShapeMismatch(f"pool rate {rate} exceeds T={t}")
-    windows = x.data[:, : t_out * rate].reshape(c, t_out, rate)
-    idx = windows.argmax(axis=2)
+    windows = x.data[..., : t_out * rate].reshape(*lead, t_out, rate)
+    idx = windows.argmax(axis=-1)[..., None]
 
     def bwd(g):
-        cols = idx + np.arange(t_out)[None, :] * rate
-        np.add.at(x.grad, (np.arange(c)[:, None], cols), g)
+        spread = np.zeros((*lead, t_out, rate))
+        np.put_along_axis(spread, idx, g[..., None], axis=-1)
+        x.grad[..., : t_out * rate] += spread.reshape(*lead, t_out * rate)
 
-    return Tensor(windows.max(axis=2), (x,), bwd)
+    return Tensor(windows.max(axis=-1), (x,), bwd)
 
 
 def global_maxpool(x: Tensor) -> Tensor:
-    """Columnwise max over the leading (time) axis: (T, H) -> (H,)."""
-    if x.data.ndim != 2:
-        raise ShapeMismatch("global_maxpool expects (T, H)")
-    idx = x.data.argmax(axis=0)
+    """Max over the time axis: (T, H) -> (H,), or (B, T, H) -> (B, H)."""
+    if x.data.ndim not in (2, 3):
+        raise ShapeMismatch("global_maxpool expects (T, H) or (B, T, H)")
+    idx = x.data.argmax(axis=-2)[..., None, :]
 
     def bwd(g):
-        np.add.at(x.grad, (idx, np.arange(x.data.shape[1])), g)
+        picked = np.take_along_axis(x.grad, idx, axis=-2)
+        np.put_along_axis(x.grad, idx, picked + g[..., None, :], axis=-2)
 
-    return Tensor(x.data.max(axis=0), (x,), bwd)
+    return Tensor(x.data.max(axis=-2), (x,), bwd)
 
 
 def dropout(x: Tensor, p: float, train: bool, rng: np.random.Generator) -> Tensor:
-    """Inverted dropout: identity in eval mode, mask-and-rescale in train."""
+    """Inverted dropout: identity in eval mode, mask-and-rescale in train.
+
+    The mask is one ``rng.random(x.shape)`` draw, so a (B, H) batch draws the
+    same stream as B consecutive (H,) draws."""
     if not train or p == 0.0:
         return x
     mask = (rng.random(x.data.shape) >= p) / (1.0 - p)

@@ -32,7 +32,7 @@ from .errors import (
 )
 from .layers import ParamGroup, cross_entropy
 from .metrics import accumulate, report
-from .model import ModelParams, TopologyConfig, build, forward
+from .model import ModelParams, TopologyConfig, build, classify, features, forward
 from .optim import Adam
 from .text import RawPost, TokenSequence, preprocess
 from .weaksup import (
@@ -52,6 +52,9 @@ META_NAME = "bundle.meta"
 
 SUPERVISED = "supervised"
 WEAK = "weak"
+
+# posts per forward call when scoring validation posts and in evaluate
+EVAL_CHUNK = 6
 
 
 @dataclass
@@ -130,9 +133,21 @@ def _batches(items: list, size: int):
         yield items[start : start + size]
 
 
+def _embed_stack(seqs, table: EmbeddingTable, seq_len: int) -> np.ndarray:
+    """The (B, seq_len, dim) stack of the embedded token sequences; one
+    sequence's matrix is used as is, with no copy."""
+    if len(seqs) == 1:
+        return embed(seqs[0], table, seq_len).values[None]
+    out = np.empty((len(seqs), seq_len, table.dim))
+    for row, seq in zip(out, seqs):
+        row[:] = embed(seq, table, seq_len).values
+    return out
+
+
 class _PostLoss:
-    """The one path from a post to its class probabilities and loss, for
-    one member's training call (or one ``tune`` call) and loss mode.
+    """The one path from a batch of posts to its class probabilities and
+    loss, for one member's training call (or one ``tune`` call) and loss
+    mode.
 
     A post is preprocessed, and its target (the label, or the lexicon
     bounds in weak mode) computed, the first time it is seen; every later
@@ -160,25 +175,36 @@ class _PostLoss:
             entry = self._encoded[id(post)] = (post, seq, target)
         return entry[1], entry[2]
 
-    def loss(self, params, post: RawPost, train: bool = False, rng=None) -> tuple[Tensor, Tensor]:
-        """Class probabilities and loss of one post."""
-        seq, target = self._encode(post)
-        matrix = embed(seq, self.table, self.topo.seq_len)
-        probs = forward(params, self.topo, matrix, train=train, rng=rng)
+    def stack(self, posts: list[RawPost]) -> np.ndarray:
+        """The (B, seq_len, dim) stack of the posts' embedded matrices."""
+        seqs = [self._encode(post)[0] for post in posts]
+        return _embed_stack(seqs, self.table, self.topo.seq_len)
+
+    def criterion(self, probs: Tensor, posts: list[RawPost]) -> Tensor:
+        """The batch-mean loss of (B, 3) probabilities of the posts."""
+        targets = [self._encode(post)[1] for post in posts]
         if self.cfg.loss_mode == SUPERVISED:
-            return probs, cross_entropy(probs, target)
-        return probs, weak_loss(probs, target, self.weights)
+            return cross_entropy(probs, targets)
+        return weak_loss(probs, targets, self.weights)
+
+    def loss(self, params, posts: list[RawPost], train: bool = False,
+             rng=None) -> tuple[Tensor, Tensor]:
+        """(B, 3) class probabilities of the posts and their batch-mean loss."""
+        probs = forward(params, self.topo, self.stack(posts), train=train, rng=rng)
+        return probs, self.criterion(probs, posts)
 
 
 def _mean_loss_eval(params, posts, post_loss: _PostLoss) -> tuple[float, "float | None"]:
     """Mean eval-mode loss over posts, plus hate recall when labels exist."""
     total = 0.0
     pairs = []
-    for post in posts:
-        probs, loss = post_loss.loss(params, post)
-        total += loss.data.item()
+    for chunk in _batches(posts, EVAL_CHUNK):
+        probs, loss = post_loss.loss(params, chunk)
+        total += loss.data.item() * len(chunk)
         if post_loss.cfg.loss_mode == SUPERVISED:
-            pairs.append((post.label, int(np.argmax(probs.data))))
+            pairs.extend(
+                (post.label, int(np.argmax(row))) for post, row in zip(chunk, probs.data)
+            )
     mean = total / max(len(posts), 1)
     recall = None
     if pairs:
@@ -186,18 +212,19 @@ def _mean_loss_eval(params, posts, post_loss: _PostLoss) -> tuple[float, "float 
     return mean, recall
 
 
-def _train_batch(params, batch, post_loss, optimizer, rng, epoch_no) -> float:
-    total = None
-    for post in batch:
-        _, loss = post_loss.loss(params, post, train=True, rng=rng)
-        total = loss if total is None else total + loss
-    mean = total * (1.0 / len(batch))
-    value = mean.data.item()
+def _step(params, loss: Tensor, optimizer, epoch_no) -> float:
+    """One optimizer step on a batch loss; returns the loss value."""
+    value = loss.data.item()
     if not np.isfinite(value):
         raise NumericError(f"non-finite training loss at epoch {epoch_no}")
-    mean.backward()
+    loss.backward()
     optimizer.step(params.groups())
     return value
+
+
+def _train_batch(params, batch, post_loss, optimizer, rng, epoch_no) -> float:
+    _, loss = post_loss.loss(params, batch, train=True, rng=rng)
+    return _step(params, loss, optimizer, epoch_no)
 
 
 def train_member(
@@ -336,31 +363,46 @@ def vote_outcome(votes: "np.ndarray | list[int]", member_probs: np.ndarray) -> i
     return int(tied[0])
 
 
-def predict(bundle: EnsembleBundle, post: RawPost, table: EmbeddingTable) -> Prediction:
-    """Per-member argmax votes (ties to the lowest class ordinal), then
-    the majority decision."""
+def _member_probs(bundle: EnsembleBundle, posts, table: EmbeddingTable) -> np.ndarray:
+    """(K, B, 3): every member's class probabilities for each post, one
+    forward call per member."""
     if table.dim != bundle.fingerprint["dim"]:
         raise PreprocessingMismatch(
             f"table dim {table.dim} != bundle dim {bundle.fingerprint['dim']}"
         )
-    matrix = embed(preprocess(post), table, bundle.topology.seq_len)
-    member_probs = np.stack([
-        forward(member, bundle.topology, matrix).data for member in bundle.members
-    ])
+    stack = _embed_stack([preprocess(post) for post in posts], table,
+                         bundle.topology.seq_len)
+    return np.stack([forward(member, bundle.topology, stack).data
+                     for member in bundle.members])
+
+
+def _prediction(member_probs: np.ndarray) -> Prediction:
+    """Per-member argmax votes (ties to the lowest class ordinal), then the
+    majority decision, from one post's (K, 3) member probabilities."""
     votes = [int(np.argmax(p)) for p in member_probs]
-    label = vote_outcome(votes, member_probs)
     return Prediction(
-        label=label,
+        label=vote_outcome(votes, member_probs),
         votes=votes,
         mean_probs=member_probs.mean(axis=0),
         member_probs=member_probs,
     )
 
 
+def predict(bundle: EnsembleBundle, post: RawPost, table: EmbeddingTable) -> Prediction:
+    """Per-member argmax votes (ties to the lowest class ordinal), then
+    the majority decision."""
+    return _prediction(_member_probs(bundle, [post], table)[:, 0])
+
+
 def evaluate(bundle: EnsembleBundle, corpus: LabeledCorpus, table: EmbeddingTable) -> dict:
-    pairs = [
-        (post.label, predict(bundle, post, table).label) for post in corpus.posts
-    ]
+    """The report of the bundle's decisions on the corpus, which is scored
+    in chunks of EVAL_CHUNK posts."""
+    pairs = []
+    for chunk in _batches(corpus.posts, EVAL_CHUNK):
+        probs = _member_probs(bundle, chunk, table)
+        pairs.extend(
+            (post.label, _prediction(probs[:, i]).label) for i, post in enumerate(chunk)
+        )
     return report(accumulate(pairs))
 
 
@@ -373,7 +415,9 @@ def tune(
     """Freeze the feature extractor, retrain the dense head on the target.
 
     Runs tune_epochs of balanced epochs at tune_lr; feature tensors are
-    untouched byte for byte.
+    untouched byte for byte.  Each member runs its extractor once per
+    distinct post, on the post's first draw, and trains the head on the
+    kept features.
     """
     cfg.validate()
     counts = target_train.class_counts
@@ -382,18 +426,26 @@ def tune(
     if min(counts) == 0:
         raise EmptyClass(f"tuning set is missing a class: counts {counts}")
     sup_cfg = TrainConfig(**{**cfg.__dict__, "loss_mode": SUPERVISED})
-    post_loss = _PostLoss(bundle.topology, table, sup_cfg, None)
+    topo = bundle.topology
+    post_loss = _PostLoss(topo, table, sup_cfg, None)
     tuned_members = []
     for index, member in enumerate(bundle.members):
         params = member.copy()
-        params.feature.trainable = False
         rng = np.random.default_rng([cfg.seed + index, 2])
         optimizer = Adam(lr=cfg.tune_lr)
+        # id(post) -> the frozen extractor's features of the post; the
+        # posts live in target_train for the whole call, so ids are stable
+        frozen: dict[int, np.ndarray] = {}
         for epoch in range(1, cfg.tune_epochs + 1):
             sample = balanced_epoch_sample(target_train, rng)
             for batch in _batches(sample, cfg.batch_size):
-                _train_batch(params, batch, post_loss, optimizer, rng, epoch)
-        params.feature.trainable = True
+                new = list({id(p): p for p in batch if id(p) not in frozen}.values())
+                for chunk in _batches(new, EVAL_CHUNK):
+                    computed = features(params, topo, post_loss.stack(chunk)).data
+                    frozen.update(zip(map(id, chunk), computed))
+                feats = Tensor(np.stack([frozen[id(p)] for p in batch]))
+                probs = classify(params, topo, feats, train=True, rng=rng)
+                _step(params, post_loss.criterion(probs, batch), optimizer, epoch)
         tuned_members.append(params)
     provenance = dict(bundle.provenance)
     provenance["tuned_on"] = target_train.provenance

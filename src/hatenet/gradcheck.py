@@ -115,7 +115,33 @@ def _check_conv1d(seed: int, h: float) -> dict[str, float]:
         {"filters_const_x": f, "bias_const_x": b},
         h,
     ))
+    # a batch of 3 inputs with distinct live spans, as a Tensor and as a
+    # constant
+    batch = _padded_batch(rng, 3, 3, 9)
+    xb = Tensor(batch)
+    lw = _loss_weights(rng, 3 * 2 * 9)
+    errors.update(compare(
+        lambda: (autograd.conv1d(xb, f, b, pad=1).reshape(-1) * lw).sum(),
+        {"x_batch": xb, "filters_batch": f, "bias_batch": b},
+        h,
+    ))
+    errors.update(compare(
+        lambda: (autograd.conv1d(batch, f, b, pad=1).reshape(-1) * lw).sum(),
+        {"filters_const_batch": f, "bias_const_batch": b},
+        h,
+    ))
     return errors
+
+
+def _padded_batch(rng, n: int, channels: int, steps: int) -> np.ndarray:
+    """n random (channels, steps) inputs whose zero steps differ: leading in
+    the first, interior and trailing in the second, leading and interior
+    in the third, none in the rest."""
+    batch = rng.standard_normal((n, channels, steps))
+    zero_steps = (range(max(1, steps // 3)), [steps // 2, steps - 1], [0, steps // 2])
+    for b, steps_b in enumerate(zero_steps[:n]):
+        batch[b][:, list(steps_b)] = 0.0
+    return batch
 
 
 def _windows_well_separated(data: np.ndarray, rate: int, margin: float) -> bool:
@@ -172,21 +198,32 @@ def _check_rnn(seed: int, h: float, kind: str) -> dict[str, float]:
     lw = _loss_weights(rng, t_steps * hidden)
     run = layers.gru_forward if kind == "gru" else layers.lstm_forward
     tensors = {"x": x, **params}
-    return compare(lambda: (run(x, params).reshape(-1) * lw).sum(), tensors, h)
+    errors = compare(lambda: (run(x, params).reshape(-1) * lw).sum(), tensors, h)
+    # a batch of 3 sequences with distinct zero steps
+    xb = Tensor(_padded_batch(rng, 3, d_in, t_steps).transpose(0, 2, 1).copy())
+    lw = _loss_weights(rng, 3 * t_steps * hidden)
+    tensors = {"x_batch": xb, **{f"{k}_batch": v for k, v in params.items()}}
+    errors.update(compare(lambda: (run(xb, params).reshape(-1) * lw).sum(), tensors, h))
+    return errors
 
 
 def _check_cross_entropy(seed: int, h: float) -> dict[str, float]:
     rng = np.random.default_rng(seed)
     logits = _rand(rng, 3)
     target = int(rng.integers(0, 3))
-    return compare(
+    errors = compare(
         lambda: layers.cross_entropy(logits.softmax(), target), {"logits": logits}, h
     )
+    rows = _rand(rng, 3, 3)
+    targets = rng.integers(0, 3, size=3)
+    errors.update(compare(
+        lambda: layers.cross_entropy(rows.softmax(), targets), {"logits_batch": rows}, h
+    ))
+    return errors
 
 
-def _check_weak_loss(seed: int, h: float) -> dict[str, float]:
-    rng = np.random.default_rng(seed)
-    weights = weaksup.ClassWeights(rng.uniform(0.5, 3.0, size=3))
+def _weak_case(rng) -> tuple[Tensor, "weaksup.ClassBounds"]:
+    """Logits and bounds whose probabilities sit away from every hinge."""
     for _ in range(200):
         logits = _rand(rng, 3)
         lo = rng.uniform(0.0, 0.6, size=3)
@@ -197,11 +234,27 @@ def _check_weak_loss(seed: int, h: float) -> dict[str, float]:
         margins = np.minimum(np.abs(y - bounds.lb), np.abs(y - bounds.ub))
         if np.all(margins > 1e-3):
             break
-    return compare(
+    return logits, bounds
+
+
+def _check_weak_loss(seed: int, h: float) -> dict[str, float]:
+    rng = np.random.default_rng(seed)
+    weights = weaksup.ClassWeights(rng.uniform(0.5, 3.0, size=3))
+    logits, bounds = _weak_case(rng)
+    errors = compare(
         lambda: weaksup.weak_loss(logits.softmax(), bounds, weights),
         {"logits": logits},
         h,
     )
+    cases = [_weak_case(rng) for _ in range(3)]
+    rows = Tensor(np.stack([case[0].data for case in cases]))
+    batch_bounds = [case[1] for case in cases]
+    errors.update(compare(
+        lambda: weaksup.weak_loss(rows.softmax(), batch_bounds, weights),
+        {"logits_batch": rows},
+        h,
+    ))
+    return errors
 
 
 def _tiny_config(variant: str, rnn_kind: str = "gru") -> model.TopologyConfig:
@@ -252,9 +305,21 @@ def _check_topology(seed: int, h: float, variant: str, rnn_kind: str = "gru") ->
             break
     lw = _loss_weights(rng, config.n_classes)
     tensors = params.named_tensors()
-    return compare(
+    errors = compare(
         lambda: (model.forward(params, config, values) * lw).sum(), tensors, h
     )
+    # a batch of 3 posts with distinct zero (padding) rows
+    for _ in range(100):
+        batch = _padded_batch(rng, 3, config.emb_dim, config.seq_len).transpose(0, 2, 1)
+        if all(_topology_margins_ok(params, config, post, h) for post in batch):
+            break
+    lw = _loss_weights(rng, (3, config.n_classes))
+    errors.update(compare(
+        lambda: (model.forward(params, config, batch) * lw).sum(),
+        {f"{name}_batch": tensor for name, tensor in tensors.items()},
+        h,
+    ))
+    return errors
 
 
 REGISTRY = {

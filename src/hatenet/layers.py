@@ -40,8 +40,21 @@ def zeros(shape) -> Tensor:
 
 
 def fc_forward(x: Tensor, weight: Tensor, bias: Tensor, activation: "str | None") -> Tensor:
-    """Affine map plus optional relu/softmax activation."""
-    y = weight @ x + bias
+    """Affine map ``x @ W.T + b`` of a vector or of each row of a (B, F)
+    matrix, as one node, plus an optional relu/softmax activation."""
+    xd, w = x.data, weight.data
+    if xd.ndim not in (1, 2) or w.ndim != 2 or xd.shape[-1] != w.shape[1]:
+        raise ShapeMismatch(f"dense layer of {w.shape} cannot take input {xd.shape}")
+    rows = xd.reshape(-1, w.shape[1])
+    out_shape = (*xd.shape[:-1], w.shape[0])
+
+    def bwd(g):
+        g = g.reshape(-1, w.shape[0])
+        x.grad += (g @ w).reshape(xd.shape)
+        weight.grad += g.T @ rows
+        bias.grad += g.sum(axis=0)
+
+    y = Tensor((rows @ w.T + bias.data).reshape(out_shape), (x, weight, bias), bwd)
     if activation is None or activation == "none":
         return y
     if activation == "relu":
@@ -69,8 +82,12 @@ def init_lstm(rng: np.random.Generator, d_in: int, hidden: int) -> dict[str, Ten
     return p
 
 
-def _sigmoid(a: np.ndarray) -> np.ndarray:
-    return 1.0 / (1.0 + np.exp(-a))
+def _sigmoid(a: np.ndarray, out: "np.ndarray | None" = None) -> np.ndarray:
+    """1 / (1 + exp(-a)), written into `out` when given."""
+    out = np.negative(a, out=out)
+    np.exp(out, out=out)
+    out += 1.0
+    return np.reciprocal(out, out=out)
 
 
 def _gate_params(p: dict[str, Tensor], gates) -> tuple[list, list, list]:
@@ -89,16 +106,40 @@ def _scatter(tensors: list[Tensor], grad: np.ndarray) -> None:
         tensor.grad += part
 
 
-def _input_projection(inputs: Tensor, w: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """x @ W.T + b for all T steps at once: (T, gates * H)."""
+def _time_major(a: np.ndarray) -> np.ndarray:
+    """(T, D) as (T, 1, D) and (B, T, D) as (T, B, D), both views."""
+    return a[:, None] if a.ndim == 2 else a.swapaxes(0, 1)
+
+
+def _batch_major(a: np.ndarray, ndim: int) -> np.ndarray:
+    """The inverse of _time_major for an input with `ndim` axes."""
+    return a[:, 0] if ndim == 2 else a.swapaxes(0, 1)
+
+
+def _time_major_inputs(inputs: Tensor, w: np.ndarray) -> np.ndarray:
+    """The recurrent inputs as a contiguous (T, B, D) array."""
     x = inputs.data
-    if x.ndim != 2 or x.shape[1] != w.shape[1]:
+    if x.ndim not in (2, 3) or x.shape[-1] != w.shape[1]:
         raise ShapeMismatch(f"recurrent input {x.shape} does not fit W {w.shape}")
-    return x @ w.T + b
+    return np.ascontiguousarray(_time_major(x))
+
+
+def _input_projection(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """x @ W.T + b for all T steps of all B inputs in one GEMM: (T, B, gates * H)."""
+    t_steps, n, d_in = x.shape
+    xp = x.reshape(-1, d_in) @ w.T
+    xp += b
+    return xp.reshape(t_steps, n, -1)
+
+
+def _flat(a: np.ndarray) -> np.ndarray:
+    """(T, B, K) as (T*B, K)."""
+    return a.reshape(-1, a.shape[-1])
 
 
 def gru_forward(inputs: Tensor, p: dict[str, Tensor]) -> Tensor:
-    """Gated recurrent unit over (T, D) inputs; returns all T hidden states.
+    """Gated recurrent unit over (T, D) or (B, T, D) inputs; returns all T
+    hidden states, (T, H) or (B, T, H).
 
     z_t = sigmoid(W_z x_t + U_z h + b_z)
     r_t = sigmoid(W_r x_t + U_r h + b_r)
@@ -106,107 +147,143 @@ def gru_forward(inputs: Tensor, p: dict[str, Tensor]) -> Tensor:
     h_t = (1 - z_t) * h + z_t * g_t
 
     One autograd node with a hand-written backward pass through time.  The
-    input projection of all steps is one GEMM over the stacked gate
-    matrices; each step then does one matvec with [U_z; U_r] and one
-    with U_h.
+    input projection of all steps and inputs is one GEMM over the stacked
+    gate matrices; each step then multiplies the (B, H) states once by
+    [U_z; U_r] and once by U_h.  A (T, D) input is a batch of 1.
     """
     ws, us, bs = _gate_params(p, GRU_GATES)
     w = _stacked(ws)
-    xp = _input_projection(inputs, w, _stacked(bs))
+    x = _time_major_inputs(inputs, w)
+    xp = _input_projection(x, w, _stacked(bs))
     u_zr = _stacked(us[:2])
     u_h = us[2].data
-    t_steps, hidden = inputs.data.shape[0], u_h.shape[0]
-    h = np.zeros((t_steps + 1, hidden))  # h[t] is the state entering step t
-    zr = np.empty((t_steps, 2 * hidden))
-    g = np.empty((t_steps, hidden))
-    rh = np.empty((t_steps, hidden))
+    t_steps, n = x.shape[:2]
+    hidden = u_h.shape[0]
+    h = np.zeros((t_steps + 1, n, hidden))  # h[t] is the state entering step t
+    zr = np.empty((t_steps, n, 2 * hidden))
+    g = np.empty((t_steps, n, hidden))
+    rh = np.empty((t_steps, n, hidden))
+    xp_zr, xp_h = xp[..., : 2 * hidden], xp[..., 2 * hidden :]
+    z_steps, r_steps = zr[..., :hidden], zr[..., hidden:]
     for t in range(t_steps):
-        zr[t] = _sigmoid(xp[t, : 2 * hidden] + u_zr @ h[t])
-        z, r = zr[t, :hidden], zr[t, hidden:]
-        rh[t] = r * h[t]
-        g[t] = np.tanh(xp[t, 2 * hidden :] + u_h @ rh[t])
+        _sigmoid(xp_zr[t] + h[t] @ u_zr.T, out=zr[t])
+        np.multiply(r_steps[t], h[t], out=rh[t])
+        np.tanh(xp_h[t] + rh[t] @ u_h.T, out=g[t])
+        z = z_steps[t]
         h[t + 1] = (1.0 - z) * h[t] + z * g[t]
 
     def bwd(grad):
+        grad = _time_major(grad)
         d_zr = zr * (1.0 - zr)
         d_g = 1.0 - g * g
-        da = np.empty((t_steps, 3 * hidden))  # gradient of the preactivations
-        dh = np.zeros(hidden)
+        da = np.empty((t_steps, n, 3 * hidden))  # gradient of the preactivations
+        dh = np.zeros((n, hidden))
         for t in range(t_steps - 1, -1, -1):
             dh = dh + grad[t]
-            z, r = zr[t, :hidden], zr[t, hidden:]
-            da[t, 2 * hidden :] = dh * z * d_g[t]
-            drh = da[t, 2 * hidden :] @ u_h
-            da[t, :hidden] = dh * (g[t] - h[t])
-            da[t, hidden : 2 * hidden] = drh * h[t]
-            da[t, : 2 * hidden] *= d_zr[t]
-            dh = dh * (1.0 - z) + drh * r + da[t, : 2 * hidden] @ u_zr
-        inputs.grad += da @ w
-        _scatter(ws, da.T @ inputs.data)
+            z, r = zr[t, :, :hidden], zr[t, :, hidden:]
+            da[t, :, 2 * hidden :] = dh * z * d_g[t]
+            drh = da[t, :, 2 * hidden :] @ u_h
+            da[t, :, :hidden] = dh * (g[t] - h[t])
+            da[t, :, hidden : 2 * hidden] = drh * h[t]
+            da[t, :, : 2 * hidden] *= d_zr[t]
+            dh = dh * (1.0 - z) + drh * r + da[t, :, : 2 * hidden] @ u_zr
+        inputs.grad += _batch_major(da @ w, inputs.data.ndim)
+        da = _flat(da)
+        _scatter(ws, da.T @ _flat(x))
         _scatter(bs, da.sum(axis=0))
-        _scatter(us[:2], da[:, : 2 * hidden].T @ h[:-1])
-        us[2].grad += da[:, 2 * hidden :].T @ rh
+        _scatter(us[:2], da[:, : 2 * hidden].T @ _flat(h[:-1]))
+        us[2].grad += da[:, 2 * hidden :].T @ _flat(rh)
 
-    return Tensor(h[1:], (inputs, *ws, *us, *bs), bwd)
+    out = _batch_major(h[1:], inputs.data.ndim)
+    return Tensor(out, (inputs, *ws, *us, *bs), bwd)
 
 
 def lstm_forward(inputs: Tensor, p: dict[str, Tensor]) -> Tensor:
-    """LSTM with forget/input/output gates over (T, D); returns hidden states.
+    """LSTM with forget/input/output gates over (T, D) or (B, T, D) inputs;
+    returns all T hidden states, (T, H) or (B, T, H).
 
     i, f, o = sigmoid(W x_t + U h + b) per gate, g = tanh(W_g x_t + U_g h + b_g)
     c_t = f * c + i * g
     h_t = o * tanh(c_t)
 
     One autograd node with a hand-written backward pass through time: one
-    GEMM projects the inputs of all steps through the four stacked gate
-    matrices, and each step does one matvec with the stacked U.
+    GEMM projects all steps of all inputs through the four stacked gate
+    matrices, and each step multiplies the (B, H) states once by the
+    stacked U.  A (T, D) input is a batch of 1.
     """
     ws, us, bs = _gate_params(p, LSTM_GATES)
     w = _stacked(ws)
-    xp = _input_projection(inputs, w, _stacked(bs))
+    x = _time_major_inputs(inputs, w)
+    xp = _input_projection(x, w, _stacked(bs))
     u = _stacked(us)
-    t_steps, hidden = inputs.data.shape[0], u.shape[1]
-    h = np.zeros((t_steps + 1, hidden))  # h[t], c[t] enter step t
-    c = np.zeros((t_steps + 1, hidden))
-    act = np.empty((t_steps, 4 * hidden))  # i, f, o, g
-    tc = np.empty((t_steps, hidden))
+    t_steps, n = x.shape[:2]
+    hidden = u.shape[1]
+    h = np.zeros((t_steps + 1, n, hidden))  # h[t], c[t] enter step t
+    c = np.zeros((t_steps + 1, n, hidden))
+    act = np.empty((t_steps, n, 4 * hidden))  # i, f, o, g
+    tc = np.empty((t_steps, n, hidden))
+    sig_steps, tanh_steps = act[..., : 3 * hidden], act[..., 3 * hidden :]
     for t in range(t_steps):
-        a = xp[t] + u @ h[t]
-        act[t, : 3 * hidden] = _sigmoid(a[: 3 * hidden])
-        act[t, 3 * hidden :] = np.tanh(a[3 * hidden :])
-        i, f, o, g = act[t].reshape(4, hidden)
+        a = xp[t] + h[t] @ u.T
+        _sigmoid(a[:, : 3 * hidden], out=sig_steps[t])
+        np.tanh(a[:, 3 * hidden :], out=tanh_steps[t])
+        i, f, o, g = act[t].reshape(n, 4, hidden).swapaxes(0, 1)
         c[t + 1] = f * c[t] + i * g
-        tc[t] = np.tanh(c[t + 1])
-        h[t + 1] = o * tc[t]
+        np.tanh(c[t + 1], out=tc[t])
+        np.multiply(o, tc[t], out=h[t + 1])
 
     def bwd(grad):
+        grad = _time_major(grad)
         d_act = np.empty_like(act)
-        d_act[:, : 3 * hidden] = act[:, : 3 * hidden] * (1.0 - act[:, : 3 * hidden])
-        d_act[:, 3 * hidden :] = 1.0 - act[:, 3 * hidden :] ** 2
-        da = np.empty((t_steps, 4 * hidden))  # gradient of the preactivations
-        dh = np.zeros(hidden)
-        dc = np.zeros(hidden)
+        d_act[..., : 3 * hidden] = act[..., : 3 * hidden] * (1.0 - act[..., : 3 * hidden])
+        d_act[..., 3 * hidden :] = 1.0 - act[..., 3 * hidden :] ** 2
+        da = np.empty((t_steps, n, 4 * hidden))  # gradient of the preactivations
+        dh = np.zeros((n, hidden))
+        dc = np.zeros((n, hidden))
         for t in range(t_steps - 1, -1, -1):
             dh = dh + grad[t]
-            i, f, o, g = act[t].reshape(4, hidden)
+            i, f, o, g = act[t].reshape(n, 4, hidden).swapaxes(0, 1)
             dc = dc + dh * o * (1.0 - tc[t] * tc[t])
-            da[t, :hidden] = dc * g
-            da[t, hidden : 2 * hidden] = dc * c[t]
-            da[t, 2 * hidden : 3 * hidden] = dh * tc[t]
-            da[t, 3 * hidden :] = dc * i
+            da[t, :, :hidden] = dc * g
+            da[t, :, hidden : 2 * hidden] = dc * c[t]
+            da[t, :, 2 * hidden : 3 * hidden] = dh * tc[t]
+            da[t, :, 3 * hidden :] = dc * i
             da[t] *= d_act[t]
             dc = dc * f
             dh = da[t] @ u
-        inputs.grad += da @ w
-        _scatter(ws, da.T @ inputs.data)
+        inputs.grad += _batch_major(da @ w, inputs.data.ndim)
+        da = _flat(da)
+        _scatter(ws, da.T @ _flat(x))
         _scatter(bs, da.sum(axis=0))
-        _scatter(us, da.T @ h[:-1])
+        _scatter(us, da.T @ _flat(h[:-1]))
 
-    return Tensor(h[1:], (inputs, *ws, *us, *bs), bwd)
+    out = _batch_major(h[1:], inputs.data.ndim)
+    return Tensor(out, (inputs, *ws, *us, *bs), bwd)
 
 
-def cross_entropy(pred: Tensor, target: int) -> Tensor:
-    """-log(pred[target]) with the probability clamped to [1e-12, 1]."""
-    if pred.data.ndim != 1:
-        raise ShapeMismatch("cross_entropy expects a probability vector")
-    return -(pred.pick(target).clip_min(CE_EPS).minimum(1.0).log())
+def cross_entropy(probs: Tensor, targets) -> Tensor:
+    """Mean over a batch of -log(p[target]), each probability clamped to
+    [1e-12, 1].
+
+    ``probs`` is a probability vector with one int target, or (B, C) rows
+    with B targets.  One node with a hand-written backward pass; a clamped
+    probability gets no gradient.
+    """
+    if probs.data.ndim not in (1, 2):
+        raise ShapeMismatch("cross_entropy expects a probability vector or (B, C) rows")
+    rows = probs.data.reshape(-1, probs.data.shape[-1])
+    n = rows.shape[0]
+    picks = (np.arange(n), np.asarray(targets, dtype=np.int64).reshape(-1))
+    if picks[1].shape != (n,):
+        raise ShapeMismatch(f"{picks[1].size} targets for {n} probability rows")
+    picked = rows[picks]
+    losses = -np.log(np.minimum(np.maximum(picked, CE_EPS), 1.0))
+    scale = 1.0 / n
+
+    def bwd(g):
+        d = np.zeros_like(rows)
+        unclamped = (picked > CE_EPS) & (picked < 1.0)
+        d[picks] = np.divide(-(g * scale), picked, out=np.zeros(n), where=unclamped)
+        probs.grad += d.reshape(probs.data.shape)
+
+    return Tensor(losses.sum() * scale, (probs,), bwd)

@@ -3,7 +3,8 @@
 CNN-RNN-FC: conv over the post matrix -> max pool -> recurrent layer over
 the pooled sequence -> global max pool over time -> 25-unit ReLU layer
 (with dropout during training) -> 3-way softmax.  CNN-FC flattens the
-pooled feature map straight into the two dense layers.
+pooled feature map straight into the two dense layers.  Every layer runs
+once over a (B, seq_len, emb_dim) stack of posts; one post is a batch of 1.
 
 ``conv_axis`` selects which input axis the convolution slides along:
 "sequence" treats the embedding coordinates as channels (pooled length
@@ -175,40 +176,72 @@ def build(config: TopologyConfig, seed: int) -> ModelParams:
     )
 
 
-def forward(
-    params: ModelParams,
-    config: TopologyConfig,
-    matrix,
-    train: bool = False,
-    rng: "np.random.Generator | None" = None,
-) -> Tensor:
-    """Class-probability vector over (Hate, Offensive, Neither).
-
-    `matrix` is a TokenMatrix or a raw (seq_len, emb_dim) array.
-    """
-    values = matrix.values if hasattr(matrix, "values") else np.asarray(matrix)
-    if values.shape != (config.seq_len, config.emb_dim):
+def _as_batch(batch, config: TopologyConfig) -> tuple[np.ndarray, bool]:
+    """A (B, seq_len, emb_dim) stack as is, or one post (a TokenMatrix or a
+    (seq_len, emb_dim) array) as a stack of 1; and whether it was one post."""
+    values = batch.values if hasattr(batch, "values") else np.asarray(batch)
+    single = values.ndim == 2
+    stack = values[None] if single else values
+    if stack.ndim != 3 or stack.shape[1:] != (config.seq_len, config.emb_dim):
         raise ShapeMismatch(
             f"input is {values.shape}, topology expects "
-            f"{(config.seq_len, config.emb_dim)}"
+            f"{(config.seq_len, config.emb_dim)} or a stack of those"
         )
-    if train and config.dropout_p > 0 and rng is None:
-        raise ValueError("train-mode forward needs an rng for dropout")
-    # the post matrix is a constant: conv1d gives it no node and no gradient
-    planes = values.T if config.conv_axis == "sequence" else values
+    return stack, single
+
+
+def features(params: ModelParams, config: TopologyConfig, batch) -> Tensor:
+    """Feature-extractor output, (B, feature_dim), for a stack of posts.
+
+    Each layer runs once over the batch.  The post matrices are constants:
+    conv1d gives them no node and no gradient.
+    """
+    stack, _ = _as_batch(batch, config)
+    planes = stack.transpose(0, 2, 1) if config.conv_axis == "sequence" else stack
     fp = params.feature.params
     convolved = conv1d(planes, fp["conv_w"], fp["conv_b"], config.conv_pad)
     pooled = maxpool1d(convolved, config.pool_rate)
     if config.variant == CNN_RNN_FC:
-        steps = pooled.transpose()
         rnn = gru_forward if config.rnn_kind == "gru" else lstm_forward
-        features = global_maxpool(rnn(steps, fp))
-    else:
-        features = pooled.reshape(-1)
-    if not params.feature.trainable:
-        # a frozen extractor is a constant: backward stops at its features
-        features = Tensor(features.data)
+        return global_maxpool(rnn(pooled.transpose(), fp))
+    return pooled.reshape(len(stack), -1)
+
+
+def classify(
+    params: ModelParams,
+    config: TopologyConfig,
+    feats: Tensor,
+    train: bool = False,
+    rng: "np.random.Generator | None" = None,
+) -> Tensor:
+    """Class probabilities, (B, 3), from (B, feature_dim) extractor
+    features: ReLU dense layer, dropout in train mode, softmax layer."""
+    if train and config.dropout_p > 0 and rng is None:
+        raise ValueError("train-mode forward needs an rng for dropout")
     cp = params.classifier.params
-    hidden = fc_forward(features, cp["fc1_w"], cp["fc1_b"], "relu")
+    hidden = fc_forward(feats, cp["fc1_w"], cp["fc1_b"], "relu")
     hidden = dropout(hidden, config.dropout_p, train, rng)
     return fc_forward(hidden, cp["fc2_w"], cp["fc2_b"], "softmax")
+
+
+def forward(
+    params: ModelParams,
+    config: TopologyConfig,
+    batch,
+    train: bool = False,
+    rng: "np.random.Generator | None" = None,
+) -> Tensor:
+    """Class probabilities over (Hate, Offensive, Neither).
+
+    `batch` is a (B, seq_len, emb_dim) stack of post matrices, giving
+    (B, 3), or one post as a TokenMatrix or (seq_len, emb_dim) array, a
+    batch of 1 that gives (3,).  Train mode draws one (B, fc_hidden)
+    dropout mask from `rng`.
+    """
+    stack, single = _as_batch(batch, config)
+    feats = features(params, config, stack)
+    if not params.feature.trainable:
+        # a frozen extractor is a constant: backward stops at its features
+        feats = Tensor(feats.data)
+    probs = classify(params, config, feats, train, rng)
+    return probs.reshape(config.n_classes) if single else probs

@@ -17,6 +17,7 @@ import numpy as np
 
 from .autograd import Tensor
 from .corpus import N_CLASSES
+from .errors import ShapeMismatch
 from .text import TokenSequence, preprocess, stem
 
 log = logging.getLogger(__name__)
@@ -137,19 +138,41 @@ class ClassWeights:
         return cls(np.ones(N_CLASSES))
 
 
-def weak_loss(y: Tensor, bounds: ClassBounds, weights: ClassWeights) -> Tensor:
-    """Bound-violation loss on a probability vector.
+def weak_loss(y: Tensor, bounds, weights: ClassWeights) -> Tensor:
+    """Bound-violation loss, averaged over a batch.
 
     sum_c w_c * (-log(min(1, 1 + y_c - lb_c)) - log(min(1, 1 + ub_c - y_c)))
 
-    Zero exactly when lb <= y <= ub componentwise; log arguments are
-    clamped below at 1e-12.  Differentiable through the autograd graph
-    away from the hinge points.
+    ``y`` is a probability vector with one ClassBounds, or (B, 3) rows with
+    a sequence of B ClassBounds.  Zero exactly when lb <= y <= ub
+    componentwise; log arguments are clamped below at 1e-12.  One node with
+    a hand-written backward pass, exact away from the hinge points; a
+    clamped or satisfied side gets no gradient.
     """
-    below = (y - bounds.lb).minimum(0.0) + 1.0   # min(1, 1 + y - lb)
-    above = (bounds.ub - y).minimum(0.0) + 1.0   # min(1, 1 + ub - y)
-    logs = below.clip_min(LOSS_EPS).log() + above.clip_min(LOSS_EPS).log()
-    return -((logs * weights.w).sum()) + 0.0  # + 0.0 turns -0.0 into 0.0
+    if y.data.ndim not in (1, 2):
+        raise ShapeMismatch("weak_loss expects a probability vector or (B, 3) rows")
+    rows = y.data.reshape(-1, N_CLASSES)
+    if isinstance(bounds, ClassBounds):
+        bounds = [bounds]
+    lb = np.array([b.lb for b in bounds], dtype=np.float64)
+    ub = np.array([b.ub for b in bounds], dtype=np.float64)
+    if lb.shape != rows.shape or ub.shape != rows.shape:
+        raise ShapeMismatch(f"{len(bounds)} bounds for probabilities of shape {y.data.shape}")
+    below = np.minimum(rows - lb, 0.0) + 1.0   # min(1, 1 + y - lb)
+    above = np.minimum(ub - rows, 0.0) + 1.0   # min(1, 1 + ub - y)
+    logs = np.log(np.maximum(below, LOSS_EPS)) + np.log(np.maximum(above, LOSS_EPS))
+    scale = 1.0 / len(rows)
+
+    def bwd(g):
+        coef = (g * scale) * weights.w
+        d_below = np.divide(-coef, below, out=np.zeros_like(rows),
+                            where=(rows < lb) & (below > LOSS_EPS))
+        d_above = np.divide(coef, above, out=np.zeros_like(rows),
+                            where=(ub < rows) & (above > LOSS_EPS))
+        y.grad += (d_below + d_above).reshape(y.data.shape)
+
+    losses = -((logs * weights.w).sum(axis=1))
+    return Tensor(losses.sum() * scale + 0.0, (y,), bwd)  # + 0.0 turns -0.0 into 0.0
 
 
 @dataclass

@@ -58,6 +58,8 @@ class TestLayerChecks:
         report = gradcheck.check("conv1d", trials=2)
         assert set(report.per_tensor) == {
             "x", "filters", "bias", "filters_const_x", "bias_const_x",
+            "x_batch", "filters_batch", "bias_batch",
+            "filters_const_batch", "bias_const_batch",
         }
         assert report.passed, str(report)
 
