@@ -103,23 +103,6 @@ class Tensor:
     def __rsub__(self, other):
         return _as_tensor(other) + (-self)
 
-    def __matmul__(self, other):
-        if not isinstance(other, Tensor):
-            other = _as_tensor(other)
-        a, b = self.data, other.data
-        if a.ndim != 2 or b.ndim not in (1, 2) or a.shape[1] != b.shape[0]:
-            raise ShapeMismatch(f"matmul of {a.shape} and {b.shape}")
-
-        def bwd(g):
-            if b.ndim == 1:
-                self.grad += np.outer(g, b)
-                other.grad += a.T @ g
-            else:
-                self.grad += g @ b.T
-                other.grad += a.T @ g
-
-        return Tensor(a @ b, (self, other), bwd)
-
     # -- shape ops ------------------------------------------------------
 
     def reshape(self, *shape):
@@ -138,16 +121,6 @@ class Tensor:
 
         return Tensor(self.data.swapaxes(-1, -2), (self,), bwd)
 
-    def pick(self, i: int):
-        """Scalar element of a vector."""
-        if self.data.ndim != 1:
-            raise ShapeMismatch("pick expects a vector")
-
-        def bwd(g):
-            self.grad[i] += g
-
-        return Tensor(self.data[i], (self,), bwd)
-
     # -- reductions and nonlinearities -----------------------------------
 
     def sum(self):
@@ -161,22 +134,6 @@ class Tensor:
             self.grad += g * (self.data > 0)
 
         return Tensor(np.maximum(self.data, 0.0), (self,), bwd)
-
-    def sigmoid(self):
-        y = 1.0 / (1.0 + np.exp(-self.data))
-
-        def bwd(g):
-            self.grad += g * y * (1.0 - y)
-
-        return Tensor(y, (self,), bwd)
-
-    def tanh(self):
-        y = np.tanh(self.data)
-
-        def bwd(g):
-            self.grad += g * (1.0 - y * y)
-
-        return Tensor(y, (self,), bwd)
 
     def softmax(self):
         """Softmax of a vector, or of each row of a (B, C) matrix."""
@@ -204,16 +161,6 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
         if size == 1 and grad.shape[axis] != 1:
             grad = grad.sum(axis=axis, keepdims=True)
     return grad
-
-
-def stack(rows: list[Tensor]) -> Tensor:
-    """Stack T vectors of identical shape into a (T, ...) tensor."""
-
-    def bwd(g):
-        for i, r in enumerate(rows):
-            r.grad += g[i]
-
-    return Tensor(np.stack([r.data for r in rows]), tuple(rows), bwd)
 
 
 def _tap_major(filters: np.ndarray) -> np.ndarray:
@@ -274,12 +221,13 @@ def _span_blocks(batch: np.ndarray, spans: list[tuple[int, int]]):
         yield run, rows(run)
 
 
-def conv1d(x, filters: Tensor, bias: Tensor, pad: int) -> Tensor:
-    """Stride-1 cross-correlation with symmetric zero padding, over one
-    input or a batch.
+def conv1d(x: np.ndarray, filters: Tensor, bias: Tensor, pad: int) -> Tensor:
+    """Stride-1 cross-correlation with symmetric zero padding over a batch
+    of constant inputs.
 
-    x: (C_in, T) or (B, C_in, T), filters: (C_out, C_in, W), bias: (C_out,).
-    Output: (C_out, T_out) or (B, C_out, T_out), T_out = T + 2*pad - W + 1.
+    x: (B, C_in, T) plain ndarray, filters: (C_out, C_in, W), bias: (C_out,).
+    Output: (B, C_out, T_out), T_out = T + 2*pad - W + 1.  The input is a
+    constant: it gets no graph node and no gradient.
 
     Each input is read time-major, and only its live span, the steps from
     its first to its last holding a nonzero value, is multiplied: leading
@@ -287,20 +235,16 @@ def conv1d(x, filters: Tensor, bias: Tensor, pad: int) -> Tensor:
     live rows of consecutive inputs are concatenated, up to CONV_BLOCK_ROWS
     rows, and multiplied by the tap-major filters (C_in, W*C_out) in one
     product; each tap's slice of an input's block of that product is then
-    added at its shift.  A plain ndarray ``x`` is a constant: it gets no
-    graph node and no gradient.
+    added at its shift.
     """
-    xd = x.data if isinstance(x, Tensor) else np.asarray(x, dtype=np.float64)
-    if xd.ndim not in (2, 3) or filters.data.ndim != 3:
-        raise ShapeMismatch(
-            "conv1d expects x (C_in, T) or (B, C_in, T) and filters (C_out, C_in, W)"
-        )
-    batch = xd if xd.ndim == 3 else xd[None]
+    batch = np.asarray(x, dtype=np.float64)
+    if batch.ndim != 3 or filters.data.ndim != 3:
+        raise ShapeMismatch("conv1d expects x (B, C_in, T) and filters (C_out, C_in, W)")
     n, c_in, t = batch.shape
     c_out, f_cin, width = filters.data.shape
     if f_cin != c_in or bias.data.shape != (c_out,):
         raise ShapeMismatch(
-            f"conv1d shapes disagree: x {xd.shape}, filters "
+            f"conv1d shapes disagree: x {batch.shape}, filters "
             f"{filters.data.shape}, bias {bias.data.shape}"
         )
     t_out = t + 2 * pad - width + 1
@@ -318,37 +262,25 @@ def conv1d(x, filters: Tensor, bias: Tensor, pad: int) -> Tensor:
                 y[b, j0:j1] += z[offset + i0 : offset + i0 + j1 - j0, w]
             offset += hi - lo
         del rows, z  # before the next run's are made
-    needs_dx = isinstance(x, Tensor)
 
     def bwd(g):
-        g = g.swapaxes(-1, -2).reshape(n, t_out, c_out)
+        g = g.swapaxes(1, 2)
         bias.grad += g.sum(axis=(0, 1))
         d_taps = np.zeros((c_in, width * c_out))
-        if needs_dx:
-            taps = _tap_major(filters.data)
-            dx = np.empty((n, t, c_in))
         # row s of a run's `shifted` holds, tap by tap, the output gradients
-        # its input step s fed; only live steps are needed unless x wants a
-        # gradient, which needs every step
-        for run, rows in _span_blocks(batch, [(0, t)] * n if needs_dx else spans):
+        # its live input step s fed
+        for run, rows in _span_blocks(batch, spans):
             shifted = np.zeros((len(rows), width, c_out))
             offset = 0
             for b, first, stop in run:
                 for w, j0, j1, i0 in _tap_slices(first, stop, width, pad, t_out):
                     shifted[offset + i0 : offset + i0 + j1 - j0, w] = g[b, j0:j1]
                 offset += stop - first
-            shifted = shifted.reshape(len(rows), width * c_out)
-            d_taps += rows.T @ shifted
-            if needs_dx:
-                dx[run[0][0] : run[-1][0] + 1] = (shifted @ taps.T).reshape(-1, t, c_in)
+            d_taps += rows.T @ shifted.reshape(len(rows), width * c_out)
             del rows, shifted
         filters.grad += d_taps.reshape(c_in, width, c_out).transpose(2, 0, 1)
-        if needs_dx:
-            x.grad += dx.swapaxes(1, 2).reshape(xd.shape)
 
-    out = y.swapaxes(1, 2)
-    parents = (x, filters, bias) if needs_dx else (filters, bias)
-    return Tensor(out if xd.ndim == 3 else out[0], parents, bwd)
+    return Tensor(y.swapaxes(1, 2), (filters, bias), bwd)
 
 
 def maxpool1d(x: Tensor, rate: int) -> Tensor:

@@ -70,15 +70,23 @@ def _embeddings_spec(spec: str) -> str:
     return spec
 
 
-def _positive_int(text: str) -> int:
-    """A count flag's value: an integer >= 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"{text!r}: expected an integer >= 1")
-    return value
+def _int_at_least(minimum: int):
+    """The argparse type of a flag whose value is an integer >= minimum."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = minimum - 1
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"{text!r}: expected an integer >= {minimum}")
+        return value
+
+    return parse
+
+
+_positive_int = _int_at_least(1)  # counts
+_seed = _int_at_least(0)  # numpy rejects a negative seed
 
 
 def _add_embedding_args(p: argparse.ArgumentParser) -> None:
@@ -96,14 +104,14 @@ def _add_data_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--hon", help="comma-separated corpus with numeric class codes")
     p.add_argument("--olid", help="tab-separated corpus with hierarchical labels")
     p.add_argument("--labeled-lines", help="code<TAB>text corpus, one post per line")
-    p.add_argument("--split-seed", type=int, default=0)
+    p.add_argument("--split-seed", type=_seed, default=0)
 
 
 def _add_run_args(p: argparse.ArgumentParser) -> None:
     """Flags of every subcommand that trains (train, weak-train, tune)."""
     p.add_argument("--config", help="JSON config file; flags override its values")
     p.add_argument("--out", required=True, help="output directory for the run")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_seed, default=None)
     p.add_argument("--batch-size", type=int, default=None)
 
 
@@ -165,7 +173,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_lexicon_args(p)
     p.add_argument("--unlabeled", required=True, help="text file, one post per line")
     p.add_argument("--test", help="optional labeled file (code<TAB>text) to evaluate on")
-    p.add_argument("--split-seed", type=int, default=0)
+    p.add_argument("--split-seed", type=_seed, default=0)
 
     p = sub.add_parser("tune", help="freeze features, retrain the classifier head")
     _add_run_args(p)
@@ -192,7 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gradcheck", help="finite-difference gradient verification")
     p.add_argument("--layer", help="run one registered check by name")
     p.add_argument("--all", action="store_true", help="run every registered check")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--trials", type=_positive_int, default=20)
 
     p = sub.add_parser("preprocess", help="dump normalized token sequences")
@@ -539,10 +547,8 @@ def main(argv=None) -> int:
     except (NumericError, NonFiniteValue) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except HatenetError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except FileNotFoundError as exc:
+    except (HatenetError, OSError, UnicodeDecodeError) as exc:
+        # OSError: a path that is missing, a directory, or an existing file
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import math
 import struct
 from dataclasses import dataclass, field
 
@@ -75,12 +76,16 @@ class TrainConfig:
             raise InvalidConfig("ensemble size must be >= 1")
         if self.epochs < 1 or self.tune_epochs < 1:
             raise InvalidConfig("epochs and tune epochs must be >= 1")
-        if self.base_lr <= 0 or self.tune_lr <= 0:
-            raise InvalidConfig("learning rates must be positive")
+        for name in ("base_lr", "tune_lr", "bounds_k"):
+            value = getattr(self, name)
+            if not (value > 0 and math.isfinite(value)):
+                raise InvalidConfig(f"{name} must be finite and positive, got {value}")
         if self.loss_mode not in (SUPERVISED, WEAK):
             raise InvalidConfig(f"unknown loss mode {self.loss_mode!r}")
         if self.batch_size < 1:
             raise InvalidConfig("batch size must be >= 1")
+        if self.seed < 0:
+            raise InvalidConfig(f"seed must be >= 0, got {self.seed}")
 
     def weights(self) -> ClassWeights:
         return self.class_weights or ClassWeights.uniform()
@@ -467,6 +472,8 @@ def tune(
 #   8 bytes  header length (uint64)
 #   header   JSON: {"arrays": [{"name", "group", "trainable", "shape"}],
 #                   "topology_hash": sha256 of the canonical topology JSON}
+#            "trainable" is always true, kept so format 1 does not change;
+#            the reader ignores it
 #   payload  raw float64 little-endian C-order array bytes, header order
 #   32 bytes sha256 of everything above
 #
@@ -487,7 +494,7 @@ def _member_bytes(params: ModelParams, topo_hash: str = "") -> bytes:
             arrays.append({
                 "name": name,
                 "group": group.name,
-                "trainable": group.trainable,
+                "trainable": True,
                 "shape": list(tensor.data.shape),
             })
             blobs.append(np.ascontiguousarray(tensor.data, dtype="<f8").tobytes())
@@ -531,9 +538,7 @@ def _member_from_bytes(raw: bytes, path: str, expect_hash: str = "") -> ModelPar
             raise CheckpointIntegrityError(f"{path}: truncated payload")
         offset += 8 * size
         data = np.frombuffer(blob, dtype="<f8").reshape(entry["shape"]).copy()
-        group = groups.setdefault(
-            entry["group"], ParamGroup(entry["group"], {}, entry["trainable"])
-        )
+        group = groups.setdefault(entry["group"], ParamGroup(entry["group"], {}))
         group.params[entry["name"]] = Tensor(data)
     if set(groups) != {"feature", "classifier"}:
         raise CheckpointIntegrityError(f"{path}: unexpected groups {sorted(groups)}")

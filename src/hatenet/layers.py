@@ -15,16 +15,15 @@ LSTM_GATES = ("i", "f", "o", "g")
 
 
 class ParamGroup:
-    """Named parameter tensors updated (or frozen) together."""
+    """Named parameter tensors, saved and copied together."""
 
-    def __init__(self, name: str, params: dict[str, Tensor], trainable: bool = True):
+    def __init__(self, name: str, params: dict[str, Tensor]):
         self.name = name
         self.params = params
-        self.trainable = trainable
 
     def copy(self) -> "ParamGroup":
         cloned = {k: Tensor(v.data.copy()) for k, v in self.params.items()}
-        return ParamGroup(self.name, cloned, self.trainable)
+        return ParamGroup(self.name, cloned)
 
     def n_params(self) -> int:
         return sum(v.data.size for v in self.params.values())
@@ -55,7 +54,7 @@ def fc_forward(x: Tensor, weight: Tensor, bias: Tensor, activation: "str | None"
         bias.grad += g.sum(axis=0)
 
     y = Tensor((rows @ w.T + bias.data).reshape(out_shape), (x, weight, bias), bwd)
-    if activation is None or activation == "none":
+    if activation is None:
         return y
     if activation == "relu":
         return y.relu()
@@ -64,18 +63,11 @@ def fc_forward(x: Tensor, weight: Tensor, bias: Tensor, activation: "str | None"
     raise ValueError(f"unknown activation {activation!r}")
 
 
-def init_gru(rng: np.random.Generator, d_in: int, hidden: int) -> dict[str, Tensor]:
+def init_rnn(rng: np.random.Generator, d_in: int, hidden: int, gates) -> dict[str, Tensor]:
+    """W_g (hidden, d_in), U_g (hidden, hidden) and a zero b_g for each gate
+    g of GRU_GATES or LSTM_GATES, drawn gate by gate in that order."""
     p = {}
-    for gate in GRU_GATES:
-        p[f"w_{gate}"] = glorot_uniform(rng, (hidden, d_in), d_in, hidden)
-        p[f"u_{gate}"] = glorot_uniform(rng, (hidden, hidden), hidden, hidden)
-        p[f"b_{gate}"] = zeros(hidden)
-    return p
-
-
-def init_lstm(rng: np.random.Generator, d_in: int, hidden: int) -> dict[str, Tensor]:
-    p = {}
-    for gate in LSTM_GATES:
+    for gate in gates:
         p[f"w_{gate}"] = glorot_uniform(rng, (hidden, d_in), d_in, hidden)
         p[f"u_{gate}"] = glorot_uniform(rng, (hidden, hidden), hidden, hidden)
         p[f"b_{gate}"] = zeros(hidden)
@@ -106,22 +98,12 @@ def _scatter(tensors: list[Tensor], grad: np.ndarray) -> None:
         tensor.grad += part
 
 
-def _time_major(a: np.ndarray) -> np.ndarray:
-    """(T, D) as (T, 1, D) and (B, T, D) as (T, B, D), both views."""
-    return a[:, None] if a.ndim == 2 else a.swapaxes(0, 1)
-
-
-def _batch_major(a: np.ndarray, ndim: int) -> np.ndarray:
-    """The inverse of _time_major for an input with `ndim` axes."""
-    return a[:, 0] if ndim == 2 else a.swapaxes(0, 1)
-
-
-def _time_major_inputs(inputs: Tensor, w: np.ndarray) -> np.ndarray:
-    """The recurrent inputs as a contiguous (T, B, D) array."""
+def _recurrent_inputs(inputs: Tensor, w: np.ndarray) -> np.ndarray:
+    """The (B, T, D) recurrent inputs as a contiguous (T, B, D) array."""
     x = inputs.data
-    if x.ndim not in (2, 3) or x.shape[-1] != w.shape[1]:
+    if x.ndim != 3 or x.shape[-1] != w.shape[1]:
         raise ShapeMismatch(f"recurrent input {x.shape} does not fit W {w.shape}")
-    return np.ascontiguousarray(_time_major(x))
+    return np.ascontiguousarray(x.swapaxes(0, 1))
 
 
 def _input_projection(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -138,8 +120,8 @@ def _flat(a: np.ndarray) -> np.ndarray:
 
 
 def gru_forward(inputs: Tensor, p: dict[str, Tensor]) -> Tensor:
-    """Gated recurrent unit over (T, D) or (B, T, D) inputs; returns all T
-    hidden states, (T, H) or (B, T, H).
+    """Gated recurrent unit over (B, T, D) inputs; returns all T hidden
+    states, (B, T, H).
 
     z_t = sigmoid(W_z x_t + U_z h + b_z)
     r_t = sigmoid(W_r x_t + U_r h + b_r)
@@ -149,11 +131,11 @@ def gru_forward(inputs: Tensor, p: dict[str, Tensor]) -> Tensor:
     One autograd node with a hand-written backward pass through time.  The
     input projection of all steps and inputs is one GEMM over the stacked
     gate matrices; each step then multiplies the (B, H) states once by
-    [U_z; U_r] and once by U_h.  A (T, D) input is a batch of 1.
+    [U_z; U_r] and once by U_h.
     """
     ws, us, bs = _gate_params(p, GRU_GATES)
     w = _stacked(ws)
-    x = _time_major_inputs(inputs, w)
+    x = _recurrent_inputs(inputs, w)
     xp = _input_projection(x, w, _stacked(bs))
     u_zr = _stacked(us[:2])
     u_h = us[2].data
@@ -173,7 +155,7 @@ def gru_forward(inputs: Tensor, p: dict[str, Tensor]) -> Tensor:
         h[t + 1] = (1.0 - z) * h[t] + z * g[t]
 
     def bwd(grad):
-        grad = _time_major(grad)
+        grad = grad.swapaxes(0, 1)
         d_zr = zr * (1.0 - zr)
         d_g = 1.0 - g * g
         da = np.empty((t_steps, n, 3 * hidden))  # gradient of the preactivations
@@ -187,20 +169,19 @@ def gru_forward(inputs: Tensor, p: dict[str, Tensor]) -> Tensor:
             da[t, :, hidden : 2 * hidden] = drh * h[t]
             da[t, :, : 2 * hidden] *= d_zr[t]
             dh = dh * (1.0 - z) + drh * r + da[t, :, : 2 * hidden] @ u_zr
-        inputs.grad += _batch_major(da @ w, inputs.data.ndim)
+        inputs.grad += (da @ w).swapaxes(0, 1)
         da = _flat(da)
         _scatter(ws, da.T @ _flat(x))
         _scatter(bs, da.sum(axis=0))
         _scatter(us[:2], da[:, : 2 * hidden].T @ _flat(h[:-1]))
         us[2].grad += da[:, 2 * hidden :].T @ _flat(rh)
 
-    out = _batch_major(h[1:], inputs.data.ndim)
-    return Tensor(out, (inputs, *ws, *us, *bs), bwd)
+    return Tensor(h[1:].swapaxes(0, 1), (inputs, *ws, *us, *bs), bwd)
 
 
 def lstm_forward(inputs: Tensor, p: dict[str, Tensor]) -> Tensor:
-    """LSTM with forget/input/output gates over (T, D) or (B, T, D) inputs;
-    returns all T hidden states, (T, H) or (B, T, H).
+    """LSTM with forget/input/output gates over (B, T, D) inputs; returns
+    all T hidden states, (B, T, H).
 
     i, f, o = sigmoid(W x_t + U h + b) per gate, g = tanh(W_g x_t + U_g h + b_g)
     c_t = f * c + i * g
@@ -209,11 +190,11 @@ def lstm_forward(inputs: Tensor, p: dict[str, Tensor]) -> Tensor:
     One autograd node with a hand-written backward pass through time: one
     GEMM projects all steps of all inputs through the four stacked gate
     matrices, and each step multiplies the (B, H) states once by the
-    stacked U.  A (T, D) input is a batch of 1.
+    stacked U.
     """
     ws, us, bs = _gate_params(p, LSTM_GATES)
     w = _stacked(ws)
-    x = _time_major_inputs(inputs, w)
+    x = _recurrent_inputs(inputs, w)
     xp = _input_projection(x, w, _stacked(bs))
     u = _stacked(us)
     t_steps, n = x.shape[:2]
@@ -233,7 +214,7 @@ def lstm_forward(inputs: Tensor, p: dict[str, Tensor]) -> Tensor:
         np.multiply(o, tc[t], out=h[t + 1])
 
     def bwd(grad):
-        grad = _time_major(grad)
+        grad = grad.swapaxes(0, 1)
         d_act = np.empty_like(act)
         d_act[..., : 3 * hidden] = act[..., : 3 * hidden] * (1.0 - act[..., : 3 * hidden])
         d_act[..., 3 * hidden :] = 1.0 - act[..., 3 * hidden :] ** 2
@@ -251,14 +232,13 @@ def lstm_forward(inputs: Tensor, p: dict[str, Tensor]) -> Tensor:
             da[t] *= d_act[t]
             dc = dc * f
             dh = da[t] @ u
-        inputs.grad += _batch_major(da @ w, inputs.data.ndim)
+        inputs.grad += (da @ w).swapaxes(0, 1)
         da = _flat(da)
         _scatter(ws, da.T @ _flat(x))
         _scatter(bs, da.sum(axis=0))
         _scatter(us, da.T @ _flat(h[:-1]))
 
-    out = _batch_major(h[1:], inputs.data.ndim)
-    return Tensor(out, (inputs, *ws, *us, *bs), bwd)
+    return Tensor(h[1:].swapaxes(0, 1), (inputs, *ws, *us, *bs), bwd)
 
 
 def cross_entropy(probs: Tensor, targets) -> Tensor:

@@ -21,12 +21,13 @@ import numpy as np
 from .autograd import Tensor, conv1d, dropout, global_maxpool, maxpool1d
 from .errors import InvalidConfig, ShapeMismatch
 from .layers import (
+    GRU_GATES,
+    LSTM_GATES,
     ParamGroup,
     fc_forward,
     glorot_uniform,
     gru_forward,
-    init_gru,
-    init_lstm,
+    init_rnn,
     lstm_forward,
     zeros,
 )
@@ -152,8 +153,8 @@ def build(config: TopologyConfig, seed: int) -> ModelParams:
         "conv_b": zeros(config.conv_filters),
     }
     if config.variant == CNN_RNN_FC:
-        init_rnn = init_gru if config.rnn_kind == "gru" else init_lstm
-        feature.update(init_rnn(rng, config.conv_filters, config.rnn_hidden))
+        gates = GRU_GATES if config.rnn_kind == "gru" else LSTM_GATES
+        feature.update(init_rnn(rng, config.conv_filters, config.rnn_hidden, gates))
     classifier = {
         "fc1_w": glorot_uniform(
             rng,
@@ -239,9 +240,5 @@ def forward(
     dropout mask from `rng`.
     """
     stack, single = _as_batch(batch, config)
-    feats = features(params, config, stack)
-    if not params.feature.trainable:
-        # a frozen extractor is a constant: backward stops at its features
-        feats = Tensor(feats.data)
-    probs = classify(params, config, feats, train, rng)
+    probs = classify(params, config, features(params, config, stack), train, rng)
     return probs.reshape(config.n_classes) if single else probs

@@ -2,21 +2,24 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .layers import ParamGroup
 
 
 class Adam:
-    """Adam with bias correction; frozen groups are skipped entirely.
+    """Adam with bias correction.  A tensor whose grad is None, one that no
+    loss reached (the feature group in ``tune``), is left untouched.
 
     Default rate 1e-3 for base training; head tuning uses 5e-4.
     """
 
     def __init__(self, lr: float = 1e-3, beta1: float = 0.9,
                  beta2: float = 0.999, eps: float = 1e-8):
-        if lr <= 0:
-            raise ValueError(f"learning rate must be positive, got {lr}")
+        if not (lr > 0 and math.isfinite(lr)):
+            raise ValueError(f"learning rate must be finite and positive, got {lr}")
         self.lr = lr
         self.beta1 = beta1
         self.beta2 = beta2
@@ -25,8 +28,6 @@ class Adam:
 
     def step(self, groups: list[ParamGroup]) -> None:
         for group in groups:
-            if not group.trainable:
-                continue
             for param in group.params.values():
                 if param.grad is None:
                     continue

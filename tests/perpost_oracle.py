@@ -1,6 +1,8 @@
 """The per-post forward pass and losses as they were before the layers ran
 over batches: one post at a time, the losses composed from elementwise
-graph nodes.  Kept as the oracle the batched layers are checked against.
+graph nodes.  Kept as the oracle the batched layers are checked against,
+with the vector nodes (matmul, sigmoid, tanh, stack) that the step-by-step
+recurrent oracles are composed from.
 
 Every op here builds its own graph node on ``hatenet.autograd.Tensor``, so
 ``backward()`` on an oracle loss fills the same parameter ``.grad`` fields
@@ -19,10 +21,49 @@ GRU_GATES = ("z", "r", "h")
 LSTM_GATES = ("i", "f", "o", "g")
 
 
-# -- elementwise nodes the losses were composed from ---------------------
+# -- nodes the oracles are composed from ----------------------------------
+
+
+def matmul(w: Tensor, x: Tensor) -> Tensor:
+    """Matrix-vector product."""
+
+    def bwd(g):
+        w.grad += np.outer(g, x.data)
+        x.grad += w.data.T @ g
+
+    return Tensor(w.data @ x.data, (w, x), bwd)
+
+
+def sigmoid(x: Tensor) -> Tensor:
+    y = 1.0 / (1.0 + np.exp(-x.data))
+
+    def bwd(g):
+        x.grad += g * y * (1.0 - y)
+
+    return Tensor(y, (x,), bwd)
+
+
+def tanh(x: Tensor) -> Tensor:
+    y = np.tanh(x.data)
+
+    def bwd(g):
+        x.grad += g * (1.0 - y * y)
+
+    return Tensor(y, (x,), bwd)
+
+
+def stack(rows: list[Tensor]) -> Tensor:
+    """Stack T vectors of identical shape into a (T, ...) tensor."""
+
+    def bwd(g):
+        for i, r in enumerate(rows):
+            r.grad += g[i]
+
+    return Tensor(np.stack([r.data for r in rows]), tuple(rows), bwd)
 
 
 def pick(x: Tensor, i: int) -> Tensor:
+    """Scalar element of a vector."""
     def bwd(g):
         x.grad[i] += g
 
@@ -236,7 +277,7 @@ def lstm_forward(inputs: Tensor, p: dict) -> Tensor:
 
 
 def dense(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
-    return weight @ x + bias
+    return matmul(weight, x) + bias
 
 
 def dropout(x: Tensor, p: float, rng: np.random.Generator) -> Tensor:

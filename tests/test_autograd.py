@@ -3,21 +3,22 @@ import math
 import numpy as np
 import pytest
 
+import perpost_oracle as oracle
 from hatenet.autograd import (
     Tensor,
     conv1d,
     dropout,
     global_maxpool,
     maxpool1d,
-    stack,
 )
 from hatenet.errors import ShapeMismatch
 from hatenet.layers import (
+    GRU_GATES,
+    LSTM_GATES,
     ParamGroup,
     cross_entropy,
     fc_forward,
-    init_gru,
-    init_lstm,
+    init_rnn,
     gru_forward,
     lstm_forward,
 )
@@ -41,26 +42,29 @@ def brute_conv1d(x, f, b, pad):
     return out
 
 
+def conv_one(x, f, b, pad):
+    """conv1d of one (C_in, T) input, as a batch of 1."""
+    return conv1d(x[None], Tensor(f), Tensor(b), pad=pad).data[0]
+
+
 class TestConv1d:
     def test_length_preserved_at_production_shape(self):
         rng = np.random.default_rng(0)
-        x = Tensor(rng.standard_normal((3, 100)))
+        x = rng.standard_normal((2, 3, 100))
         f = Tensor(rng.standard_normal((2, 3, 17)))
         b = Tensor(rng.standard_normal(2))
-        assert conv1d(x, f, b, pad=8).data.shape == (2, 100)
+        assert conv1d(x, f, b, pad=8).data.shape == (2, 2, 100)
 
     def test_identity_filter(self):
-        x = Tensor(np.arange(5.0).reshape(1, 5))
-        f = Tensor(np.ones((1, 1, 1)))
-        b = Tensor(np.zeros(1))
-        np.testing.assert_array_equal(conv1d(x, f, b, pad=0).data, x.data)
+        x = np.arange(5.0).reshape(1, 5)
+        np.testing.assert_array_equal(conv_one(x, np.ones((1, 1, 1)), np.zeros(1), 0), x)
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(1)
         x = rng.standard_normal((1, 5))
         f = rng.standard_normal((1, 1, 3))
         b = rng.standard_normal(1)
-        got = conv1d(Tensor(x), Tensor(f), Tensor(b), pad=0).data
+        got = conv_one(x, f, b, 0)
         np.testing.assert_allclose(got, brute_conv1d(x, f, b, 0), atol=1e-12)
 
     @pytest.mark.parametrize("c_in,c_out,t,w,pad", [
@@ -71,7 +75,7 @@ class TestConv1d:
         x = rng.standard_normal((c_in, t))
         f = rng.standard_normal((c_out, c_in, w))
         b = rng.standard_normal(c_out)
-        got = conv1d(Tensor(x), Tensor(f), Tensor(b), pad=pad).data
+        got = conv_one(x, f, b, pad)
         np.testing.assert_allclose(got, brute_conv1d(x, f, b, pad), atol=1e-12)
 
     @pytest.mark.parametrize("zero_steps", [
@@ -88,47 +92,44 @@ class TestConv1d:
         f = rng.standard_normal((4, 3, 5))
         b = rng.standard_normal(4)
         for pad in (0, 2, 4):
-            want = brute_conv1d(x, f, b, pad)
-            for given in (x, Tensor(x)):
-                got = conv1d(given, Tensor(f), Tensor(b), pad=pad).data
-                np.testing.assert_allclose(got, want, atol=1e-12, rtol=0)
+            got = conv_one(x, f, b, pad)
+            np.testing.assert_allclose(got, brute_conv1d(x, f, b, pad), atol=1e-12, rtol=0)
 
     def test_constant_input_gets_no_node(self):
         rng = np.random.default_rng(5)
         x = rng.standard_normal((3, 8))
         x[:, :3] = 0.0
         f, b = Tensor(rng.standard_normal((2, 3, 3))), Tensor(rng.standard_normal(2))
-        lw = rng.standard_normal(16)
-        const = conv1d(x, f, b, pad=1)
-        assert const._parents == (f, b)
-        (const.reshape(-1) * lw).sum().backward()
-        grads = f.grad.copy(), b.grad.copy()
-        leaf = Tensor(x)
-        node = conv1d(leaf, f, b, pad=1)
-        assert node._parents == (leaf, f, b)
-        assert node.data.tobytes() == const.data.tobytes()
-        (node.reshape(-1) * lw).sum().backward()
-        np.testing.assert_allclose(f.grad, grads[0], atol=1e-12, rtol=0)
-        np.testing.assert_allclose(b.grad, grads[1], atol=1e-12, rtol=0)
-        assert leaf.grad.shape == x.shape
+        lw = rng.standard_normal((2, 8))
+        out = conv1d(x[None], f, b, pad=1)
+        assert out._parents == (f, b)
+        (out * lw).sum().backward()
+        # d/dF[o, c, w] of sum(lw * out) is sum_j lw[o, j] * xpad[c, j + w]
+        xpad = np.pad(x, ((0, 0), (1, 1)))
+        want = np.einsum("oj,cjw->ocw", lw,
+                         np.stack([xpad[:, w : w + 8] for w in range(3)], axis=-1))
+        np.testing.assert_allclose(f.grad, want, atol=1e-12, rtol=0)
+        np.testing.assert_allclose(b.grad, lw.sum(axis=1), atol=1e-12, rtol=0)
 
     def test_odd_width_same_pad_preserves_length(self):
         rng = np.random.default_rng(2)
         for t in (3, 10, 31):
             for w in (1, 3, 5, 7):
-                x = Tensor(rng.standard_normal((2, t)))
+                x = rng.standard_normal((1, 2, t))
                 f = Tensor(rng.standard_normal((2, 2, w)))
                 b = Tensor(np.zeros(2))
                 out = conv1d(x, f, b, pad=(w - 1) // 2)
-                assert out.data.shape == (2, t)
+                assert out.data.shape == (1, 2, t)
 
     def test_shape_errors(self):
-        x = Tensor(np.zeros((2, 5)))
+        x = np.zeros((1, 2, 5))
         f = Tensor(np.zeros((1, 3, 3)))
         with pytest.raises(ShapeMismatch):
             conv1d(x, f, Tensor(np.zeros(1)), pad=0)
         with pytest.raises(ShapeMismatch):
             conv1d(x, Tensor(np.zeros((1, 2, 9))), Tensor(np.zeros(1)), pad=0)
+        with pytest.raises(ShapeMismatch):  # one unbatched input
+            conv1d(x[0], Tensor(np.zeros((1, 2, 3))), Tensor(np.zeros(1)), pad=1)
 
 
 class TestMaxPool:
@@ -164,6 +165,14 @@ class TestMaxPool:
         np.testing.assert_array_equal(global_maxpool(Tensor(x)).data, x.max(axis=0))
 
 
+def init_gru(rng, d_in, hidden):
+    return init_rnn(rng, d_in, hidden, GRU_GATES)
+
+
+def init_lstm(rng, d_in, hidden):
+    return init_rnn(rng, d_in, hidden, LSTM_GATES)
+
+
 def scalar_gru_step(x, h, p):
     z = 1 / (1 + math.exp(-(p["w_z"] * x + p["u_z"] * h + p["b_z"])))
     r = 1 / (1 + math.exp(-(p["w_r"] * x + p["u_r"] * h + p["b_r"])))
@@ -185,8 +194,8 @@ class TestRecurrent:
     def test_gru_zero_weights_zero_output(self):
         p = {k: Tensor(np.zeros_like(v.data))
              for k, v in init_gru(np.random.default_rng(0), 3, 4).items()}
-        out = gru_forward(Tensor(np.ones((5, 3))), p)
-        np.testing.assert_array_equal(out.data, np.zeros((5, 4)))
+        out = gru_forward(Tensor(np.ones((2, 5, 3))), p)
+        np.testing.assert_array_equal(out.data, np.zeros((2, 5, 4)))
 
     def test_gru_single_scalar_step(self):
         vals = {"w_z": 0.3, "u_z": -0.2, "b_z": 0.1,
@@ -195,7 +204,7 @@ class TestRecurrent:
         p = {k: Tensor(np.full((1, 1) if k[0] in "wu" else (1,), v))
              for k, v in vals.items()}
         x = 0.8
-        got = gru_forward(Tensor(np.array([[x]])), p).data[0, 0]
+        got = gru_forward(Tensor(np.array([[[x]]])), p).data[0, 0, 0]
         assert got == pytest.approx(scalar_gru_step(x, 0.0, vals), abs=1e-12)
 
     def test_gru_three_steps_match_scalar_oracle(self):
@@ -205,7 +214,7 @@ class TestRecurrent:
         p = {k: Tensor(np.full((1, 1) if k[0] in "wu" else (1,), v))
              for k, v in vals.items()}
         xs = rng.uniform(-1, 1, size=3)
-        got = gru_forward(Tensor(xs.reshape(3, 1)), p).data[:, 0]
+        got = gru_forward(Tensor(xs.reshape(1, 3, 1)), p).data[0, :, 0]
         h = 0.0
         for t, x in enumerate(xs):
             h = scalar_gru_step(x, h, vals)
@@ -214,8 +223,8 @@ class TestRecurrent:
     def test_lstm_zero_weights_zero_output(self):
         p = {k: Tensor(np.zeros_like(v.data))
              for k, v in init_lstm(np.random.default_rng(0), 2, 3).items()}
-        out = lstm_forward(Tensor(np.ones((4, 2))), p)
-        np.testing.assert_array_equal(out.data, np.zeros((4, 3)))
+        out = lstm_forward(Tensor(np.ones((2, 4, 2))), p)
+        np.testing.assert_array_equal(out.data, np.zeros((2, 4, 3)))
 
     def test_lstm_single_scalar_step(self):
         rng = np.random.default_rng(8)
@@ -225,7 +234,7 @@ class TestRecurrent:
         p = {k: Tensor(np.full((1, 1) if k[0] in "wu" else (1,), v))
              for k, v in vals.items()}
         x = -0.4
-        got = lstm_forward(Tensor(np.array([[x]])), p).data[0, 0]
+        got = lstm_forward(Tensor(np.array([[[x]]])), p).data[0, 0, 0]
         want, _ = scalar_lstm_step(x, 0.0, 0.0, vals)
         assert got == pytest.approx(want, abs=1e-12)
 
@@ -237,7 +246,7 @@ class TestRecurrent:
         p = {k: Tensor(np.full((1, 1) if k[0] in "wu" else (1,), v))
              for k, v in vals.items()}
         xs = rng.uniform(-1, 1, size=2)
-        got = lstm_forward(Tensor(xs.reshape(2, 1)), p).data[:, 0]
+        got = lstm_forward(Tensor(xs.reshape(1, 2, 1)), p).data[0, :, 0]
         h = c = 0.0
         for t, x in enumerate(xs):
             h, c = scalar_lstm_step(x, h, c, vals)
@@ -245,31 +254,33 @@ class TestRecurrent:
 
 
 def composed_gru(xs, p):
-    """The GRU as a per-step composition of Tensor ops, one node per op."""
+    """The GRU as a per-step composition of vector nodes, one node per op."""
     h = Tensor(np.zeros(p["u_z"].data.shape[0]))
     states = []
+    mm = oracle.matmul
     for x in xs:
-        z = (p["w_z"] @ x + p["u_z"] @ h + p["b_z"]).sigmoid()
-        r = (p["w_r"] @ x + p["u_r"] @ h + p["b_r"]).sigmoid()
-        g = (p["w_h"] @ x + p["u_h"] @ (r * h) + p["b_h"]).tanh()
+        z = oracle.sigmoid(mm(p["w_z"], x) + mm(p["u_z"], h) + p["b_z"])
+        r = oracle.sigmoid(mm(p["w_r"], x) + mm(p["u_r"], h) + p["b_r"])
+        g = oracle.tanh(mm(p["w_h"], x) + mm(p["u_h"], r * h) + p["b_h"])
         h = (1.0 - z) * h + z * g
         states.append(h)
-    return stack(states)
+    return oracle.stack(states)
 
 
 def composed_lstm(xs, p):
-    """The LSTM as a per-step composition of Tensor ops, one node per op."""
+    """The LSTM as a per-step composition of vector nodes, one node per op."""
     h = c = Tensor(np.zeros(p["u_i"].data.shape[0]))
     states = []
+    mm = oracle.matmul
     for x in xs:
-        i = (p["w_i"] @ x + p["u_i"] @ h + p["b_i"]).sigmoid()
-        f = (p["w_f"] @ x + p["u_f"] @ h + p["b_f"]).sigmoid()
-        o = (p["w_o"] @ x + p["u_o"] @ h + p["b_o"]).sigmoid()
-        g = (p["w_g"] @ x + p["u_g"] @ h + p["b_g"]).tanh()
+        i = oracle.sigmoid(mm(p["w_i"], x) + mm(p["u_i"], h) + p["b_i"])
+        f = oracle.sigmoid(mm(p["w_f"], x) + mm(p["u_f"], h) + p["b_f"])
+        o = oracle.sigmoid(mm(p["w_o"], x) + mm(p["u_o"], h) + p["b_o"])
+        g = oracle.tanh(mm(p["w_g"], x) + mm(p["u_g"], h) + p["b_g"])
         c = f * c + i * g
-        h = o * c.tanh()
+        h = o * oracle.tanh(c)
         states.append(h)
-    return stack(states)
+    return oracle.stack(states)
 
 
 @pytest.mark.parametrize("init, fused, composed", [
@@ -287,15 +298,15 @@ def test_fused_recurrent_op_matches_step_composition(init, fused, composed):
     x = rng.standard_normal((t_steps, d_in))
     lw = rng.standard_normal((t_steps, hidden))
 
-    inputs = Tensor(x)
+    inputs = Tensor(x[None])
     out = fused(inputs, p)
     (out * lw).sum().backward()
     rows = [Tensor(x[t]) for t in range(t_steps)]
     want = composed(rows, q)
     (want * lw).sum().backward()
 
-    np.testing.assert_allclose(out.data, want.data, rtol=0, atol=1e-12)
-    np.testing.assert_allclose(inputs.grad, np.stack([r.grad for r in rows]),
+    np.testing.assert_allclose(out.data[0], want.data, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(inputs.grad[0], np.stack([r.grad for r in rows]),
                                rtol=0, atol=1e-10)
     for key in p:
         np.testing.assert_allclose(p[key].grad, q[key].grad, rtol=0, atol=1e-10,
@@ -369,7 +380,7 @@ class TestBackward:
         w = Tensor(rng.standard_normal((1, 4)))
         b = Tensor(rng.standard_normal(1))
         target = 0.7
-        pred = (w @ x + b).pick(0)
+        pred = oracle.pick(oracle.matmul(w, x) + b, 0)
         loss = (pred - target) * (pred - target)
         loss.backward()
         residual = 2 * (pred.data - target)
@@ -390,14 +401,14 @@ class TestBackward:
     def test_stack_routes_gradients(self):
         rows = [Tensor(np.array([1.0, 2.0])), Tensor(np.array([3.0, 4.0]))]
         weights = np.array([[1.0, 10.0], [100.0, 1000.0]])
-        (stack(rows) * weights).sum().backward()
+        (oracle.stack(rows) * weights).sum().backward()
         np.testing.assert_array_equal(rows[0].grad, [1.0, 10.0])
         np.testing.assert_array_equal(rows[1].grad, [100.0, 1000.0])
 
     def test_deterministic_bitwise(self):
         def run():
             rng = np.random.default_rng(42)
-            x = Tensor(rng.standard_normal((3, 8)))
+            x = rng.standard_normal((1, 3, 8))
             f = Tensor(rng.standard_normal((2, 3, 3)))
             b = Tensor(rng.standard_normal(2))
             out = maxpool1d(conv1d(x, f, b, pad=1), 2)
@@ -452,13 +463,19 @@ class TestAdam:
             opt.step([group])
             assert p.data[0] == pytest.approx(-0.05 * t, rel=1e-7)
 
-    def test_frozen_group_untouched(self):
-        p = Tensor(np.array([3.0]))
-        group = ParamGroup("g", {"p": p}, trainable=False)
-        p.grad = np.array([10.0])
-        Adam(lr=0.1).step([group])
-        assert p.data[0] == 3.0
+    def test_tensor_without_grad_untouched(self):
+        # no loss reached it, as tune's feature group
+        unreached, live = Tensor(np.array([3.0])), Tensor(np.array([3.0]))
+        live.grad = np.array([10.0])
+        Adam(lr=0.1).step([ParamGroup("g", {"unreached": unreached, "live": live})])
+        assert unreached.data[0] == 3.0 and unreached.grad is None
+        assert live.data[0] != 3.0
 
     def test_rejects_nonpositive_lr(self):
         with pytest.raises(ValueError):
             Adam(lr=0.0)
+
+    @pytest.mark.parametrize("lr", [float("nan"), float("inf")])
+    def test_rejects_nonfinite_lr(self, lr):
+        with pytest.raises(ValueError):
+            Adam(lr=lr)

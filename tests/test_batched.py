@@ -242,7 +242,6 @@ def per_post_tune(bundle, target, cfg, table):
     members = []
     for index, member in enumerate(bundle.members):
         params = member.copy()
-        params.feature.trainable = False
         rng = np.random.default_rng([cfg.seed + index, 2])
         optimizer = Adam(lr=cfg.tune_lr)
         for _ in range(cfg.tune_epochs):
@@ -256,7 +255,7 @@ def per_post_tune(bundle, target, cfg, table):
                     loss = oracle.cross_entropy(probs, post.label)
                     total = loss if total is None else total + loss
                 (total * (1.0 / len(batch))).backward()
-                optimizer.step(params.groups())
+                optimizer.step([params.classifier])
         members.append(params)
     return members
 

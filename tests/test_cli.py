@@ -1,11 +1,15 @@
+import argparse
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hatenet import cli
 from hatenet.ensemble import EnsembleBundle, TrainConfig, save_bundle, train_ensemble
@@ -356,6 +360,11 @@ LEXICON_ARGS = [
     ("train", ["--embeddings", "synthetic:0"], cli.EXIT_USAGE),
     ("weak-train", ["--class-weights", "foo"], cli.EXIT_USAGE),
     ("weak-train", ["--class-weights", "1,2"], cli.EXIT_USAGE),
+    ("weak-train", ["--bounds-k", "nan"], cli.EXIT_DATA),
+    ("weak-train", ["--bounds-k", "-1"], cli.EXIT_DATA),
+    ("weak-train", ["--bounds-k", "0"], cli.EXIT_DATA),
+    ("train", ["--lr", "nan"], cli.EXIT_DATA),
+    ("train", ["--lr", "inf"], cli.EXIT_DATA),
 ])
 def test_bad_values_exit_without_traceback(tmp_path, command, flags, code):
     if command == "train":
@@ -372,6 +381,7 @@ def test_bad_values_exit_without_traceback(tmp_path, command, flags, code):
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == code, proc.stderr
     assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "run").exists()  # rejected before any training
 
 
 TUNE_ARGV = ["tune", "--bundle", "b", "--target", "t", "--out", "o"]
@@ -428,3 +438,117 @@ def test_config_file_faults_exit_3_without_traceback(tmp_path, content):
     ])
     assert proc.returncode == cli.EXIT_DATA, proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def weak_argv(tmp_path, out, lexicon=None):
+    lex = LEXICON_ARGS if lexicon is None else [
+        "--lex-hate", lexicon, "--lex-offensive", lexicon, "--lex-positive", lexicon]
+    return ["weak-train", "--config", write_config(tmp_path),
+            "--unlabeled", str(FIXTURES / "unlabeled_lines.txt"), *lex,
+            "--embeddings", "synthetic:0:6", "--out", out]
+
+
+@pytest.mark.parametrize("case", ["input_dir", "config_dir", "out_file", "lexicon_latin1"])
+def test_io_and_decode_errors_exit_3_with_one_line(tmp_path, capsys, case):
+    existing = tmp_path / "existing.txt"
+    existing.write_text("already here\n")
+    latin1 = tmp_path / "lexicon.txt"
+    latin1.write_bytes("d\xe9sol\xe9\n".encode("latin-1"))
+    argv = {
+        "input_dir": ["preprocess", "--input", str(tmp_path)],
+        "config_dir": ["train", "--config", str(tmp_path),
+                       "--labeled-lines", write_lines_corpus(tmp_path),
+                       "--out", str(tmp_path / "run")],
+        "out_file": weak_argv(tmp_path, str(existing)),
+        "lexicon_latin1": weak_argv(tmp_path, str(tmp_path / "run"), str(latin1)),
+    }[case]
+    assert run(argv) == cli.EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert not (tmp_path / "run").exists()
+
+
+# -- property: no argument vector exits 1 or raises ----------------------
+
+# placeholders a drawn flag value may take; each names a path made fresh
+# for every example
+MISSING, DIRECTORY, TEXT_FILE, BINARY_FILE = "<missing>", "<dir>", "<file>", "<binary>"
+PROPERTY_VALUES = ["nan", "-1", "0", "1", "inf", MISSING, DIRECTORY, TEXT_FILE, BINARY_FILE]
+TINY_RUN = ["--seq-len", "8", "-k", "1", "--epochs", "1", "--embeddings", "synthetic:0:8"]
+
+
+def subcommand_flags() -> dict[str, list[str]]:
+    """Each subcommand's flags, read from the parser itself."""
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return {
+        name: [a.option_strings[0] for a in parser._actions
+               if a.option_strings and a.dest != "help"]
+        for name, parser in sub.choices.items()
+    }
+
+
+SUBCOMMAND_FLAGS = subcommand_flags()
+
+
+@pytest.fixture(scope="module")
+def property_inputs(tmp_path_factory):
+    """A labeled corpus and a bundle of the tiny topology, both read-only."""
+    root = tmp_path_factory.mktemp("cli_property")
+    corpus = write_lines_corpus(root, n_per_class=4)
+    bundle = str(root / "bundle")
+    assert cli.main(["train", "--labeled-lines", corpus, "--out", bundle, *TINY_RUN]) == 0
+    return {"corpus": corpus, "bundle": bundle}
+
+
+def base_argv(command: str, inputs: dict, out: str) -> list[str]:
+    """A valid argument vector for each subcommand, on tiny inputs."""
+    synthetic = ["--embeddings", "synthetic:0:8"]
+    return {
+        "train": ["train", "--labeled-lines", inputs["corpus"], "--out", out, *TINY_RUN],
+        "weak-train": ["weak-train", "--unlabeled", str(FIXTURES / "unlabeled_lines.txt"),
+                       *LEXICON_ARGS, "--out", out, *TINY_RUN],
+        "tune": ["tune", "--bundle", inputs["bundle"], "--target", inputs["corpus"],
+                 "--tune-epochs", "1", "--out", out, *synthetic],
+        "predict": ["predict", "--bundle", inputs["bundle"],
+                    "--input", str(FIXTURES / "unlabeled_lines.txt"), *synthetic],
+        "evaluate": ["evaluate", "--bundle", inputs["bundle"],
+                     "--labeled-lines", inputs["corpus"], *synthetic],
+        "gradcheck": ["gradcheck", "--layer", "fc_none", "--trials", "1"],
+        "preprocess": ["preprocess", "--input", str(FIXTURES / "unlabeled_lines.txt")],
+    }[command]
+
+
+@st.composite
+def argument_vectors(draw):
+    command = draw(st.sampled_from(sorted(SUBCOMMAND_FLAGS)))
+    flags = draw(st.lists(
+        st.tuples(st.sampled_from(SUBCOMMAND_FLAGS[command]),
+                  st.sampled_from(PROPERTY_VALUES)),
+        max_size=3,
+    ))
+    return command, [token for pair in flags for token in pair]
+
+
+@settings(max_examples=40, deadline=None)
+@given(argument_vectors())
+def test_cli_never_exits_1_or_raises(property_inputs, drawn):
+    command, extra = drawn
+    with tempfile.TemporaryDirectory() as scratch:
+        root = Path(scratch)
+        (root / "dir").mkdir()
+        (root / "file.txt").write_text("hello world\n1\tyou are great\n")
+        (root / "binary").write_bytes(b"\xff\xfe\x00\x81 not utf-8\n")
+        paths = {MISSING: root / "missing", DIRECTORY: root / "dir",
+                 TEXT_FILE: root / "file.txt", BINARY_FILE: root / "binary"}
+        argv = base_argv(command, property_inputs, str(root / "out"))
+        argv += [str(paths.get(token, token)) for token in extra]
+        cwd = os.getcwd()
+        os.chdir(root)  # a drawn value such as "nan" may name an output path
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse rejects a usage error
+            code = exc.code
+        finally:
+            os.chdir(cwd)
+        assert code in (cli.EXIT_OK, cli.EXIT_USAGE, cli.EXIT_DATA, cli.EXIT_NUMERIC), argv

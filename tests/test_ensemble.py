@@ -1,3 +1,4 @@
+import json
 import logging
 from collections import Counter
 
@@ -315,8 +316,11 @@ class TestPredictAndBundle:
         assert loaded.fingerprint == bundle.fingerprint
         for a, b in zip(bundle.members, loaded.members):
             assert _member_bytes(a) == _member_bytes(b)
-            for group_a, group_b in zip(a.groups(), b.groups()):
-                assert group_a.trainable == group_b.trainable
+        # format 1 keeps a "trainable" flag per array; it is always true
+        raw = (tmp_path / "run" / "member_0.ckpt").read_bytes()
+        header_len = int.from_bytes(raw[8:16], "little")
+        header = json.loads(raw[16 : 16 + header_len])
+        assert header["arrays"] and all(e["trainable"] is True for e in header["arrays"])
 
     def test_corrupt_member_detected(self, topo, table, tmp_path):
         bundle = self._quick_bundle(topo, table)
@@ -383,7 +387,6 @@ class TestTune:
         for i, member in enumerate(tuned.members):
             for key, tensor in member.feature.params.items():
                 assert tensor.data.tobytes() == before[i][key]
-            assert member.feature.trainable  # freeze is internal to tune
 
     def test_classifier_changes(self, topo, table):
         bundle = self._bundle(topo, table)
@@ -508,6 +511,8 @@ def test_nonfinite_validation_loss_names_epoch(topo):
 @pytest.mark.parametrize("bad", [
     {"ensemble_size": 0}, {"epochs": 0}, {"tune_epochs": 0}, {"base_lr": -1.0},
     {"tune_lr": 0.0}, {"batch_size": 0}, {"loss_mode": "other"},
+    {"base_lr": float("nan")}, {"tune_lr": float("inf")}, {"bounds_k": float("nan")},
+    {"bounds_k": float("inf")}, {"bounds_k": -1.0}, {"bounds_k": 0.0}, {"seed": -1},
 ])
 def test_train_config_rejects_bad_values(bad):
     from hatenet.errors import InvalidConfig
