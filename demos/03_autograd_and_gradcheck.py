@@ -6,12 +6,15 @@ Run:  python demos/03_autograd_and_gradcheck.py
 
 import numpy as np
 
-from hatenet.autograd import Tensor, conv1d, maxpool1d
+from hatenet.autograd import IdBatch, Tensor, conv1d, maxpool1d
 from hatenet.gradcheck import run_all
 
 rng = np.random.default_rng(0)
-# a batch of 2 inputs of 3 channels by 10 steps; the input is a constant
-x = rng.standard_normal((2, 3, 10))
+# a batch of 2 inputs of 10 steps over 4 distinct rows of 3 channels; a
+# step is an id into the rows, -1 a zero step, and the input is a constant
+x = IdBatch(np.array([[-1, -1, 0, 1, 0, 2, -1, 3, 1, 0],
+                      [2, 2, 2, 3, 0, 1, 1, 0, -1, 3]]),
+            rng.standard_normal((4, 3)))
 filters = Tensor(rng.standard_normal((2, 3, 3)))
 bias = Tensor(np.zeros(2))
 
@@ -22,7 +25,8 @@ loss.backward()
 print(f"scalar loss {loss.data:.4f}; gradient shapes after backward():")
 print(f"  d loss / d filters: {filters.grad.shape}")
 print(f"  d loss / d bias:    {bias.grad.shape}")
-print("  the input stack is a constant and gets no gradient")
+print("  the input is a constant and gets no gradient; each of its 4 rows")
+print("  is multiplied by the filters once, not once per step")
 
 print("\nfinite-difference verification of every registered layer (3 trials):")
 for report in run_all(trials=3):

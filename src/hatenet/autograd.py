@@ -17,10 +17,6 @@ from .errors import ShapeMismatch
 class Tensor:
     __slots__ = ("data", "grad", "_parents", "_backward")
 
-    # keep numpy from consuming Tensor operands so __radd__/__rsub__ run
-    __array_ufunc__ = None
-    __array_priority__ = 1000
-
     def __init__(self, data, parents=(), backward=None):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad = None
@@ -69,17 +65,6 @@ class Tensor:
 
     # -- arithmetic -----------------------------------------------------
 
-    def __add__(self, other):
-        other = _as_tensor(other)
-
-        def bwd(g):
-            self.grad += _unbroadcast(g, self.data.shape)
-            other.grad += _unbroadcast(g, other.data.shape)
-
-        return Tensor(self.data + other.data, (self, other), bwd)
-
-    __radd__ = __add__
-
     def __mul__(self, other):
         other = _as_tensor(other)
 
@@ -88,20 +73,6 @@ class Tensor:
             other.grad += _unbroadcast(g * self.data, other.data.shape)
 
         return Tensor(self.data * other.data, (self, other), bwd)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        def bwd(g):
-            self.grad += -g
-
-        return Tensor(-self.data, (self,), bwd)
-
-    def __sub__(self, other):
-        return self + (-_as_tensor(other))
-
-    def __rsub__(self, other):
-        return _as_tensor(other) + (-self)
 
     # -- shape ops ------------------------------------------------------
 
@@ -112,9 +83,9 @@ class Tensor:
         return Tensor(self.data.reshape(*shape), (self,), bwd)
 
     def transpose(self):
-        """Swap the last two axes: (..., M, N) -> (..., N, M)."""
-        if self.data.ndim not in (2, 3):
-            raise ShapeMismatch("transpose expects a 2-d or 3-d tensor")
+        """Swap the last two axes: (B, M, N) -> (B, N, M)."""
+        if self.data.ndim != 3:
+            raise ShapeMismatch("transpose expects a 3-d tensor")
 
         def bwd(g):
             self.grad += g.swapaxes(-1, -2)
@@ -169,115 +140,120 @@ def _tap_major(filters: np.ndarray) -> np.ndarray:
     return filters.transpose(1, 2, 0).reshape(c_in, width * c_out)
 
 
-def _tap_slices(first: int, stop: int, width: int, pad: int, t_out: int):
-    """For each tap w, the output steps j0:j1 that input steps first..stop-1
-    reach through w (input step s feeds output step s + pad - w), and the
-    offset of the input step feeding j0 within that span."""
-    for w in range(width):
-        shift = first + pad - w
-        j0, j1 = max(shift, 0), min(stop + pad - w, t_out)
-        if j1 > j0:
-            yield w, j0, j1, j0 - shift
+class IdBatch:
+    """B inputs of T steps as (B, T) integer ids into (V, C_in) rows: step t
+    of input b is ``rows[ids[b, t]]``, or zeros at id -1, so a row that
+    many steps share is stored, and multiplied, once."""
+
+    __slots__ = ("ids", "rows")
+
+    def __init__(self, ids: np.ndarray, rows: np.ndarray):
+        self.ids = ids
+        self.rows = rows
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def dense(self) -> np.ndarray:
+        """The (B, T, C_in) step values, zeros at the -1 steps."""
+        return np.concatenate([self.rows, np.zeros((1, self.rows.shape[1]))])[self.ids]
 
 
-# input steps multiplied per product in conv1d, which bounds its transients
+def dense_ids(x: np.ndarray) -> IdBatch:
+    """A dense (B, C_in, T) stack as an IdBatch: each nonzero column is a
+    row of its own, numbered in (b, t) order, and a zero column is id -1."""
+    steps = np.asarray(x, dtype=np.float64)
+    if steps.ndim != 3:
+        raise ShapeMismatch(f"a dense conv input is (B, C_in, T), got {steps.shape}")
+    steps = steps.swapaxes(1, 2)
+    live = steps.any(axis=2)
+    ids = np.full(live.shape, -1, dtype=np.intp)
+    ids[live] = np.arange(np.count_nonzero(live))
+    return IdBatch(ids, steps[live])
+
+
+# distinct ids per product in conv1d's backward, which bounds its transients
 CONV_BLOCK_ROWS = 256
 
 
-def _live_spans(batch: np.ndarray) -> list[tuple[int, int]]:
-    """For each (C_in, T) input of a batch, the steps from its first to its
-    last holding a nonzero value; (0, 0) for an all-zero input."""
-    alive = batch.any(axis=1)
-    t = alive.shape[1]
-    first = alive.argmax(axis=1)
-    stop = t - alive[:, ::-1].argmax(axis=1)
-    return [
-        (int(lo), int(hi)) if any_live else (0, 0)
-        for lo, hi, any_live in zip(first, stop, alive.any(axis=1))
-    ]
+def conv1d(x: IdBatch, filters: Tensor, bias: Tensor, pad: int) -> Tensor:
+    """Stride-1 cross-correlation with symmetric zero padding, 0 <= pad < W,
+    over a batch of constant inputs.
 
+    x: IdBatch of (B, T) ids into (V, C_in) rows, filters: (C_out, C_in, W),
+    bias: (C_out,).  Output: (B, C_out, T_out), T_out = T + 2*pad - W + 1.
+    The input is a constant: it gets no graph node and no gradient.
 
-def _span_blocks(batch: np.ndarray, spans: list[tuple[int, int]]):
-    """Split the inputs into runs of consecutive ones whose spans hold at
-    most CONV_BLOCK_ROWS steps in all (a longer input is a run of its own).
-    Yields each run as its (input, first step, stop step) triples and the
-    time-major rows of those steps, concatenated (a view for one input)."""
-
-    def rows(run):
-        if len(run) == 1:
-            i, j0, j1 = run[0]
-            return batch[i, :, j0:j1].T
-        return np.concatenate([batch[i, :, j0:j1].T for i, j0, j1 in run])
-
-    run: list[tuple[int, int, int]] = []
-    size = 0
-    for b, (lo, hi) in enumerate(spans):
-        if run and size + hi - lo > CONV_BLOCK_ROWS:
-            yield run, rows(run)
-            run, size = [], 0
-        run.append((b, lo, hi))
-        size += hi - lo
-    if run:
-        yield run, rows(run)
-
-
-def conv1d(x: np.ndarray, filters: Tensor, bias: Tensor, pad: int) -> Tensor:
-    """Stride-1 cross-correlation with symmetric zero padding over a batch
-    of constant inputs.
-
-    x: (B, C_in, T) plain ndarray, filters: (C_out, C_in, W), bias: (C_out,).
-    Output: (B, C_out, T_out), T_out = T + 2*pad - W + 1.  The input is a
-    constant: it gets no graph node and no gradient.
-
-    Each input is read time-major, and only its live span, the steps from
-    its first to its last holding a nonzero value, is multiplied: leading
-    and trailing all-zero steps (post padding) add exactly nothing.  The
-    live rows of consecutive inputs are concatenated, up to CONV_BLOCK_ROWS
-    rows, and multiplied by the tap-major filters (C_in, W*C_out) in one
-    product; each tap's slice of an input's block of that product is then
-    added at its shift.
+    Each distinct row is multiplied once by the tap-major filters
+    (C_in, W*C_out); an output step is its bias plus, tap by tap, the
+    product row of the input step that tap reads (a -1 step reads a zero
+    row).  Output steps that no live step reaches keep the bias alone.
     """
-    batch = np.asarray(x, dtype=np.float64)
-    if batch.ndim != 3 or filters.data.ndim != 3:
-        raise ShapeMismatch("conv1d expects x (B, C_in, T) and filters (C_out, C_in, W)")
-    n, c_in, t = batch.shape
-    c_out, f_cin, width = filters.data.shape
-    if f_cin != c_in or bias.data.shape != (c_out,):
-        raise ShapeMismatch(
-            f"conv1d shapes disagree: x {batch.shape}, filters "
-            f"{filters.data.shape}, bias {bias.data.shape}"
-        )
+    if not isinstance(x, IdBatch) or filters.data.ndim != 3:
+        raise ShapeMismatch("conv1d expects an IdBatch and (C_out, C_in, W) filters")
+    ids, rows = x.ids, x.rows
+    c_out, c_in, width = filters.data.shape
+    n, t = ids.shape if ids.ndim == 2 else (0, 0)
     t_out = t + 2 * pad - width + 1
-    if t_out < 1:
-        raise ShapeMismatch(f"filter width {width} too wide for T={t}, pad={pad}")
-    spans = _live_spans(batch)
-    taps = _tap_major(filters.data)
+    if (ids.ndim != 2 or ids.dtype.kind != "i" or rows.shape[1:] != (c_in,)
+            or bias.data.shape != (c_out,) or not 0 <= pad < width or t_out < 1
+            or (ids.size and (ids.min() < -1 or ids.max() >= len(rows)))):
+        raise ShapeMismatch(
+            f"conv1d needs (B, T) ids in [-1, V) into (V, {c_in}) rows, got ids "
+            f"{ids.shape} into rows {rows.shape}, and bias (C_out,), 0 <= pad < W, "
+            f"T_out >= 1: filters {filters.data.shape}, bias {bias.data.shape}, pad {pad}"
+        )
     y = np.empty((n, t_out, c_out))
     y[:] = bias.data
-    for run, rows in _span_blocks(batch, spans):
-        z = (rows @ taps).reshape(-1, width, c_out)
-        offset = 0
-        for b, lo, hi in run:
-            for w, j0, j1, i0 in _tap_slices(lo, hi, width, pad, t_out):
-                y[b, j0:j1] += z[offset + i0 : offset + i0 + j1 - j0, w]
-            offset += hi - lo
-        del rows, z  # before the next run's are made
+    padded = np.full((n, t + 2 * pad), -1, dtype=np.intp)
+    padded[:, pad : pad + t] = ids
+    live_cols = np.flatnonzero((ids >= 0).any(axis=0)) + pad
+    if live_cols.size:
+        # output step j reads padded column j + w through tap w; steps j0:j1
+        # are those a live column reaches
+        j0, j1 = max(live_cols[0] - width + 1, 0), min(live_cols[-1] + 1, t_out)
+        # product[v, w] is row v times tap w; row V, read by id -1, is zero
+        product = np.empty((len(rows) + 1, width * c_out))
+        np.matmul(rows, _tap_major(filters.data), out=product[:-1])
+        product[-1] = 0.0
+        product = product.reshape(-1, width, c_out)
+        span = y[:, j0:j1]
+        for w in range(width):
+            span += product[padded[:, j0 + w : j1 + w], w]
 
     def bwd(g):
         g = g.swapaxes(1, 2)
         bias.grad += g.sum(axis=(0, 1))
+        # row s + W - 1 - w of gpad[b] is the gradient that input step s of
+        # input b gets through tap w (zero where that output step is cut off)
+        gpad = np.zeros((n, t + width - 1, c_out))
+        gpad[:, width - 1 - pad : width - 1 - pad + t_out] = g
+        gflat = gpad.reshape(-1, c_out)
+        # the live steps, flat in (b, t) order, sorted by id (stable): each
+        # id's steps form a run, and rank is a step's place in its run
+        flat = ids.reshape(-1)
+        live = np.flatnonzero(flat >= 0)
+        order = live[np.argsort(flat[live], kind="stable")]
+        sorted_ids = flat[order]
+        new_id = np.diff(sorted_ids, prepend=-1) != 0
+        starts = np.flatnonzero(new_id)
+        run = np.cumsum(new_id) - 1
+        rank = np.arange(len(order)) - starts[run]
+        at = order + (order // t + 1) * (width - 1)  # each step's gpad row at tap 0
+        back = np.arange(width)
         d_taps = np.zeros((c_in, width * c_out))
-        # row s of a run's `shifted` holds, tap by tap, the output gradients
-        # its live input step s fed
-        for run, rows in _span_blocks(batch, spans):
-            shifted = np.zeros((len(rows), width, c_out))
-            offset = 0
-            for b, first, stop in run:
-                for w, j0, j1, i0 in _tap_slices(first, stop, width, pad, t_out):
-                    shifted[offset + i0 : offset + i0 + j1 - j0, w] = g[b, j0:j1]
-                offset += stop - first
-            d_taps += rows.T @ shifted.reshape(len(rows), width * c_out)
-            del rows, shifted
+        # per block of CONV_BLOCK_ROWS ids: sum each id's shifted output
+        # gradients a rank at a time, then multiply by its row once
+        for r0 in range(0, len(starts), CONV_BLOCK_ROWS):
+            lo, hi = np.searchsorted(run, (r0, r0 + CONV_BLOCK_ROWS))
+            block_at, block_rank, block_run = at[lo:hi], rank[lo:hi], run[lo:hi] - r0
+            summed = gflat[block_at[block_rank == 0, None] - back]
+            for k in range(1, block_rank.max() + 1):
+                sel = block_rank == k
+                summed[block_run[sel]] += gflat[block_at[sel, None] - back]
+            block_rows = rows[sorted_ids[starts[r0 : r0 + CONV_BLOCK_ROWS]]]
+            d_taps += block_rows.T @ summed.reshape(len(summed), -1)
+            del summed
         filters.grad += d_taps.reshape(c_in, width, c_out).transpose(2, 0, 1)
 
     return Tensor(y.swapaxes(1, 2), (filters, bias), bwd)

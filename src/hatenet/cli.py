@@ -304,16 +304,11 @@ def _load_labeled(args) -> LabeledCorpus:
     return corpora[0] if len(corpora) == 1 else combine(corpora)
 
 
-def _echo_config(out: Path, payload: dict) -> None:
+def _write_json(out: Path, name: str, payload: dict) -> None:
+    """Write <out>/<name>.json, making the run directory on the first write."""
     out.mkdir(parents=True, exist_ok=True)
-    (out / "config.json").write_text(
-        json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
-
-
-def _write_report(out: Path, rep: dict, name: str = "report") -> None:
     (out / f"{name}.json").write_text(
-        json.dumps(rep, sort_keys=True, indent=2) + "\n", encoding="utf-8"
+        json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8"
     )
 
 
@@ -357,7 +352,7 @@ def cmd_train(args) -> int:
         print("warning: corpus too small for a non-empty 10% test split; "
               "the test report will be all zeros", file=sys.stderr)
     out = Path(args.out)
-    _echo_config(out, {
+    _write_json(out, "config", {
         "command": "train",
         "topology": topo.to_dict(),
         "train": {k: v for k, v in asdict(cfg).items() if k != "class_weights"},
@@ -375,17 +370,16 @@ def cmd_train(args) -> int:
             trial_cfg, topo, table, train_split, valid_split, jobs=args.jobs
         )
         trial_dir = out if args.trials == 1 else out / f"trial_{trial}"
-        trial_dir.mkdir(parents=True, exist_ok=True)
         save_bundle(bundle, trial_dir)
         _write_telemetry(trial_dir, traces)
         rep = evaluate(bundle, test_split, table)
-        _write_report(trial_dir, rep)
+        _write_json(trial_dir, "report", rep)
         reports.append(rep)
         print(f"trial {trial} (seed {trial_cfg.seed}) test metrics:")
         print(format_report(rep))
     if args.trials > 1:
         mean_rep = _mean_reports(reports)
-        _write_report(out, mean_rep, name="report_mean")
+        _write_json(out, "report_mean", mean_rep)
         print(f"mean over {args.trials} trials:")
         print(format_report({**reports[0], **mean_rep}))
     return EXIT_OK
@@ -418,7 +412,7 @@ def cmd_weak_train(args) -> int:
     valid_posts = [pool[i] for i in order[:n_valid]]
     train_posts = [pool[i] for i in order[n_valid:]] or valid_posts
     out = Path(args.out)
-    _echo_config(out, {
+    _write_json(out, "config", {
         "command": "weak-train",
         "topology": topo.to_dict(),
         "train": {k: v for k, v in asdict(cfg).items() if k != "class_weights"},
@@ -438,7 +432,7 @@ def cmd_weak_train(args) -> int:
     print(f"trained {bundle.size()} member(s) on {len(train_posts)} unlabeled posts")
     if args.test:
         rep = evaluate(bundle, load_labeled_lines(args.test), table)
-        _write_report(out, rep)
+        _write_json(out, "report", rep)
         print(format_report(rep))
     return EXIT_OK
 
@@ -451,7 +445,7 @@ def cmd_tune(args) -> int:
     target = load_labeled_lines(args.target)
     test = load_labeled_lines(args.test) if args.test else target
     out = Path(args.out)
-    _echo_config(out, {
+    _write_json(out, "config", {
         "command": "tune",
         "bundle": args.bundle,
         "target": args.target,
@@ -463,7 +457,7 @@ def cmd_tune(args) -> int:
     tuned = tune(bundle, target, cfg, table)
     after = evaluate(tuned, test, table)
     save_bundle(tuned, out)
-    _write_report(out, {"pre_tuning": before, "post_tuning": after})
+    _write_json(out, "report", {"pre_tuning": before, "post_tuning": after})
     print("pre-tuning:")
     print(format_report(before))
     print("post-tuning:")

@@ -19,11 +19,12 @@ from __future__ import annotations
 import csv
 import enum
 import logging
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CorpusTooSmall, MissingColumn
+from .errors import CorpusTooSmall, InputEncodingError, MissingColumn
 from .text import RawPost
 
 log = logging.getLogger(__name__)
@@ -77,6 +78,17 @@ class SplitSpec:
             raise ValueError(f"split fractions must be non-negative: {self.fractions}")
 
 
+@contextmanager
+def open_utf8(path: str, newline: "str | None" = None):
+    """Open an input file for reading as UTF-8 text; bytes that do not
+    decode raise InputEncodingError naming the file."""
+    with open(path, encoding="utf-8", newline=newline) as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as exc:
+            raise InputEncodingError(f"{path} is not UTF-8 text ({exc.reason})") from None
+
+
 def _find_column(header: list[str], *candidates: str) -> int:
     lowered = [h.strip().lower() for h in header]
     for cand in candidates:
@@ -89,7 +101,7 @@ def load_hon(path: str) -> LabeledCorpus:
     """Load a comma-separated corpus with numeric three-class codes."""
     posts: list[RawPost] = []
     skipped = 0
-    with open(path, encoding="utf-8", errors="replace", newline="") as fh:
+    with open_utf8(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -125,7 +137,7 @@ def load_olid(path: str) -> LabeledCorpus:
     """
     posts: list[RawPost] = []
     skipped = 0
-    with open(path, encoding="utf-8", errors="replace", newline="") as fh:
+    with open_utf8(path, newline="") as fh:
         reader = csv.reader(fh, delimiter="\t")
         try:
             header = next(reader)
@@ -164,7 +176,7 @@ def load_labeled_lines(path: str) -> LabeledCorpus:
     """Load `code<TAB>text` lines using the numeric class codes."""
     posts: list[RawPost] = []
     skipped = 0
-    with open(path, encoding="utf-8", errors="replace") as fh:
+    with open_utf8(path) as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
             if not line.strip():
@@ -186,7 +198,7 @@ def load_labeled_lines(path: str) -> LabeledCorpus:
 def load_unlabeled(path: str) -> list[RawPost]:
     """One post per non-blank line, no labels."""
     posts: list[RawPost] = []
-    with open(path, encoding="utf-8", errors="replace") as fh:
+    with open_utf8(path) as fh:
         for line_no, line in enumerate(fh, start=1):
             text = line.rstrip("\n")
             if text.strip():

@@ -16,6 +16,8 @@ import threading
 
 import numpy as np
 
+from .autograd import IdBatch
+from .corpus import open_utf8
 from .errors import EmptyTableError
 from .text import TokenSequence
 
@@ -170,7 +172,7 @@ def load_table(path: str, dim: int) -> EmbeddingTable:
     Raises EmptyTableError when no usable vector remains.
     """
     rows: dict[str, "tuple[int, str] | list[tuple[int, str]]"] = {}
-    with open(path, encoding="utf-8", errors="replace") as fh:
+    with open_utf8(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             head = line.split(None, 1)
             if not head:
@@ -211,23 +213,35 @@ class TokenMatrix:
 
 
 def embed(seq: TokenSequence, table: EmbeddingTable, L: int = 100) -> TokenMatrix:
-    """Map a token sequence to an L x dim matrix, zero left padding.
+    """Map a token sequence to an L x dim matrix, zero left padding, by
+    the rules of ``encode``: the one-post batch, gathered."""
+    return TokenMatrix(encode([seq], table, L).dense()[0], min(len(seq.tokens), L))
 
-    Posts longer than L keep their first L tokens.  Lookup tries the
-    stemmed token, then the pre-stem surface form, then falls back to
-    the zero vector (inert under downstream max pooling).
+
+def encode(seqs: "list[TokenSequence]", table: EmbeddingTable, L: int = 100) -> IdBatch:
+    """A batch of token sequences as (B, L) ids into (V, dim) rows, one row
+    per distinct vector the batch uses, in order of first use.
+
+    Posts longer than L keep their first L tokens, and shorter ones are
+    padded with -1 (zero) steps on the left.  Lookup tries the stemmed
+    token, then the pre-stem surface form, then falls back to -1, the zero
+    vector (inert under downstream max pooling).  Rows are read through
+    ``table.get``; gathering them by the ids gives each ``embed`` matrix.
     """
     if L < 1:
         raise ValueError(f"sequence length must be >= 1, got {L}")
-    values = np.zeros((L, table.dim), dtype=np.float64)
-    tokens = seq.tokens[:L]
-    surfaces = seq.surfaces[:L]
-    n_real = len(tokens)
-    offset = L - n_real
-    for i, token in enumerate(tokens):
-        vec = table.get(token)
-        if vec is None and i < len(surfaces):
-            vec = table.get(surfaces[i])
-        if vec is not None:
-            values[offset + i] = vec
-    return TokenMatrix(values, n_real)
+    ids = np.full((len(seqs), L), -1, dtype=np.intp)
+    index: dict[str, int] = {}  # looked-up string -> its row, -1 for no vector
+    rows: list[np.ndarray] = []
+    for out, seq in zip(ids, seqs):
+        tokens = seq.tokens[:L]
+        for i, token in enumerate(tokens):
+            for key in (token, *seq.surfaces[i : i + 1]):
+                if key not in index:
+                    vec = table.get(key)
+                    index[key] = -1 if vec is None else len(rows)
+                    rows += [] if vec is None else [vec]
+                if index[key] >= 0:
+                    break
+            out[L - len(tokens) + i] = index[key]
+    return IdBatch(ids, np.array(rows, dtype=np.float64).reshape(len(rows), table.dim))

@@ -15,14 +15,15 @@ import hashlib
 import json
 import logging
 import math
+import os
 import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autograd import Tensor
+from .autograd import IdBatch, Tensor
 from .corpus import ClassLabel, LabeledCorpus, N_CLASSES
-from .embeddings import EmbeddingTable, embed
+from .embeddings import EmbeddingTable, encode as embed  # perfbench's embeddings.embed
 from .errors import (
     CheckpointIntegrityError,
     CheckpointVersionError,
@@ -55,7 +56,7 @@ SUPERVISED = "supervised"
 WEAK = "weak"
 
 # posts per forward call when scoring validation posts and in evaluate
-EVAL_CHUNK = 6
+EVAL_CHUNK = 20
 
 
 @dataclass
@@ -138,17 +139,6 @@ def _batches(items: list, size: int):
         yield items[start : start + size]
 
 
-def _embed_stack(seqs, table: EmbeddingTable, seq_len: int) -> np.ndarray:
-    """The (B, seq_len, dim) stack of the embedded token sequences; one
-    sequence's matrix is used as is, with no copy."""
-    if len(seqs) == 1:
-        return embed(seqs[0], table, seq_len).values[None]
-    out = np.empty((len(seqs), seq_len, table.dim))
-    for row, seq in zip(out, seqs):
-        row[:] = embed(seq, table, seq_len).values
-    return out
-
-
 class _PostLoss:
     """The one path from a batch of posts to its class probabilities and
     loss, for one member's training call (or one ``tune`` call) and loss
@@ -180,10 +170,10 @@ class _PostLoss:
             entry = self._encoded[id(post)] = (post, seq, target)
         return entry[1], entry[2]
 
-    def stack(self, posts: list[RawPost]) -> np.ndarray:
-        """The (B, seq_len, dim) stack of the posts' embedded matrices."""
+    def encode_batch(self, posts: list[RawPost]) -> IdBatch:
+        """The posts' token ids into the vector rows they use."""
         seqs = [self._encode(post)[0] for post in posts]
-        return _embed_stack(seqs, self.table, self.topo.seq_len)
+        return embed(seqs, self.table, self.topo.seq_len)
 
     def criterion(self, probs: Tensor, posts: list[RawPost]) -> Tensor:
         """The batch-mean loss of (B, 3) probabilities of the posts."""
@@ -195,7 +185,7 @@ class _PostLoss:
     def loss(self, params, posts: list[RawPost], train: bool = False,
              rng=None) -> tuple[Tensor, Tensor]:
         """(B, 3) class probabilities of the posts and their batch-mean loss."""
-        probs = forward(params, self.topo, self.stack(posts), train=train, rng=rng)
+        probs = forward(params, self.topo, self.encode_batch(posts), train=train, rng=rng)
         return probs, self.criterion(probs, posts)
 
 
@@ -370,14 +360,13 @@ def vote_outcome(votes: "np.ndarray | list[int]", member_probs: np.ndarray) -> i
 
 def _member_probs(bundle: EnsembleBundle, posts, table: EmbeddingTable) -> np.ndarray:
     """(K, B, 3): every member's class probabilities for each post, one
-    forward call per member."""
+    forward call per member on the posts encoded once."""
     if table.dim != bundle.fingerprint["dim"]:
         raise PreprocessingMismatch(
             f"table dim {table.dim} != bundle dim {bundle.fingerprint['dim']}"
         )
-    stack = _embed_stack([preprocess(post) for post in posts], table,
-                         bundle.topology.seq_len)
-    return np.stack([forward(member, bundle.topology, stack).data
+    batch = embed([preprocess(post) for post in posts], table, bundle.topology.seq_len)
+    return np.stack([forward(member, bundle.topology, batch).data
                      for member in bundle.members])
 
 
@@ -446,7 +435,7 @@ def tune(
             for batch in _batches(sample, cfg.batch_size):
                 new = list({id(p): p for p in batch if id(p) not in frozen}.values())
                 for chunk in _batches(new, EVAL_CHUNK):
-                    computed = features(params, topo, post_loss.stack(chunk)).data
+                    computed = features(params, topo, post_loss.encode_batch(chunk)).data
                     frozen.update(zip(map(id, chunk), computed))
                 feats = Tensor(np.stack([frozen[id(p)] for p in batch]))
                 probs = classify(params, topo, feats, train=True, rng=rng)
@@ -545,7 +534,19 @@ def _member_from_bytes(raw: bytes, path: str, expect_hash: str = "") -> ModelPar
     return ModelParams(groups["feature"], groups["classifier"])
 
 
+def _replace_with(path, data: bytes) -> None:
+    """Write `path` whole: a temporary sibling first, then a rename."""
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        tmp.write_bytes(data)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def save_bundle(bundle: EnsembleBundle, dirpath) -> None:
+    """Write each member, then bundle.meta with their digests, each file
+    whole: a save cut short never leaves a mixed bundle that loads."""
     from pathlib import Path
 
     out = Path(dirpath)
@@ -555,7 +556,7 @@ def save_bundle(bundle: EnsembleBundle, dirpath) -> None:
     for i, member in enumerate(bundle.members):
         raw = _member_bytes(member, topo_hash)
         name = f"member_{i}.ckpt"
-        (out / name).write_bytes(raw)
+        _replace_with(out / name, raw)
         members_meta.append({
             "file": name,
             "sha256": hashlib.sha256(raw).hexdigest(),
@@ -567,9 +568,8 @@ def save_bundle(bundle: EnsembleBundle, dirpath) -> None:
         "provenance": bundle.provenance,
         "members": members_meta,
     }
-    (out / META_NAME).write_text(
-        json.dumps(meta, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
+    _replace_with(out / META_NAME,
+                  (json.dumps(meta, sort_keys=True, indent=2) + "\n").encode("utf-8"))
 
 
 def load_bundle(dirpath) -> EnsembleBundle:

@@ -17,6 +17,10 @@ class EmptyTableError(HatenetError):
     """An embedding file produced no usable vectors."""
 
 
+class InputEncodingError(HatenetError):
+    """An input file is not UTF-8 text."""
+
+
 class MissingColumn(HatenetError):
     """A dataset file lacks a required header column."""
 

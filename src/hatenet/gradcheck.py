@@ -98,35 +98,32 @@ def _check_fc(seed: int, h: float, activation) -> dict[str, float]:
 
 
 def _check_conv1d(seed: int, h: float) -> dict[str, float]:
-    """The conv input is a constant (B, C_in, T) stack: only the filters and
-    bias get gradients."""
+    """The conv input is a constant: only the filters and bias get
+    gradients.  Dense (B, C_in, T) inputs go through dense_ids."""
     rng = np.random.default_rng(seed)
-    x, f, b = rng.standard_normal((1, 3, 7)), _rand(rng, 2, 3, 3), _rand(rng, 2)
-    lw = _loss_weights(rng, 2 * 7)
-    errors = compare(
-        lambda: (autograd.conv1d(x, f, b, pad=1).reshape(-1) * lw).sum(),
-        {"filters": f, "bias": b},
-        h,
-    )
-    # an input with zero leading, interior and trailing steps, as a padded
-    # post: only the live span of steps is multiplied
+    f, b = _rand(rng, 2, 3, 3), _rand(rng, 2)
+
+    def check(x, suffix):
+        lw = _loss_weights(rng, len(x) * 2 * x.ids.shape[1])
+        return compare(
+            lambda: (autograd.conv1d(x, f, b, pad=1).reshape(-1) * lw).sum(),
+            {f"filters{suffix}": f, f"bias{suffix}": b},
+            h,
+        )
+
+    errors = check(autograd.dense_ids(rng.standard_normal((1, 3, 7))), "")
+    # an input with zero leading, interior and trailing steps, as a padded post
     const = rng.standard_normal((1, 3, 9))
     const[..., [0, 1, 5, 8]] = 0.0
-    lw = _loss_weights(rng, 2 * 9)
-    errors.update(compare(
-        lambda: (autograd.conv1d(const, f, b, pad=1).reshape(-1) * lw).sum(),
-        {"filters_const_x": f, "bias_const_x": b},
-        h,
-    ))
-    # a batch of 3 fully live inputs, and one of 3 with distinct live spans
-    lw = _loss_weights(rng, 3 * 2 * 9)
-    for suffix, batch in (("batch", rng.standard_normal((3, 3, 9))),
-                          ("const_batch", _padded_batch(rng, 3, 3, 9))):
-        errors.update(compare(
-            lambda: (autograd.conv1d(batch, f, b, pad=1).reshape(-1) * lw).sum(),
-            {f"filters_{suffix}": f, f"bias_{suffix}": b},
-            h,
-        ))
+    errors.update(check(autograd.dense_ids(const), "_const_x"))
+    # a batch of 3 fully live inputs, and one of 3 with distinct zero steps
+    errors.update(check(autograd.dense_ids(rng.standard_normal((3, 3, 9))), "_batch"))
+    errors.update(check(autograd.dense_ids(_padded_batch(rng, 3, 3, 9)), "_const_batch"))
+    # 4 rows shared by 3 inputs: repeated ids, -1 steps, an all -1 input
+    ids = np.array([[-1, 0, 1, 0, 2, -1, 3, 3, 0],
+                    [-1] * 9,
+                    [2, 2, -1, 1, 0, 3, 1, 2, 0]])
+    errors.update(check(autograd.IdBatch(ids, rng.standard_normal((4, 3))), "_ids"))
     return errors
 
 
@@ -273,9 +270,9 @@ def _topology_margins_ok(params, config, values, h: float) -> bool:
     """Reject inputs whose pooled windows or relu preactivations sit on a
     kink.  Runs the model's layers on the post as a batch of 1, because the
     margins are read from intermediates that model.forward does not expose."""
-    planes = (values.T if config.conv_axis == "sequence" else values)[None]
     fp = params.feature.params
-    convolved = autograd.conv1d(planes, fp["conv_w"], fp["conv_b"], config.conv_pad)
+    convolved = autograd.conv1d(model._conv_input(values, config), fp["conv_w"],
+                                fp["conv_b"], config.conv_pad)
     if not _windows_well_separated(convolved.data[0], config.pool_rate, 20 * h):
         return False
     pooled = autograd.maxpool1d(convolved, config.pool_rate)

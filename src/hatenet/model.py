@@ -4,7 +4,8 @@ CNN-RNN-FC: conv over the post matrix -> max pool -> recurrent layer over
 the pooled sequence -> global max pool over time -> 25-unit ReLU layer
 (with dropout during training) -> 3-way softmax.  CNN-FC flattens the
 pooled feature map straight into the two dense layers.  Every layer runs
-once over a (B, seq_len, emb_dim) stack of posts; one post is a batch of 1.
+once over a batch of posts (token ids or post matrices, see ``forward``);
+one post is a batch of 1.
 
 ``conv_axis`` selects which input axis the convolution slides along:
 "sequence" treats the embedding coordinates as channels (pooled length
@@ -18,7 +19,7 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .autograd import Tensor, conv1d, dropout, global_maxpool, maxpool1d
+from .autograd import IdBatch, Tensor, conv1d, dense_ids, dropout, global_maxpool, maxpool1d
 from .errors import InvalidConfig, ShapeMismatch
 from .layers import (
     GRU_GATES,
@@ -177,35 +178,37 @@ def build(config: TopologyConfig, seed: int) -> ModelParams:
     )
 
 
-def _as_batch(batch, config: TopologyConfig) -> tuple[np.ndarray, bool]:
-    """A (B, seq_len, emb_dim) stack as is, or one post (a TokenMatrix or a
-    (seq_len, emb_dim) array) as a stack of 1; and whether it was one post."""
-    values = batch.values if hasattr(batch, "values") else np.asarray(batch)
-    single = values.ndim == 2
-    stack = values[None] if single else values
-    if stack.ndim != 3 or stack.shape[1:] != (config.seq_len, config.emb_dim):
+def _conv_input(batch, config: TopologyConfig) -> IdBatch:
+    """The conv input of a batch: an IdBatch of (B, seq_len) token ids
+    into (V, emb_dim) rows as is, a (B, seq_len, emb_dim) stack or one post
+    (a TokenMatrix or a (seq_len, emb_dim) array, a stack of 1) through
+    dense_ids; along the embedding axis, the columns of the post matrices."""
+    if not isinstance(batch, IdBatch):
+        values = batch.values if hasattr(batch, "values") else np.asarray(batch)
+        stack = values[None] if values.ndim == 2 else values
+        batch = dense_ids(stack.transpose(0, 2, 1) if stack.ndim == 3 else stack)
+    if batch.ids.shape[1:] != (config.seq_len,) or batch.rows.shape[1:] != (config.emb_dim,):
         raise ShapeMismatch(
-            f"input is {values.shape}, topology expects "
-            f"{(config.seq_len, config.emb_dim)} or a stack of those"
+            f"ids {batch.ids.shape} into rows {batch.rows.shape}; the topology "
+            f"expects posts of {config.seq_len} steps of {config.emb_dim} values"
         )
-    return stack, single
+    return batch if config.conv_axis == "sequence" else dense_ids(batch.dense())
 
 
 def features(params: ModelParams, config: TopologyConfig, batch) -> Tensor:
-    """Feature-extractor output, (B, feature_dim), for a stack of posts.
+    """Feature-extractor output, (B, feature_dim), for a batch of posts.
 
-    Each layer runs once over the batch.  The post matrices are constants:
-    conv1d gives them no node and no gradient.
+    Each layer runs once over the batch.  The posts are constants: conv1d
+    gives them no node and no gradient.
     """
-    stack, _ = _as_batch(batch, config)
-    planes = stack.transpose(0, 2, 1) if config.conv_axis == "sequence" else stack
+    x = _conv_input(batch, config)
     fp = params.feature.params
-    convolved = conv1d(planes, fp["conv_w"], fp["conv_b"], config.conv_pad)
+    convolved = conv1d(x, fp["conv_w"], fp["conv_b"], config.conv_pad)
     pooled = maxpool1d(convolved, config.pool_rate)
     if config.variant == CNN_RNN_FC:
         rnn = gru_forward if config.rnn_kind == "gru" else lstm_forward
         return global_maxpool(rnn(pooled.transpose(), fp))
-    return pooled.reshape(len(stack), -1)
+    return pooled.reshape(len(x), -1)
 
 
 def classify(
@@ -234,11 +237,11 @@ def forward(
 ) -> Tensor:
     """Class probabilities over (Hate, Offensive, Neither).
 
-    `batch` is a (B, seq_len, emb_dim) stack of post matrices, giving
-    (B, 3), or one post as a TokenMatrix or (seq_len, emb_dim) array, a
-    batch of 1 that gives (3,).  Train mode draws one (B, fc_hidden)
-    dropout mask from `rng`.
+    `batch` is an IdBatch of (B, seq_len) token ids or a (B, seq_len,
+    emb_dim) stack of post matrices, giving (B, 3), or one post as a
+    TokenMatrix or (seq_len, emb_dim) array, a batch of 1 that gives (3,).
+    Train mode draws one (B, fc_hidden) dropout mask from `rng`.
     """
-    stack, single = _as_batch(batch, config)
-    probs = classify(params, config, features(params, config, stack), train, rng)
-    return probs.reshape(config.n_classes) if single else probs
+    probs = classify(params, config, features(params, config, batch), train, rng)
+    one_post = not isinstance(batch, IdBatch) and np.ndim(getattr(batch, "values", batch)) == 2
+    return probs.reshape(config.n_classes) if one_post else probs

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autograd import Tensor
-from .corpus import N_CLASSES
+from .corpus import N_CLASSES, open_utf8
 from .errors import ShapeMismatch
 from .text import TokenSequence, preprocess, stem
 
@@ -54,7 +54,7 @@ class Lexicon:
 
 def _read_terms(path: str) -> list[str]:
     terms = []
-    with open(path, encoding="utf-8") as fh:
+    with open_utf8(path) as fh:
         for line in fh:
             term = line.strip().lower()
             if term and not term.startswith("#"):

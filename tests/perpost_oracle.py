@@ -1,8 +1,9 @@
 """The per-post forward pass and losses as they were before the layers ran
 over batches: one post at a time, the losses composed from elementwise
 graph nodes.  Kept as the oracle the batched layers are checked against,
-with the vector nodes (matmul, sigmoid, tanh, stack) that the step-by-step
-recurrent oracles are composed from.
+with the vector nodes (add, sub, neg, matmul, sigmoid, tanh, stack) that
+the step-by-step recurrent oracles and the tests' summed losses are
+composed from.
 
 Every op here builds its own graph node on ``hatenet.autograd.Tensor``, so
 ``backward()`` on an oracle loss fills the same parameter ``.grad`` fields
@@ -13,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from hatenet.autograd import Tensor
+from hatenet.autograd import Tensor, _as_tensor, _unbroadcast
 
 CE_EPS = 1e-12
 LOSS_EPS = 1e-12
@@ -22,6 +23,37 @@ LSTM_GATES = ("i", "f", "o", "g")
 
 
 # -- nodes the oracles are composed from ----------------------------------
+
+
+def add(a, b) -> Tensor:
+    """a + b with numpy broadcasting; either operand may be a constant."""
+    a, b = _as_tensor(a), _as_tensor(b)
+
+    def bwd(g):
+        a.grad += _unbroadcast(g, a.data.shape)
+        b.grad += _unbroadcast(g, b.data.shape)
+
+    return Tensor(a.data + b.data, (a, b), bwd)
+
+
+def neg(x: Tensor) -> Tensor:
+    def bwd(g):
+        x.grad += -g
+
+    return Tensor(-x.data, (x,), bwd)
+
+
+def sub(a, b) -> Tensor:
+    return add(a, neg(_as_tensor(b)))
+
+
+def transpose(x: Tensor) -> Tensor:
+    """(M, N) -> (N, M)."""
+
+    def bwd(g):
+        x.grad += g.T
+
+    return Tensor(x.data.T, (x,), bwd)
 
 
 def matmul(w: Tensor, x: Tensor) -> Tensor:
@@ -104,14 +136,14 @@ def softmax(x: Tensor) -> Tensor:
 
 def cross_entropy(pred: Tensor, target: int) -> Tensor:
     """-log(pred[target]) with the probability clamped to [1e-12, 1]."""
-    return -log(minimum(clip_min(pick(pred, target), CE_EPS), 1.0))
+    return neg(log(minimum(clip_min(pick(pred, target), CE_EPS), 1.0)))
 
 
 def weak_loss(y: Tensor, lb: np.ndarray, ub: np.ndarray, w: np.ndarray) -> Tensor:
-    below = minimum(y - lb, 0.0) + 1.0
-    above = minimum(ub - y, 0.0) + 1.0
-    logs = log(clip_min(below, LOSS_EPS)) + log(clip_min(above, LOSS_EPS))
-    return -((logs * w).sum()) + 0.0
+    below = add(minimum(sub(y, lb), 0.0), 1.0)
+    above = add(minimum(sub(ub, y), 0.0), 1.0)
+    logs = add(log(clip_min(below, LOSS_EPS)), log(clip_min(above, LOSS_EPS)))
+    return add(neg((logs * w).sum()), 0.0)
 
 
 # -- layers, one post at a time -------------------------------------------
@@ -277,7 +309,7 @@ def lstm_forward(inputs: Tensor, p: dict) -> Tensor:
 
 
 def dense(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
-    return matmul(weight, x) + bias
+    return add(matmul(weight, x), bias)
 
 
 def dropout(x: Tensor, p: float, rng: np.random.Generator) -> Tensor:
@@ -297,7 +329,7 @@ def forward(params, config, values: np.ndarray, train: bool = False, rng=None) -
     pooled = maxpool1d(convolved, config.pool_rate)
     if config.variant == "cnn_rnn_fc":
         rnn = gru_forward if config.rnn_kind == "gru" else lstm_forward
-        features = global_maxpool(rnn(pooled.transpose(), fp))
+        features = global_maxpool(rnn(transpose(pooled), fp))
     else:
         features = pooled.reshape(-1)
     cp = params.classifier.params

@@ -4,9 +4,12 @@ import numpy as np
 import pytest
 
 import perpost_oracle as oracle
+from hatenet import autograd
 from hatenet.autograd import (
+    IdBatch,
     Tensor,
     conv1d,
+    dense_ids,
     dropout,
     global_maxpool,
     maxpool1d,
@@ -44,7 +47,22 @@ def brute_conv1d(x, f, b, pad):
 
 def conv_one(x, f, b, pad):
     """conv1d of one (C_in, T) input, as a batch of 1."""
-    return conv1d(x[None], Tensor(f), Tensor(b), pad=pad).data[0]
+    return conv1d(dense_ids(x[None]), Tensor(f), Tensor(b), pad=pad).data[0]
+
+
+def id_batch_cases():
+    """(name, IdBatch) cases over 4 rows of 3 channels and T = 9 steps."""
+    rng = np.random.default_rng(21)
+    rows = rng.standard_normal((4, 3))
+    return [
+        ("repeated", IdBatch(np.array([[0, 1, 0, 0, 2, 3, 1, 2, 0]]), rows)),
+        ("interior_minus_one", IdBatch(np.array([[-1, -1, 0, -1, 1, 1, -1, 3, 0]]), rows)),
+        ("all_minus_one_post", IdBatch(np.array([[2, 0, -1, 1, 3, 3, -1, -1, 0],
+                                                 [-1] * 9]), rows)),
+        ("no_rows", IdBatch(np.full((2, 9), -1), np.zeros((0, 3)))),
+        ("full_post", IdBatch(np.array([[3, 2, 1, 0, 0, 1, 2, 3, 3],
+                                        [-1, -1, -1, -1, -1, -1, 0, 1, 2]]), rows)),
+    ]
 
 
 class TestConv1d:
@@ -53,7 +71,7 @@ class TestConv1d:
         x = rng.standard_normal((2, 3, 100))
         f = Tensor(rng.standard_normal((2, 3, 17)))
         b = Tensor(rng.standard_normal(2))
-        assert conv1d(x, f, b, pad=8).data.shape == (2, 2, 100)
+        assert conv1d(dense_ids(x), f, b, pad=8).data.shape == (2, 2, 100)
 
     def test_identity_filter(self):
         x = np.arange(5.0).reshape(1, 5)
@@ -101,7 +119,7 @@ class TestConv1d:
         x[:, :3] = 0.0
         f, b = Tensor(rng.standard_normal((2, 3, 3))), Tensor(rng.standard_normal(2))
         lw = rng.standard_normal((2, 8))
-        out = conv1d(x[None], f, b, pad=1)
+        out = conv1d(dense_ids(x[None]), f, b, pad=1)
         assert out._parents == (f, b)
         (out * lw).sum().backward()
         # d/dF[o, c, w] of sum(lw * out) is sum_j lw[o, j] * xpad[c, j + w]
@@ -118,7 +136,7 @@ class TestConv1d:
                 x = rng.standard_normal((1, 2, t))
                 f = Tensor(rng.standard_normal((2, 2, w)))
                 b = Tensor(np.zeros(2))
-                out = conv1d(x, f, b, pad=(w - 1) // 2)
+                out = conv1d(dense_ids(x), f, b, pad=(w - 1) // 2)
                 assert out.data.shape == (1, 2, t)
 
     def test_shape_errors(self):
@@ -130,6 +148,53 @@ class TestConv1d:
             conv1d(x, Tensor(np.zeros((1, 2, 9))), Tensor(np.zeros(1)), pad=0)
         with pytest.raises(ShapeMismatch):  # one unbatched input
             conv1d(x[0], Tensor(np.zeros((1, 2, 3))), Tensor(np.zeros(1)), pad=1)
+
+    @pytest.mark.parametrize("ids", [[[0, 4]], [[-2, 0]], [[0.0, 1.0]]])
+    def test_ids_out_of_range_rejected(self, ids):
+        batch = IdBatch(np.array(ids), np.zeros((4, 2)))
+        with pytest.raises(ShapeMismatch):
+            conv1d(batch, Tensor(np.zeros((1, 2, 1))), Tensor(np.zeros(1)), pad=0)
+
+    @pytest.mark.parametrize("name,batch", id_batch_cases())
+    def test_ids_match_brute_force_dense_conv(self, name, batch):
+        rng = np.random.default_rng(22)
+        f, b = rng.standard_normal((2, 3, 5)), rng.standard_normal(2)
+        dense = batch.dense().transpose(0, 2, 1)
+        for pad in (0, 2, 4):
+            got = conv1d(batch, Tensor(f), Tensor(b), pad=pad).data
+            want = np.stack([brute_conv1d(x, f, b, pad) for x in dense])
+            np.testing.assert_allclose(got, want, atol=1e-12, rtol=0, err_msg=name)
+
+    @pytest.mark.parametrize("name,batch", id_batch_cases())
+    def test_dense_adapter_matches_id_path(self, name, batch):
+        rng = np.random.default_rng(23)
+        f_data, b_data = rng.standard_normal((2, 3, 3)), rng.standard_normal(2)
+        lw = rng.standard_normal((len(batch), 2, 9))
+        results = []
+        for x in (batch, dense_ids(batch.dense().transpose(0, 2, 1))):
+            f, b = Tensor(f_data.copy()), Tensor(b_data.copy())
+            out = conv1d(x, f, b, pad=1)
+            (out * lw).sum().backward()
+            results.append((out.data, f.grad, b.grad))
+        for got, want in zip(results[1], results[0]):
+            np.testing.assert_allclose(got, want, atol=1e-12, rtol=0, err_msg=name)
+
+    def test_id_filter_gradient_matches_closed_form(self):
+        # repeated ids across posts, -1 steps, blocks split inside one id
+        rng = np.random.default_rng(24)
+        rows = rng.standard_normal((3, 2))
+        ids = rng.integers(-1, 3, size=(5, 11))
+        batch = IdBatch(ids, rows)
+        f, b = Tensor(rng.standard_normal((3, 2, 5))), Tensor(rng.standard_normal(3))
+        lw = rng.standard_normal((5, 3, 11))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(autograd, "CONV_BLOCK_ROWS", 4)
+            (conv1d(batch, f, b, pad=2) * lw).sum().backward()
+        xpad = np.pad(batch.dense().transpose(0, 2, 1), ((0, 0), (0, 0), (2, 2)))
+        want = np.einsum("boj,bcjw->ocw", lw,
+                         np.stack([xpad[..., w : w + 11] for w in range(5)], axis=-1))
+        np.testing.assert_allclose(f.grad, want, atol=1e-12, rtol=0)
+        np.testing.assert_allclose(b.grad, lw.sum(axis=(0, 2)), atol=1e-12, rtol=0)
 
 
 class TestMaxPool:
@@ -257,12 +322,12 @@ def composed_gru(xs, p):
     """The GRU as a per-step composition of vector nodes, one node per op."""
     h = Tensor(np.zeros(p["u_z"].data.shape[0]))
     states = []
-    mm = oracle.matmul
+    mm, add = oracle.matmul, oracle.add
     for x in xs:
-        z = oracle.sigmoid(mm(p["w_z"], x) + mm(p["u_z"], h) + p["b_z"])
-        r = oracle.sigmoid(mm(p["w_r"], x) + mm(p["u_r"], h) + p["b_r"])
-        g = oracle.tanh(mm(p["w_h"], x) + mm(p["u_h"], r * h) + p["b_h"])
-        h = (1.0 - z) * h + z * g
+        z = oracle.sigmoid(add(add(mm(p["w_z"], x), mm(p["u_z"], h)), p["b_z"]))
+        r = oracle.sigmoid(add(add(mm(p["w_r"], x), mm(p["u_r"], h)), p["b_r"]))
+        g = oracle.tanh(add(add(mm(p["w_h"], x), mm(p["u_h"], r * h)), p["b_h"]))
+        h = add(oracle.sub(1.0, z) * h, z * g)
         states.append(h)
     return oracle.stack(states)
 
@@ -271,13 +336,13 @@ def composed_lstm(xs, p):
     """The LSTM as a per-step composition of vector nodes, one node per op."""
     h = c = Tensor(np.zeros(p["u_i"].data.shape[0]))
     states = []
-    mm = oracle.matmul
+    mm, add = oracle.matmul, oracle.add
     for x in xs:
-        i = oracle.sigmoid(mm(p["w_i"], x) + mm(p["u_i"], h) + p["b_i"])
-        f = oracle.sigmoid(mm(p["w_f"], x) + mm(p["u_f"], h) + p["b_f"])
-        o = oracle.sigmoid(mm(p["w_o"], x) + mm(p["u_o"], h) + p["b_o"])
-        g = oracle.tanh(mm(p["w_g"], x) + mm(p["u_g"], h) + p["b_g"])
-        c = f * c + i * g
+        i = oracle.sigmoid(add(add(mm(p["w_i"], x), mm(p["u_i"], h)), p["b_i"]))
+        f = oracle.sigmoid(add(add(mm(p["w_f"], x), mm(p["u_f"], h)), p["b_f"]))
+        o = oracle.sigmoid(add(add(mm(p["w_o"], x), mm(p["u_o"], h)), p["b_o"]))
+        g = oracle.tanh(add(add(mm(p["w_g"], x), mm(p["u_g"], h)), p["b_g"]))
+        c = add(f * c, i * g)
         h = o * oracle.tanh(c)
         states.append(h)
     return oracle.stack(states)
@@ -380,8 +445,8 @@ class TestBackward:
         w = Tensor(rng.standard_normal((1, 4)))
         b = Tensor(rng.standard_normal(1))
         target = 0.7
-        pred = oracle.pick(oracle.matmul(w, x) + b, 0)
-        loss = (pred - target) * (pred - target)
+        pred = oracle.pick(oracle.add(oracle.matmul(w, x), b), 0)
+        loss = oracle.sub(pred, target) * oracle.sub(pred, target)
         loss.backward()
         residual = 2 * (pred.data - target)
         np.testing.assert_allclose(w.grad, (residual * x.data)[None, :], atol=1e-12)
@@ -411,7 +476,7 @@ class TestBackward:
             x = rng.standard_normal((1, 3, 8))
             f = Tensor(rng.standard_normal((2, 3, 3)))
             b = Tensor(rng.standard_normal(2))
-            out = maxpool1d(conv1d(x, f, b, pad=1), 2)
+            out = maxpool1d(conv1d(dense_ids(x), f, b, pad=1), 2)
             loss = (out.reshape(-1) * rng.standard_normal(8)).sum()
             loss.backward()
             return loss.data.copy(), f.grad.copy()

@@ -100,7 +100,7 @@ def test_batch_matches_per_post_oracle(variant, rnn_kind, conv_axis, loss):
             post_loss = oracle.cross_entropy(p, int(labels[i]))
         else:
             post_loss = oracle.weak_loss(p, bounds[i].lb, bounds[i].ub, weights.w)
-        total = post_loss if total is None else total + post_loss
+        total = post_loss if total is None else oracle.add(total, post_loss)
     want_loss = total * (1.0 / len(TOKENS))
     want_loss.backward()
 
@@ -169,7 +169,7 @@ def test_batch_losses_are_means_of_post_losses():
 def test_global_maxpool_accumulates_into_a_shared_input():
     x = Tensor(np.random.default_rng(4).standard_normal((2, 5, 3)))
     w, v = np.arange(6.0).reshape(2, 3), np.full((2, 3), 0.5)
-    ((global_maxpool(x) * w).sum() + (global_maxpool(x) * v).sum()).backward()
+    oracle.add((global_maxpool(x) * w).sum(), (global_maxpool(x) * v).sum()).backward()
     want = np.zeros((2, 5, 3))
     idx = x.data.argmax(axis=1)
     for b in range(2):
@@ -253,7 +253,7 @@ def per_post_tune(bundle, target, cfg, table):
                     values = embed(preprocess(post), table, topo.seq_len).values
                     probs = oracle.forward(params, topo, values, train=True, rng=rng)
                     loss = oracle.cross_entropy(probs, post.label)
-                    total = loss if total is None else total + loss
+                    total = loss if total is None else oracle.add(total, loss)
                 (total * (1.0 / len(batch))).backward()
                 optimizer.step([params.classifier])
         members.append(params)
@@ -279,3 +279,15 @@ def test_evaluate_in_chunks_matches_predict(monkeypatch):
     monkeypatch.setattr(ensemble, "EVAL_CHUNK", 5)  # chunks of 5, 5 and 2
     pairs = [(post.label, predict(bundle, post, table).label) for post in corpus.posts]
     assert evaluate(bundle, corpus, table) == report(accumulate(pairs))
+
+
+def test_evaluate_report_does_not_depend_on_the_chunk_size(monkeypatch):
+    topo, table = tiny_topology(), synthetic_table(0, 6)
+    bundle = small_bundle(topo, table)
+    corpus = separable_corpus(9, seed=12)  # 27 posts: one chunk of 20 and one of 7
+    reports = []
+    for chunk in (6, 20):
+        monkeypatch.setattr(ensemble, "EVAL_CHUNK", chunk)
+        reports.append(evaluate(bundle, corpus, table))
+    assert reports[0] == reports[1]
+    assert ensemble.EVAL_CHUNK == 20

@@ -468,6 +468,36 @@ def test_io_and_decode_errors_exit_3_with_one_line(tmp_path, capsys, case):
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("case", ["predict_input", "labeled_lines", "lex_offensive",
+                                  "vectors"])
+def test_non_utf8_input_exits_3_naming_the_file(tmp_path, capsys, property_inputs, case):
+    latin1 = tmp_path / "latin1.txt"
+    latin1.write_bytes("1\td\xe9sol\xe9 ok\n0\tfine\n".encode("latin-1"))
+    vectors = tmp_path / "vectors.txt"
+    vectors.write_bytes("caf\xe9 1 2 3 4 5 6 7 8\n".encode("latin-1"))
+    out = str(tmp_path / "run")
+    lex = [*LEXICON_ARGS]
+    lex[lex.index("--lex-offensive") + 1] = str(latin1)
+    argv = {
+        "predict_input": ["predict", "--bundle", property_inputs["bundle"],
+                          "--input", str(latin1), "--embeddings", "synthetic:0:8"],
+        "labeled_lines": ["train", "--labeled-lines", str(latin1), "--out", out, *TINY_RUN],
+        "lex_offensive": ["weak-train", "--unlabeled", str(FIXTURES / "unlabeled_lines.txt"),
+                          *lex, "--out", out, *TINY_RUN],
+        "vectors": ["predict", "--bundle", property_inputs["bundle"],
+                    "--input", str(FIXTURES / "unlabeled_lines.txt"),
+                    "--embeddings", str(vectors), "--emb-dim", "8"],
+    }[case]
+    assert run(argv) == cli.EXIT_DATA
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    named = vectors if case == "vectors" else latin1
+    assert f"{named} is not UTF-8 text" in err, err
+    assert not (tmp_path / "run").exists()
+
+
 # -- property: no argument vector exits 1 or raises ----------------------
 
 # placeholders a drawn flag value may take; each names a path made fresh

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hatenet.embeddings import EmbeddingTable, embed, load_table, synthetic_table
+from hatenet.embeddings import EmbeddingTable, embed, encode, load_table, synthetic_table
 from hatenet.errors import EmptyTableError
 from hatenet.text import TokenSequence
 
@@ -321,3 +321,54 @@ class TestEmbed:
     def test_rejects_bad_length(self):
         with pytest.raises(ValueError):
             embed(TokenSequence(), synthetic_table(0, 4), L=0)
+
+
+class TestEncode:
+    TABLE = EmbeddingTable(2, {
+        "run": np.array([3.0, 0.0]),
+        "running": np.array([1.0, 2.0]),
+        "cat": np.array([0.5, -1.0]),
+        "dogs": np.array([-2.0, 4.0]),
+    }, "mini")
+    SEQS = [
+        # stem hit, surface fallback, no vector, repeated tokens
+        TokenSequence(["run", "walk", "gone", "cat", "run"],
+                      ["running", "walking", "goneish", "cat", "runs"]),
+        TokenSequence(["dog", "runn"], ["dogs", "running"]),  # two fallbacks
+        TokenSequence(),                                      # all padding
+        TokenSequence(["cat"] * 9, ["cat"] * 9),              # truncated at L
+        TokenSequence(["gone", "zzz"], ["goneish", "zz"]),    # only zero vectors
+    ]
+
+    @pytest.mark.parametrize("L", [1, 3, 6, 9])
+    def test_rows_gathered_by_ids_equal_embed(self, L):
+        batch = encode(self.SEQS, self.TABLE, L)
+        assert batch.ids.shape == (len(self.SEQS), L)
+        assert len(batch) == len(self.SEQS)
+        for seq, values in zip(self.SEQS, batch.dense()):
+            np.testing.assert_array_equal(values, embed(seq, self.TABLE, L).values)
+
+    def test_one_row_per_distinct_vector(self):
+        batch = encode(self.SEQS, self.TABLE, 6)
+        # run, cat, dogs, running, in order of first use
+        np.testing.assert_array_equal(batch.rows, [[3.0, 0.0], [0.5, -1.0],
+                                                   [-2.0, 4.0], [1.0, 2.0]])
+        np.testing.assert_array_equal(batch.ids[0], [-1, 0, -1, -1, 1, 0])
+        np.testing.assert_array_equal(batch.ids[1], [-1, -1, -1, -1, 2, 3])
+        np.testing.assert_array_equal(batch.ids[2], [-1] * 6)
+        np.testing.assert_array_equal(batch.ids[4], [-1] * 6)
+
+    def test_no_vectors_gives_no_rows(self):
+        batch = encode([TokenSequence(["zzz"], ["zz"]), TokenSequence()], self.TABLE, 3)
+        assert batch.rows.shape == (0, 2)
+        assert (batch.ids == -1).all()
+
+    def test_reads_only_the_rows_it_uses(self, tmp_path):
+        path = write_vectors(tmp_path / "v.txt", ["cat 1 2", "dog 3 4", "eel 5 6"])
+        table = load_table(path, dim=2)
+        encode([TokenSequence(["dog"], ["dog"])], table, 2)
+        assert set(table.vectors) <= {"cat", "dog"}  # "cat" may be the probe row
+
+    def test_rejects_bad_length(self):
+        with pytest.raises(ValueError):
+            encode([TokenSequence()], synthetic_table(0, 4), L=0)

@@ -368,6 +368,56 @@ class TestPredictAndBundle:
         with pytest.raises(CheckpointIntegrityError):
             load_bundle(tmp_path)
 
+    def test_save_leaves_only_the_bundle_files(self, topo, table, tmp_path):
+        from hatenet.ensemble import _member_bytes, topology_hash
+
+        bundle = self._quick_bundle(topo, table)
+        save_bundle(bundle, tmp_path / "run")
+        save_bundle(bundle, tmp_path / "run")  # over an existing bundle
+        names = sorted(p.name for p in (tmp_path / "run").iterdir())
+        assert names == ["bundle.meta", "member_0.ckpt", "member_1.ckpt"]
+        for i, member in enumerate(bundle.members):
+            raw = (tmp_path / "run" / f"member_{i}.ckpt").read_bytes()
+            assert raw == _member_bytes(member, topology_hash(topo))
+        meta = json.loads((tmp_path / "run" / "bundle.meta").read_text(encoding="utf-8"))
+        assert (tmp_path / "run" / "bundle.meta").read_bytes() == (
+            json.dumps(meta, sort_keys=True, indent=2) + "\n").encode("utf-8")
+
+    @pytest.mark.parametrize("fail_at", [0, 1, 2])  # member_0, member_1, bundle.meta
+    def test_save_failing_part_way_never_loads_mixed(self, topo, table, tmp_path,
+                                                     monkeypatch, fail_at):
+        from pathlib import Path
+
+        from hatenet.ensemble import _member_bytes
+
+        old = self._quick_bundle(topo, table)
+        corpus = separable_corpus(4, seed=13)
+        new, _ = train_ensemble(TrainConfig(ensemble_size=2, epochs=1, seed=5, batch_size=8),
+                                topo, table, corpus, corpus)
+        save_bundle(old, tmp_path / "run")
+        write_bytes = Path.write_bytes
+        calls = []
+
+        def failing(path, data):
+            calls.append(path)
+            if len(calls) == fail_at + 1:
+                write_bytes(path, data[: len(data) // 2])
+                raise OSError("no space left on device")
+            return write_bytes(path, data)
+
+        monkeypatch.setattr(Path, "write_bytes", failing)
+        with pytest.raises(OSError):
+            save_bundle(new, tmp_path / "run")
+        monkeypatch.undo()
+        assert not list((tmp_path / "run").glob("*.tmp"))
+        if fail_at == 0:  # nothing was replaced yet: the old bundle, whole
+            loaded = load_bundle(tmp_path / "run")
+            assert [_member_bytes(m) for m in loaded.members] == [
+                _member_bytes(m) for m in old.members]
+        else:
+            with pytest.raises(CheckpointIntegrityError, match="digest mismatch"):
+                load_bundle(tmp_path / "run")
+
 
 class TestTune:
     def _bundle(self, topo, table):

@@ -60,6 +60,7 @@ class TestLayerChecks:
         assert set(report.per_tensor) == {
             "filters", "bias", "filters_const_x", "bias_const_x",
             "filters_batch", "bias_batch", "filters_const_batch", "bias_const_batch",
+            "filters_ids", "bias_ids",
         }
         assert report.passed, str(report)
 
