@@ -23,6 +23,7 @@ from .ensemble import (
     evaluate,
     load_bundle,
     predict,
+    predict_all,
     save_bundle,
     train_ensemble,
     train_member,
@@ -79,6 +80,7 @@ __all__ = [
     "normalize",
     "param_count",
     "predict",
+    "predict_all",
     "preprocess",
     "report",
     "save_bundle",

@@ -154,6 +154,16 @@ class IdBatch:
     def __len__(self) -> int:
         return len(self.ids)
 
+    def take(self, index) -> "IdBatch":
+        """The inputs at `index`, keeping only the rows they use, numbered
+        by first use in (b, t) order."""
+        ids = self.ids[index]
+        used, first = np.unique(ids[ids >= 0], return_index=True)
+        used = used[np.argsort(first)]
+        renumber = np.full(len(self.rows) + 1, -1, dtype=np.intp)  # [-1] stays -1
+        renumber[used] = np.arange(len(used))
+        return IdBatch(renumber[ids], self.rows[used])
+
     def dense(self) -> np.ndarray:
         """The (B, T, C_in) step values, zeros at the -1 steps."""
         return np.concatenate([self.rows, np.zeros((1, self.rows.shape[1]))])[self.ids]

@@ -38,12 +38,12 @@ from .ensemble import (
     TrainConfig,
     evaluate,
     load_bundle,
-    predict,
+    predict_all,
     save_bundle,
     train_ensemble,
     tune,
 )
-from .errors import HatenetError, InvalidConfig, NonFiniteValue, NumericError
+from .errors import CorpusTooSmall, HatenetError, InvalidConfig, NonFiniteValue, NumericError
 from .metrics import format_report
 from .model import TopologyConfig
 from .text import RawPost, preprocess
@@ -348,6 +348,11 @@ def cmd_train(args) -> int:
     corpus = _load_labeled(args)
     spec = SplitSpec(seed=args.split_seed)
     train_split, valid_split, test_split = split(corpus, spec)
+    if len(valid_split) == 0:
+        raise CorpusTooSmall(
+            f"the {len(corpus)}-post corpus splits {len(train_split)}/0/{len(test_split)}: "
+            "training needs a non-empty 10% validation split"
+        )
     if len(test_split) == 0:
         print("warning: corpus too small for a non-empty 10% test split; "
               "the test report will be all zeros", file=sys.stderr)
@@ -471,8 +476,7 @@ def cmd_predict(args) -> int:
     posts = load_unlabeled(args.input)
     sink = open(args.output, "w", encoding="utf-8") if args.output else sys.stdout
     try:
-        for post in posts:
-            result = predict(bundle, post, table)
+        for post, result in zip(posts, predict_all(bundle, posts, table)):
             record = {
                 "source_id": post.source_id,
                 "label": ["H", "O", "N"][result.label],

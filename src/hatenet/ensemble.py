@@ -17,12 +17,13 @@ import logging
 import math
 import os
 import struct
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autograd import IdBatch, Tensor
-from .corpus import ClassLabel, LabeledCorpus, N_CLASSES
+from .autograd import Tensor
+from .corpus import ClassLabel, LabeledCorpus, N_CLASSES, open_utf8
 from .embeddings import EmbeddingTable, encode as embed  # perfbench's embeddings.embed
 from .errors import (
     CheckpointIntegrityError,
@@ -36,9 +37,8 @@ from .layers import ParamGroup, cross_entropy
 from .metrics import accumulate, report
 from .model import ModelParams, TopologyConfig, build, classify, features, forward
 from .optim import Adam
-from .text import RawPost, TokenSequence, preprocess
+from .text import RawPost, preprocess
 from .weaksup import (
-    ClassBounds,
     ClassWeights,
     Lexicon,
     compute_bounds,
@@ -118,93 +118,88 @@ class EnsembleBundle:
         return len(self.members)
 
 
+def _balanced_positions(labels, rng: np.random.Generator) -> np.ndarray:
+    """Equal-class epoch sample of positions into `labels`: all m hate
+    positions exactly once, plus m drawn with replacement from each
+    majority class; shuffled."""
+    labels = np.asarray(labels)
+    classes = [np.flatnonzero(labels == label) for label in ClassLabel]
+    for label, bucket in zip(ClassLabel, classes):
+        if not len(bucket):
+            raise EmptyClass(f"training corpus has no {label.name} posts")
+    m = len(classes[ClassLabel.H])
+    draws = [bucket[rng.integers(0, len(bucket), size=m)] for bucket in classes[1:]]
+    sample = np.concatenate([classes[ClassLabel.H], *draws])
+    return sample[rng.permutation(len(sample))]
+
+
 def balanced_epoch_sample(train: LabeledCorpus, rng: np.random.Generator) -> list[RawPost]:
     """Equal-class epoch sample: all m hate posts exactly once, plus m
     posts drawn with replacement from each majority class; shuffled."""
-    buckets = train.by_class()
-    for label, bucket in zip(ClassLabel, buckets):
-        if not bucket:
-            raise EmptyClass(f"training corpus has no {label.name} posts")
-    m = len(buckets[ClassLabel.H])
-    sample = list(buckets[ClassLabel.H])
-    for c in (ClassLabel.O, ClassLabel.N):
-        draws = rng.integers(0, len(buckets[c]), size=m)
-        sample.extend(buckets[c][i] for i in draws)
-    order = rng.permutation(len(sample))
-    return [sample[i] for i in order]
+    return [train.posts[i] for i in _balanced_positions([p.label for p in train.posts], rng)]
 
 
-def _batches(items: list, size: int):
+def _batches(items, size: int):
     for start in range(0, len(items), size):
         yield items[start : start + size]
 
 
-class _PostLoss:
-    """The one path from a batch of posts to its class probabilities and
-    loss, for one member's training call (or one ``tune`` call) and loss
-    mode.
-
-    A post is preprocessed, and its target (the label, or the lexicon
-    bounds in weak mode) computed, the first time it is seen; every later
-    epoch and validation pass reuses both.  The cache is keyed by
-    ``id(post)`` and each entry keeps the post itself, so no id can be
-    reused while the cache lives.
-    """
-
-    def __init__(self, topo, table, cfg, lexicon):
-        self.topo = topo
-        self.table = table
-        self.cfg = cfg
-        self.lexicon = lexicon
-        self.weights = cfg.weights()
-        self._encoded: dict[int, tuple[RawPost, TokenSequence, "int | ClassBounds"]] = {}
-
-    def _encode(self, post: RawPost) -> tuple[TokenSequence, "int | ClassBounds"]:
-        entry = self._encoded.get(id(post))
-        if entry is None:
-            seq = preprocess(post)
-            if self.cfg.loss_mode == SUPERVISED:
-                target = post.label
-            else:
-                target = compute_bounds(count_lexicon(seq, self.lexicon), self.cfg.bounds_k)
-            entry = self._encoded[id(post)] = (post, seq, target)
-        return entry[1], entry[2]
-
-    def encode_batch(self, posts: list[RawPost]) -> IdBatch:
-        """The posts' token ids into the vector rows they use."""
-        seqs = [self._encode(post)[0] for post in posts]
-        return embed(seqs, self.table, self.topo.seq_len)
-
-    def criterion(self, probs: Tensor, posts: list[RawPost]) -> Tensor:
-        """The batch-mean loss of (B, 3) probabilities of the posts."""
-        targets = [self._encode(post)[1] for post in posts]
-        if self.cfg.loss_mode == SUPERVISED:
-            return cross_entropy(probs, targets)
-        return weak_loss(probs, targets, self.weights)
-
-    def loss(self, params, posts: list[RawPost], train: bool = False,
-             rng=None) -> tuple[Tensor, Tensor]:
-        """(B, 3) class probabilities of the posts and their batch-mean loss."""
-        probs = forward(params, self.topo, self.encode_batch(posts), train=train, rng=rng)
-        return probs, self.criterion(probs, posts)
+def _encode(posts, table: EmbeddingTable, topo: TopologyConfig):
+    """The posts' token sequences, each text preprocessed once, and all of
+    them as one IdBatch."""
+    distinct = {post.text: post for post in posts}
+    by_text = {text: preprocess(post) for text, post in distinct.items()}
+    seqs = [by_text[post.text] for post in posts]
+    return seqs, embed(seqs, table, topo.seq_len)
 
 
-def _mean_loss_eval(params, posts, post_loss: _PostLoss) -> tuple[float, "float | None"]:
-    """Mean eval-mode loss over posts, plus hate recall when labels exist."""
+class _TrainData:
+    """The train posts, then the validation posts, preprocessed and encoded
+    once per training call, each with its target: its label, or its lexicon
+    bounds in weak mode.  Every member takes its batches by position."""
+
+    def __init__(self, cfg, topo, table, train_posts, valid_posts, lexicon):
+        cfg.validate()
+        if cfg.loss_mode == WEAK and lexicon is None:
+            raise ValueError("weak-supervised training requires a lexicon")
+        train, valid = (part.posts if isinstance(part, LabeledCorpus) else list(part)
+                        for part in (train_posts, valid_posts))
+        if not valid:
+            raise ValueError("validation set must be non-empty")
+        seqs, self.batch = _encode(train + valid, table, topo)
+        self.n_train = len(train)
+        self.weights = cfg.weights() if cfg.loss_mode == WEAK else None  # None: CE
+        if self.weights is None:
+            self.targets = [post.label for post in train + valid]
+        else:
+            self.targets = [compute_bounds(count_lexicon(seq, lexicon), cfg.bounds_k)
+                            for seq in seqs]
+
+    def loss(self, params, topo, index, train=False, rng=None) -> tuple[Tensor, Tensor]:
+        """(B, 3) class probabilities of the posts at `index` and their
+        batch-mean loss."""
+        probs = forward(params, topo, self.batch.take(index), train=train, rng=rng)
+        targets = [self.targets[i] for i in index]
+        if self.weights is None:
+            return probs, cross_entropy(probs, targets)
+        return probs, weak_loss(probs, targets, self.weights)
+
+
+def _mean_loss_eval(params, topo, data: _TrainData) -> tuple[float, "float | None"]:
+    """Mean eval-mode loss over the validation posts, plus hate recall when
+    the targets are labels."""
+    valid = np.arange(data.n_train, len(data.batch))
     total = 0.0
     pairs = []
-    for chunk in _batches(posts, EVAL_CHUNK):
-        probs, loss = post_loss.loss(params, chunk)
+    for chunk in _batches(valid, EVAL_CHUNK):
+        probs, loss = data.loss(params, topo, chunk)
         total += loss.data.item() * len(chunk)
-        if post_loss.cfg.loss_mode == SUPERVISED:
+        if data.weights is None:
             pairs.extend(
-                (post.label, int(np.argmax(row))) for post, row in zip(chunk, probs.data)
+                (data.targets[i], int(np.argmax(row))) for i, row in zip(chunk, probs.data)
             )
-    mean = total / max(len(posts), 1)
-    recall = None
-    if pairs:
-        recall = report(accumulate(pairs))["hate_recall"]
-    return mean, recall
+    recall = report(accumulate(pairs))["hate_recall"] if pairs else None
+    return total / max(len(valid), 1), recall
 
 
 def _step(params, loss: Tensor, optimizer, epoch_no) -> float:
@@ -217,55 +212,26 @@ def _step(params, loss: Tensor, optimizer, epoch_no) -> float:
     return value
 
 
-def _train_batch(params, batch, post_loss, optimizer, rng, epoch_no) -> float:
-    _, loss = post_loss.loss(params, batch, train=True, rng=rng)
-    return _step(params, loss, optimizer, epoch_no)
-
-
-def train_member(
-    member_seed: int,
-    cfg: TrainConfig,
-    topo: TopologyConfig,
-    table: EmbeddingTable,
-    train_posts,
-    valid_posts,
-    lexicon: "Lexicon | None" = None,
-    keep_snapshots: bool = False,
-) -> tuple[ModelParams, TrainTrace]:
-    """Train one member with per-epoch early-stopping snapshots.
-
-    Supervised mode expects LabeledCorpus train/valid; weak mode expects
-    plain post lists and a lexicon.  Returns the parameters from the
-    epoch with minimum validation loss (earliest such epoch on ties).
-    """
-    cfg.validate()
-    if cfg.loss_mode == WEAK and lexicon is None:
-        raise ValueError("weak-supervised training requires a lexicon")
+def _train_member(member_seed, cfg, topo, data: _TrainData,
+                  keep_snapshots=False) -> tuple[ModelParams, TrainTrace]:
     params = build(topo, member_seed)
     rng = np.random.default_rng([member_seed, 1])
     optimizer = Adam(lr=cfg.base_lr)
-    post_loss = _PostLoss(topo, table, cfg, lexicon)
-    valid_list = valid_posts.posts if isinstance(valid_posts, LabeledCorpus) else list(valid_posts)
-    if not valid_list:
-        raise ValueError("validation set must be non-empty")
-
     trace = TrainTrace(snapshots=[] if keep_snapshots else None)
     best: "ModelParams | None" = None
     best_loss = np.inf
     for epoch in range(1, cfg.epochs + 1):
         if cfg.loss_mode == SUPERVISED:
-            sample = balanced_epoch_sample(train_posts, rng)
+            sample = _balanced_positions(data.targets[: data.n_train], rng)
             batches = list(_batches(sample, cfg.batch_size))
         else:
-            pool = list(train_posts)
-            size = min(cfg.batch_size, len(pool))
-            n_iter = max(1, len(pool) // cfg.batch_size)
-            batches = [
-                [pool[i] for i in rng.choice(len(pool), size=size, replace=False)]
-                for _ in range(n_iter)
-            ]
+            size = min(cfg.batch_size, data.n_train)
+            n_iter = max(1, data.n_train // cfg.batch_size)
+            batches = [rng.choice(data.n_train, size=size, replace=False)
+                       for _ in range(n_iter)]
         epoch_losses = [
-            _train_batch(params, batch, post_loss, optimizer, rng, epoch)
+            _step(params, data.loss(params, topo, batch, train=True, rng=rng)[1],
+                  optimizer, epoch)
             for batch in batches
         ]
         if epoch == 1 and cfg.loss_mode == WEAK and not any(epoch_losses):
@@ -275,7 +241,7 @@ def train_member(
                 "binds its predictions at bounds_k=%g (a larger bounds_k "
                 "tightens the bounds)", member_seed, cfg.bounds_k,
             )
-        valid_loss, valid_recall = _mean_loss_eval(params, valid_list, post_loss)
+        valid_loss, valid_recall = _mean_loss_eval(params, topo, data)
         if not np.isfinite(valid_loss):
             raise NumericError(
                 f"non-finite validation loss at epoch {epoch} (member seed {member_seed})"
@@ -295,6 +261,26 @@ def train_member(
     return best, trace
 
 
+def train_member(
+    member_seed: int,
+    cfg: TrainConfig,
+    topo: TopologyConfig,
+    table: EmbeddingTable,
+    train_posts,
+    valid_posts,
+    lexicon: "Lexicon | None" = None,
+    keep_snapshots: bool = False,
+) -> tuple[ModelParams, TrainTrace]:
+    """Train one member with per-epoch early-stopping snapshots.
+
+    Supervised mode expects labeled train/valid posts; weak mode expects
+    plain post lists and a lexicon.  Returns the parameters from the
+    epoch with minimum validation loss (earliest such epoch on ties).
+    """
+    data = _TrainData(cfg, topo, table, train_posts, valid_posts, lexicon)
+    return _train_member(member_seed, cfg, topo, data, keep_snapshots)
+
+
 def train_ensemble(
     cfg: TrainConfig,
     topo: TopologyConfig,
@@ -304,12 +290,13 @@ def train_ensemble(
     lexicon: "Lexicon | None" = None,
     jobs: int = 1,
 ) -> tuple[EnsembleBundle, list[TrainTrace]]:
-    """K independent members with seeds seed+0 .. seed+K-1."""
-    cfg.validate()
+    """K independent members with seeds seed+0 .. seed+K-1, all trained on
+    one encoding of the posts."""
+    data = _TrainData(cfg, topo, table, train_posts, valid_posts, lexicon)
     seeds = [cfg.seed + i for i in range(cfg.ensemble_size)]
 
     def run(seed: int):
-        return train_member(seed, cfg, topo, table, train_posts, valid_posts, lexicon)
+        return _train_member(seed, cfg, topo, data)
 
     if jobs > 1:
         from concurrent.futures import ThreadPoolExecutor
@@ -358,18 +345,6 @@ def vote_outcome(votes: "np.ndarray | list[int]", member_probs: np.ndarray) -> i
     return int(tied[0])
 
 
-def _member_probs(bundle: EnsembleBundle, posts, table: EmbeddingTable) -> np.ndarray:
-    """(K, B, 3): every member's class probabilities for each post, one
-    forward call per member on the posts encoded once."""
-    if table.dim != bundle.fingerprint["dim"]:
-        raise PreprocessingMismatch(
-            f"table dim {table.dim} != bundle dim {bundle.fingerprint['dim']}"
-        )
-    batch = embed([preprocess(post) for post in posts], table, bundle.topology.seq_len)
-    return np.stack([forward(member, bundle.topology, batch).data
-                     for member in bundle.members])
-
-
 def _prediction(member_probs: np.ndarray) -> Prediction:
     """Per-member argmax votes (ties to the lowest class ordinal), then the
     majority decision, from one post's (K, 3) member probabilities."""
@@ -382,22 +357,34 @@ def _prediction(member_probs: np.ndarray) -> Prediction:
     )
 
 
+def predict_all(bundle: EnsembleBundle, posts, table: EmbeddingTable) -> Iterator[Prediction]:
+    """Each post's Prediction, in order.  The posts are preprocessed and
+    encoded once, then scored in chunks of EVAL_CHUNK posts, one forward
+    call per member and chunk."""
+    if table.dim != bundle.fingerprint["dim"]:
+        raise PreprocessingMismatch(
+            f"table dim {table.dim} != bundle dim {bundle.fingerprint['dim']}"
+        )
+    _, encoded = _encode(posts, table, bundle.topology)
+    for chunk in _batches(np.arange(len(encoded)), EVAL_CHUNK):
+        batch = encoded.take(chunk)
+        probs = np.stack([forward(member, bundle.topology, batch).data
+                          for member in bundle.members])
+        yield from (_prediction(probs[:, i]) for i in range(len(chunk)))
+
+
 def predict(bundle: EnsembleBundle, post: RawPost, table: EmbeddingTable) -> Prediction:
     """Per-member argmax votes (ties to the lowest class ordinal), then
     the majority decision."""
-    return _prediction(_member_probs(bundle, [post], table)[:, 0])
+    return next(predict_all(bundle, [post], table))
 
 
 def evaluate(bundle: EnsembleBundle, corpus: LabeledCorpus, table: EmbeddingTable) -> dict:
-    """The report of the bundle's decisions on the corpus, which is scored
-    in chunks of EVAL_CHUNK posts."""
-    pairs = []
-    for chunk in _batches(corpus.posts, EVAL_CHUNK):
-        probs = _member_probs(bundle, chunk, table)
-        pairs.extend(
-            (post.label, _prediction(probs[:, i]).label) for i, post in enumerate(chunk)
-        )
-    return report(accumulate(pairs))
+    """The report of the bundle's decisions on the corpus (predict_all)."""
+    predictions = predict_all(bundle, corpus.posts, table)
+    return report(accumulate(
+        (post.label, result.label) for post, result in zip(corpus.posts, predictions)
+    ))
 
 
 def tune(
@@ -409,9 +396,9 @@ def tune(
     """Freeze the feature extractor, retrain the dense head on the target.
 
     Runs tune_epochs of balanced epochs at tune_lr; feature tensors are
-    untouched byte for byte.  Each member runs its extractor once per
-    distinct post, on the post's first draw, and trains the head on the
-    kept features.
+    untouched byte for byte.  The target is encoded once; each member runs
+    its extractor once per distinct post, on the post's first draw, and
+    trains the head on the kept features.
     """
     cfg.validate()
     counts = target_train.class_counts
@@ -419,27 +406,26 @@ def tune(
         log.warning("tuning set is unbalanced: H/O/N counts %s", counts)
     if min(counts) == 0:
         raise EmptyClass(f"tuning set is missing a class: counts {counts}")
-    sup_cfg = TrainConfig(**{**cfg.__dict__, "loss_mode": SUPERVISED})
     topo = bundle.topology
-    post_loss = _PostLoss(topo, table, sup_cfg, None)
+    _, encoded = _encode(target_train.posts, table, topo)
+    labels = np.array([post.label for post in target_train.posts])
     tuned_members = []
     for index, member in enumerate(bundle.members):
         params = member.copy()
         rng = np.random.default_rng([cfg.seed + index, 2])
         optimizer = Adam(lr=cfg.tune_lr)
-        # id(post) -> the frozen extractor's features of the post; the
-        # posts live in target_train for the whole call, so ids are stable
-        frozen: dict[int, np.ndarray] = {}
+        # row i: the frozen extractor's features of post i, once done[i]
+        frozen = np.empty((len(encoded), topo.feature_dim()))
+        done = np.zeros(len(encoded), dtype=bool)
         for epoch in range(1, cfg.tune_epochs + 1):
-            sample = balanced_epoch_sample(target_train, rng)
-            for batch in _batches(sample, cfg.batch_size):
-                new = list({id(p): p for p in batch if id(p) not in frozen}.values())
+            for batch in _batches(_balanced_positions(labels, rng), cfg.batch_size):
+                fresh = batch[~done[batch]]
+                new = fresh[np.sort(np.unique(fresh, return_index=True)[1])]  # first draws
                 for chunk in _batches(new, EVAL_CHUNK):
-                    computed = features(params, topo, post_loss.encode_batch(chunk)).data
-                    frozen.update(zip(map(id, chunk), computed))
-                feats = Tensor(np.stack([frozen[id(p)] for p in batch]))
-                probs = classify(params, topo, feats, train=True, rng=rng)
-                _step(params, post_loss.criterion(probs, batch), optimizer, epoch)
+                    frozen[chunk] = features(params, topo, encoded.take(chunk)).data
+                done[new] = True
+                probs = classify(params, topo, Tensor(frozen[batch]), train=True, rng=rng)
+                _step(params, cross_entropy(probs, labels[batch]), optimizer, epoch)
         tuned_members.append(params)
     provenance = dict(bundle.provenance)
     provenance["tuned_on"] = target_train.provenance
@@ -573,29 +559,44 @@ def save_bundle(bundle: EnsembleBundle, dirpath) -> None:
 
 
 def load_bundle(dirpath) -> EnsembleBundle:
+    """The bundle in `dirpath`.  A bundle.meta that is not UTF-8 JSON of the
+    documented shape, or a member whose digest differs from the one listed
+    there, raises a CheckpointIntegrityError naming the file."""
     from pathlib import Path
 
     src = Path(dirpath)
     meta_path = src / META_NAME
     if not meta_path.exists():
         raise CheckpointIntegrityError(f"{meta_path} not found")
-    meta = json.loads(meta_path.read_text(encoding="utf-8"))
-    if meta.get("format_version") != CKPT_VERSION:
-        raise CheckpointVersionError(
-            f"{meta_path}: format version {meta.get('format_version')}, "
-            f"supported {CKPT_VERSION}"
-        )
-    topology = TopologyConfig.from_dict(meta["topology"])
+    try:
+        with open_utf8(meta_path) as fh:
+            meta = json.load(fh)
+        if meta.get("format_version") != CKPT_VERSION:
+            raise CheckpointVersionError(
+                f"{meta_path}: format version {meta.get('format_version')}, "
+                f"supported {CKPT_VERSION}"
+            )
+        topology = TopologyConfig.from_dict(meta["topology"])
+        entries = [(entry["file"], entry["sha256"]) for entry in meta["members"]]
+        fingerprint = meta["fingerprint"]
+        if not all(isinstance(name, str) for name, _ in entries):
+            raise TypeError("a member file name is not a string")
+        if not isinstance(fingerprint["dim"], int):
+            raise TypeError("the fingerprint dim is not an integer")
+    except (ValueError, KeyError, TypeError, AttributeError, InvalidConfig) as exc:
+        raise CheckpointIntegrityError(
+            f"{meta_path}: not a bundle meta file ({type(exc).__name__}: {exc})"
+        ) from None
     expect_hash = topology_hash(topology)
     members = []
-    for entry in meta["members"]:
-        raw = (src / entry["file"]).read_bytes()
-        if hashlib.sha256(raw).hexdigest() != entry["sha256"]:
-            raise CheckpointIntegrityError(f"{entry['file']}: digest mismatch")
-        members.append(_member_from_bytes(raw, entry["file"], expect_hash))
+    for name, digest in entries:
+        raw = (src / name).read_bytes()
+        if hashlib.sha256(raw).hexdigest() != digest:
+            raise CheckpointIntegrityError(f"{name}: digest mismatch")
+        members.append(_member_from_bytes(raw, name, expect_hash))
     return EnsembleBundle(
         members=members,
         topology=topology,
-        fingerprint=meta["fingerprint"],
+        fingerprint=fingerprint,
         provenance=meta.get("provenance", {}),
     )

@@ -24,7 +24,7 @@ from hatenet.embeddings import embed, synthetic_table
 from hatenet.ensemble import (
     TrainConfig,
     _mean_loss_eval,
-    _PostLoss,
+    _TrainData,
     balanced_epoch_sample,
     train_member,
     vote_outcome,
@@ -172,9 +172,9 @@ def test_criterion_06_early_stopping_argmin():
         params, trace = train_member(
             2, cfg, topo, table, corpus, corpus, keep_snapshots=True
         )
-        post_loss = _PostLoss(topo, table, cfg, None)
+        data = _TrainData(cfg, topo, table, corpus, corpus, None)
         rescored = [
-            _mean_loss_eval(snap, corpus.posts, post_loss)[0]
+            _mean_loss_eval(snap, topo, data)[0]
             for snap in trace.snapshots
         ]
         best = int(np.argmin(rescored))

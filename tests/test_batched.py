@@ -2,6 +2,7 @@
 paths of the ensemble (tune's frozen-feature cache, chunked evaluation)."""
 
 import importlib.util
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +18,7 @@ from hatenet.ensemble import (
     WEAK,
     TrainConfig,
     _mean_loss_eval,
-    _PostLoss,
+    _TrainData,
     balanced_epoch_sample,
     evaluate,
     predict,
@@ -183,27 +184,67 @@ def test_chunked_validation_loss_is_the_mean_over_posts(mode):
     posts = separable_corpus(4, seed=5).posts[:11]  # two chunks, the last one short
     lexicon = Lexicon([MARKERS[0]], [MARKERS[1]], [MARKERS[2]])
     cfg = TrainConfig(loss_mode=mode, bounds_k=5.0)
-    post_loss = _PostLoss(topo, table, cfg, lexicon)
+    data = _TrainData(cfg, topo, table, [], posts, lexicon)  # posts as validation
     params = build(topo, seed=2)
-    mean, _ = _mean_loss_eval(params, posts, post_loss)
-    per_post = [post_loss.loss(params, [post])[1].data for post in posts]
+    mean, _ = _mean_loss_eval(params, topo, data)
+    per_post = [data.loss(params, topo, [i])[1].data for i in range(len(posts))]
     assert any(per_post)
     assert mean == pytest.approx(np.mean(per_post), rel=1e-12, abs=1e-15)
+
+
+def load_tracer():
+    """perfbench/tracer.py as a module; the file is only read."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_tracer_resolves_every_traced_name():
     """perfbench wraps these module attributes by name; a renamed layer
     would zero its per-layer metric without failing anything else."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
+    module = load_tracer()
     tracer = module.Tracer()
     tracer.install()
     try:
         assert tracer.absent == []
     finally:
         tracer.uninstall()
+
+
+def test_tracer_targets_resolve_in_the_source_tree():
+    source = Path(__file__).resolve().parents[1] / "src" / "hatenet"
+    module = load_tracer()
+    for _, module_path, attr_path in module.TARGETS:
+        owner, attr = module._resolve(module_path, attr_path)
+        assert callable(getattr(owner, attr, None)), f"{module_path}.{attr_path}"
+        assert Path(sys.modules[module_path].__file__).resolve().parent == source
+
+
+def test_ensemble_calls_every_name_traced_there():
+    """A traced name that still resolves but is no longer called through
+    hatenet.ensemble's globals would read 0 in its per-layer metric."""
+    module = load_tracer()
+    tracer = module.Tracer()
+    tracer.install()
+    tracer.phase = module.RUN
+    try:
+        topo, table = tiny_topology(), synthetic_table(0, 6)
+        lexicon = Lexicon([MARKERS[0]], [MARKERS[1]], [MARKERS[2]])
+        pool = separable_corpus(3, seed=13).posts
+        train_ensemble(TrainConfig(ensemble_size=1, epochs=1, loss_mode=WEAK, bounds_k=3.0),
+                       topo, table, pool, pool[:3], lexicon=lexicon)
+        bundle = small_bundle(topo, table)
+        target = separable_corpus(2, seed=14)
+        evaluate(tune(bundle, target, TrainConfig(tune_epochs=1), table), target, table)
+        ensemble.predict(bundle, target.posts[0], table)  # as the tracer patched it
+    finally:
+        tracer.uninstall()
+    recorded = {span[0] for span in tracer.spans}
+    for name, module_path, attr_path in module.TARGETS:
+        if module_path == "hatenet.ensemble":
+            assert name in recorded, f"{module_path}.{attr_path} is never called"
 
 
 # -- tune ------------------------------------------------------------------

@@ -83,6 +83,19 @@ class TestTrainCommand:
         ])
         assert code == cli.EXIT_DATA
 
+    def test_empty_validation_split_exits_3_with_one_line(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        code = run([
+            "train", "--config", write_config(tmp_path),
+            "--labeled-lines", write_lines_corpus(tmp_path, n_per_class=3),  # splits 9/0/0
+            "--embeddings", "synthetic:0:6", "--out", str(out),
+        ])
+        assert code == cli.EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert "validation split" in err
+        assert not out.exists()
+
     def test_rerun_identical_bytes(self, tmp_path):
         config = write_config(tmp_path)
         data = write_lines_corpus(tmp_path)

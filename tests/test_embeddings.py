@@ -372,3 +372,37 @@ class TestEncode:
     def test_rejects_bad_length(self):
         with pytest.raises(ValueError):
             encode([TokenSequence()], synthetic_table(0, 4), L=0)
+
+    @staticmethod
+    def assert_same_batch(got, want):
+        assert got.ids.dtype == want.ids.dtype and got.ids.shape == want.ids.shape
+        np.testing.assert_array_equal(got.ids, want.ids)
+        assert got.rows.shape == want.rows.shape
+        assert got.rows.tobytes() == want.rows.tobytes()
+
+    @pytest.mark.parametrize("L", [1, 3, 6, 9])
+    @pytest.mark.parametrize("index", [[0], [3, 1], [2, 4], [1, 1, 0, 3], [4, 3, 2, 1, 0],
+                                       [2, 2], []])
+    def test_take_equals_encoding_the_posts_alone(self, L, index):
+        whole = encode(self.SEQS, self.TABLE, L)
+        self.assert_same_batch(whole.take(index),
+                               encode([self.SEQS[i] for i in index], self.TABLE, L))
+
+    def test_take_equals_encode_on_random_batches(self):
+        rng = np.random.default_rng(5)
+        table = synthetic_table(0, 3)
+        vocab = [f"w{i}" for i in range(12)]
+        missing = EmbeddingTable(3, {w: table.get(w) for w in vocab[::2]}, "half")
+        for _ in range(200):
+            seqs = []
+            for _ in range(int(rng.integers(1, 7))):
+                n = int(rng.integers(0, 10))  # empty posts, and posts cut at L
+                tokens = [str(t) for t in rng.choice(vocab, size=n)]
+                surfaces = [str(t) for t in rng.choice(vocab, size=n)]
+                seqs.append(TokenSequence(tokens, surfaces))
+            L = int(rng.integers(1, 8))
+            index = rng.integers(0, len(seqs), size=int(rng.integers(0, 9)))  # repeats
+            whole = encode(seqs, missing, L)
+            self.assert_same_batch(whole.take(index),
+                                   encode([seqs[i] for i in index], missing, L))
+

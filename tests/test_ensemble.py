@@ -1,9 +1,14 @@
+import functools
 import json
 import logging
+import tempfile
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import separable_corpus, tiny_topology
 from hatenet.corpus import LabeledCorpus
@@ -22,12 +27,13 @@ from hatenet.ensemble import (
     tune,
     vote_outcome,
     _mean_loss_eval,
-    _PostLoss,
+    _TrainData,
 )
 from hatenet.errors import (
     CheckpointIntegrityError,
     CheckpointVersionError,
     EmptyClass,
+    HatenetError,
     PreprocessingMismatch,
 )
 from hatenet.model import build, forward
@@ -107,9 +113,9 @@ class TestTrainMember:
                 tensor.data, want.named_tensors()[name].data
             )
         # re-evaluate every snapshot independently; none beats the returned one
-        post_loss = _PostLoss(topo, table, cfg, None)
+        data = _TrainData(cfg, topo, table, corpus, corpus, None)
         rescored = [
-            _mean_loss_eval(snap, corpus.posts, post_loss)[0]
+            _mean_loss_eval(snap, topo, data)[0]
             for snap in trace.snapshots
         ]
         np.testing.assert_allclose(rescored, losses, atol=1e-12)
@@ -167,16 +173,17 @@ class TestTrainMember:
 
     def test_nonfinite_loss_aborts_with_diagnostic(self, topo, table):
         from hatenet.errors import NumericError
-        from hatenet.ensemble import _train_batch
+        from hatenet.ensemble import _step
         from hatenet.optim import Adam
 
         params = build(topo, 0)
         params.classifier.params["fc1_w"].data[:] = np.nan
         cfg = TrainConfig(ensemble_size=1, epochs=1)
-        post_loss = _PostLoss(topo, table, cfg, None)
         post = RawPost("anything at all", label=0, source_id="x")
+        data = _TrainData(cfg, topo, table, [post], [post], None)
+        _, loss = data.loss(params, topo, [0], train=True, rng=np.random.default_rng(0))
         with pytest.raises(NumericError, match="epoch"):
-            _train_batch(params, [post], post_loss, Adam(), np.random.default_rng(0), 1)
+            _step(params, loss, Adam(), 1)
 
 
 class TestEnsemble:
@@ -419,6 +426,76 @@ class TestPredictAndBundle:
                 load_bundle(tmp_path / "run")
 
 
+    @pytest.mark.parametrize("name, damage", [
+        ("truncated", lambda raw: raw[: len(raw) // 2]),
+        ("members key renamed", lambda raw: raw.replace(b'"members"', b'"memberz"')),
+        ("unknown topology field", lambda raw: raw.replace(b'"topology": {',
+                                                           b'"topology": {"extra": 1, ')),
+        ("a JSON list", lambda raw: b"[" + raw + b"]"),
+        ("member entry not an object", lambda raw: raw.replace(b'"members": [',
+                                                               b'"members": ["x", ')),
+        ("fingerprint without dim", lambda raw: raw.replace(b'"dim"', b'"dime"')),
+        ("not UTF-8", lambda raw: raw + b"\xe9"),
+    ])
+    def test_damaged_meta_names_the_file(self, topo, table, tmp_path, name, damage):
+        save_bundle(self._quick_bundle(topo, table), tmp_path / "run")
+        meta_path = tmp_path / "run" / "bundle.meta"
+        damaged = damage(meta_path.read_bytes())
+        assert damaged != meta_path.read_bytes()
+        meta_path.write_bytes(damaged)
+        with pytest.raises(HatenetError, match="bundle.meta"):
+            load_bundle(tmp_path / "run")
+
+
+@functools.lru_cache(maxsize=1)
+def _saved_tiny_bundle() -> tuple:
+    corpus = separable_corpus(3, seed=40)
+    bundle, _ = train_ensemble(TrainConfig(ensemble_size=2, epochs=1, seed=0, batch_size=8),
+                               tiny_topology(), synthetic_table(0, 6), corpus, corpus)
+    with tempfile.TemporaryDirectory() as scratch:
+        save_bundle(bundle, scratch)
+        return tuple((p.name, p.read_bytes()) for p in Path(scratch).iterdir())
+
+
+def saved_tiny_bundle() -> dict:
+    """The files of a saved two-member bundle of the tiny topology, by name."""
+    return dict(_saved_tiny_bundle())
+
+
+@st.composite
+def damaged_bundles(draw):
+    """The tiny bundle's files with one of them cut at an offset, or one bit flipped."""
+    files = saved_tiny_bundle()
+    name = draw(st.sampled_from(sorted(files)))
+    raw = files[name]
+    if draw(st.booleans()):
+        files[name] = raw[: draw(st.integers(0, len(raw) - 1))]
+    else:
+        bit = draw(st.integers(0, 8 * len(raw) - 1))
+        flipped = bytearray(raw)
+        flipped[bit // 8] ^= 1 << (bit % 8)
+        files[name] = bytes(flipped)
+    return files
+
+
+@settings(max_examples=200, deadline=None)
+@given(damaged_bundles())
+def test_damaged_bundle_raises_an_exit_3_error_or_loads_the_saved_members(files):
+    from hatenet.ensemble import _member_bytes, topology_hash
+
+    saved = saved_tiny_bundle()
+    with tempfile.TemporaryDirectory() as scratch:
+        for name, raw in files.items():
+            (Path(scratch) / name).write_bytes(raw)
+        try:
+            loaded = load_bundle(scratch)
+        except (HatenetError, OSError):  # what the CLI maps to exit 3
+            return
+    topo_hash = topology_hash(loaded.topology)
+    assert [_member_bytes(m, topo_hash) for m in loaded.members] == [
+        saved[f"member_{i}.ckpt"] for i in range(2)]
+
+
 class TestTune:
     def _bundle(self, topo, table):
         corpus = separable_corpus(4, seed=12)
@@ -510,7 +587,46 @@ def preprocess_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def encode_calls(monkeypatch):
+    """The number of posts in each hatenet.ensemble.embed (batch encoder) call."""
+    import hatenet.ensemble as ensemble_mod
+
+    sizes = []
+    original = ensemble_mod.embed
+
+    def counting(seqs, *args):
+        sizes.append(len(seqs))
+        return original(seqs, *args)
+
+    monkeypatch.setattr(ensemble_mod, "embed", counting)
+    return sizes
+
+
 class TestPreprocessOnce:
+    def test_ensemble_shares_one_encoding(self, topo, table, preprocess_calls,
+                                          encode_calls):
+        corpus = separable_corpus(4, seed=36)
+        valid = separable_corpus(2, seed=37)
+        cfg = TrainConfig(ensemble_size=3, epochs=2, seed=0, batch_size=4)
+        train_ensemble(cfg, topo, table, corpus, valid)
+        assert max(preprocess_calls.values()) == 1
+        assert len(preprocess_calls) == len(corpus.posts) + len(valid.posts)
+        assert encode_calls == [len(corpus.posts) + len(valid.posts)]
+
+    def test_evaluate(self, topo, table, preprocess_calls, encode_calls):
+        bundle, _ = train_ensemble(
+            TrainConfig(ensemble_size=2, epochs=1, seed=0, batch_size=8),
+            topo, table, separable_corpus(3, seed=38), separable_corpus(1, seed=39),
+        )
+        preprocess_calls.clear()
+        encode_calls.clear()
+        corpus = separable_corpus(9, seed=40)  # 27 posts: two chunks
+        evaluate(bundle, corpus, table)
+        assert max(preprocess_calls.values()) == 1
+        assert len(preprocess_calls) == len(corpus.posts)
+        assert encode_calls == [len(corpus.posts)]
+
     def test_supervised_member(self, topo, table, preprocess_calls):
         corpus = separable_corpus(4, seed=30)
         valid = separable_corpus(2, seed=31)
@@ -541,6 +657,17 @@ class TestPreprocessOnce:
                                          batch_size=4), table)
         assert max(preprocess_calls.values()) == 1
         assert len(preprocess_calls) <= len(target.posts)
+
+    def test_tune_encodes_the_target_once(self, topo, table, encode_calls):
+        corpus = separable_corpus(4, seed=41)
+        bundle, _ = train_ensemble(
+            TrainConfig(ensemble_size=2, epochs=1, seed=0, batch_size=8),
+            topo, table, corpus, corpus,
+        )
+        encode_calls.clear()
+        target = separable_corpus(3, seed=42)
+        tune(bundle, target, TrainConfig(seed=0, tune_epochs=3, batch_size=4), table)
+        assert encode_calls == [len(target.posts)]
 
 
 def test_nonfinite_validation_loss_names_epoch(topo):
