@@ -214,7 +214,7 @@ def _load_config_file(path: "str | None") -> dict:
         return {}
     try:
         cfg = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise InvalidConfig(f"{path} is not a JSON config file: {exc}") from None
     if not isinstance(cfg, dict):
         raise InvalidConfig(f"{path}: a config file holds one JSON object")
@@ -233,7 +233,10 @@ def _config_section(file_cfg: dict, name: str, cls) -> dict:
             raise InvalidConfig(f"unknown {name} config field {key!r}")
         default = defaults[key]
         if default is None:  # class_weights: set from --class-weights, never the file
-            continue
+            if value is None:
+                continue
+            raise InvalidConfig(f"config field {name}.{key} is {value!r}, but only "
+                                "weak-train's --class-weights sets the class weights")
         expected = (int, float) if isinstance(default, float) else type(default)
         if isinstance(value, bool) or not isinstance(value, expected):
             raise InvalidConfig(
@@ -243,18 +246,33 @@ def _config_section(file_cfg: dict, name: str, cls) -> dict:
     return dict(section)
 
 
-def _resolve_topology(args, file_cfg: dict) -> TopologyConfig:
+def _check_agrees(section: dict, name: str, used: dict, source: str) -> None:
+    """Raise InvalidConfig when the config file's `name` section sets a key
+    of `used` to another value than `source` gives the run."""
+    for key, value in section.items():
+        if key in used and value != used[key]:
+            raise InvalidConfig(
+                f"config field {name}.{key} is {value!r}, but {source} sets it to {used[key]!r}"
+            )
+
+
+def _resolve_topology(args, file_cfg: dict, table) -> TopologyConfig:
     merged = _config_section(file_cfg, "topology", TopologyConfig)
+    _check_agrees(merged, "topology", {"emb_dim": table.dim}, f"--embeddings {args.embeddings}")
     for flag, key in (("variant", "variant"), ("rnn", "rnn_kind"),
                       ("conv_axis", "conv_axis"), ("seq_len", "seq_len")):
         value = getattr(args, flag, None)
         if value is not None:
             merged[key] = value
-    return TopologyConfig(**{**TopologyConfig().__dict__, **merged})
+    topo = TopologyConfig(**{**TopologyConfig().__dict__, **merged, "emb_dim": table.dim})
+    topo.validate()
+    return topo
 
 
 def _resolve_train(args, file_cfg: dict, loss_mode: str) -> TrainConfig:
     merged = _config_section(file_cfg, "train", TrainConfig)
+    if args.command != "tune":  # tune trains the head with cross-entropy whatever the mode
+        _check_agrees(merged, "train", {"loss_mode": loss_mode}, f"the {args.command} subcommand")
     for flag, key in (("seed", "seed"), ("epochs", "epochs"),
                       ("ensemble_size", "ensemble_size"),
                       ("batch_size", "batch_size"), ("lr", "base_lr"),
@@ -340,10 +358,8 @@ def _mean_reports(reports: list[dict]) -> dict:
 
 def cmd_train(args) -> int:
     file_cfg = _load_config_file(args.config)
-    topo = _resolve_topology(args, file_cfg)
     table = _make_table(args)
-    topo.emb_dim = table.dim
-    topo.validate()
+    topo = _resolve_topology(args, file_cfg, table)
     cfg = _resolve_train(args, file_cfg, SUPERVISED)
     corpus = _load_labeled(args)
     spec = SplitSpec(seed=args.split_seed)
@@ -392,10 +408,8 @@ def cmd_train(args) -> int:
 
 def cmd_weak_train(args) -> int:
     file_cfg = _load_config_file(args.config)
-    topo = _resolve_topology(args, file_cfg)
     table = _make_table(args)
-    topo.emb_dim = table.dim
-    topo.validate()
+    topo = _resolve_topology(args, file_cfg, table)
     cfg = _resolve_train(args, file_cfg, WEAK)
     if not (args.lex_hate and args.lex_offensive and args.lex_positive):
         print("weak training needs --lex-hate, --lex-offensive and --lex-positive",
@@ -446,6 +460,8 @@ def cmd_tune(args) -> int:
     file_cfg = _load_config_file(args.config)
     cfg = _resolve_train(args, file_cfg, SUPERVISED)
     bundle = load_bundle(args.bundle)
+    _check_agrees(_config_section(file_cfg, "topology", TopologyConfig), "topology",
+                  bundle.topology.to_dict(), f"--bundle {args.bundle}")
     table = _make_table(args)
     target = load_labeled_lines(args.target)
     test = load_labeled_lines(args.test) if args.test else target

@@ -65,17 +65,13 @@ class LabeledCorpus:
         return buckets
 
 
+# train/valid/test shares of each class in split
+SPLIT_FRACTIONS = (0.8, 0.1, 0.1)
+
+
 @dataclass
 class SplitSpec:
-    fractions: tuple[float, float, float] = (0.8, 0.1, 0.1)
     seed: int = 0
-    stratified: bool = True
-
-    def validate(self) -> None:
-        if abs(sum(self.fractions) - 1.0) > 1e-9:
-            raise ValueError(f"split fractions must sum to 1, got {self.fractions}")
-        if any(f < 0 for f in self.fractions):
-            raise ValueError(f"split fractions must be non-negative: {self.fractions}")
 
 
 @contextmanager
@@ -218,13 +214,13 @@ def combine(corpora: list[LabeledCorpus]) -> LabeledCorpus:
     return LabeledCorpus(posts, provenance="+".join(tags), skipped=skipped)
 
 
-def _apportion(n: int, fractions: tuple[float, float, float]) -> list[int]:
-    """Split n into integer parts proportional to fractions (largest
+def _apportion(n: int) -> list[int]:
+    """Split n into integer parts proportional to SPLIT_FRACTIONS (largest
     remainder; ties resolved in declaration order)."""
-    ideal = [f * n for f in fractions]
+    ideal = [f * n for f in SPLIT_FRACTIONS]
     base = [int(np.floor(x)) for x in ideal]
     leftover = n - sum(base)
-    order = sorted(range(len(fractions)),
+    order = sorted(range(len(ideal)),
                    key=lambda i: (-(ideal[i] - base[i]), i))
     for i in order[:leftover]:
         base[i] += 1
@@ -234,29 +230,21 @@ def _apportion(n: int, fractions: tuple[float, float, float]) -> list[int]:
 def split(
     corpus: LabeledCorpus, spec: SplitSpec
 ) -> tuple[LabeledCorpus, LabeledCorpus, LabeledCorpus]:
-    """Deterministic, disjoint, exhaustive train/valid/test partition."""
-    spec.validate()
+    """Deterministic, disjoint, exhaustive train/valid/test partition,
+    stratified: each class is split 80/10/10 (SPLIT_FRACTIONS)."""
     rng = np.random.default_rng(spec.seed)
     parts: list[list[RawPost]] = [[], [], []]
-    if spec.stratified:
-        for bucket in corpus.by_class():
-            if len(bucket) < 3:
-                raise CorpusTooSmall(
-                    f"stratified split needs >= 3 posts per class; "
-                    f"got {len(bucket)} in one class"
-                )
-            order = rng.permutation(len(bucket))
-            sizes = _apportion(len(bucket), spec.fractions)
-            start = 0
-            for part, size in zip(parts, sizes):
-                part.extend(bucket[i] for i in order[start : start + size])
-                start += size
-    else:
-        order = rng.permutation(len(corpus.posts))
-        sizes = _apportion(len(corpus.posts), spec.fractions)
+    for bucket in corpus.by_class():
+        if len(bucket) < 3:
+            raise CorpusTooSmall(
+                f"stratified split needs >= 3 posts per class; "
+                f"got {len(bucket)} in one class"
+            )
+        order = rng.permutation(len(bucket))
+        sizes = _apportion(len(bucket))
         start = 0
         for part, size in zip(parts, sizes):
-            part.extend(corpus.posts[i] for i in order[start : start + size])
+            part.extend(bucket[i] for i in order[start : start + size])
             start += size
     tag = corpus.provenance
     return (

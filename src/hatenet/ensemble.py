@@ -19,6 +19,7 @@ import os
 import struct
 from collections.abc import Iterator
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -33,9 +34,9 @@ from .errors import (
     NumericError,
     PreprocessingMismatch,
 )
-from .layers import ParamGroup, cross_entropy
+from .layers import cross_entropy
 from .metrics import accumulate, report
-from .model import ModelParams, TopologyConfig, build, classify, features, forward
+from .model import ModelParams, TopologyConfig, build, classify, features, forward, layout
 from .optim import Adam
 from .text import RawPost, preprocess
 from .weaksup import (
@@ -357,14 +358,19 @@ def _prediction(member_probs: np.ndarray) -> Prediction:
     )
 
 
-def predict_all(bundle: EnsembleBundle, posts, table: EmbeddingTable) -> Iterator[Prediction]:
-    """Each post's Prediction, in order.  The posts are preprocessed and
-    encoded once, then scored in chunks of EVAL_CHUNK posts, one forward
-    call per member and chunk."""
+def _check_table(bundle: EnsembleBundle, table: EmbeddingTable) -> None:
+    """Raise PreprocessingMismatch unless the table fits the bundle's fingerprint."""
     if table.dim != bundle.fingerprint["dim"]:
         raise PreprocessingMismatch(
             f"table dim {table.dim} != bundle dim {bundle.fingerprint['dim']}"
         )
+
+
+def predict_all(bundle: EnsembleBundle, posts, table: EmbeddingTable) -> Iterator[Prediction]:
+    """Each post's Prediction, in order.  The posts are preprocessed and
+    encoded once, then scored in chunks of EVAL_CHUNK posts, one forward
+    call per member and chunk."""
+    _check_table(bundle, table)
     _, encoded = _encode(posts, table, bundle.topology)
     for chunk in _batches(np.arange(len(encoded)), EVAL_CHUNK):
         batch = encoded.take(chunk)
@@ -401,6 +407,7 @@ def tune(
     trains the head on the kept features.
     """
     cfg.validate()
+    _check_table(bundle, table)
     counts = target_train.class_counts
     if len(set(counts)) != 1:
         log.warning("tuning set is unbalanced: H/O/N counts %s", counts)
@@ -448,8 +455,10 @@ def tune(
 #   header   JSON: {"arrays": [{"name", "group", "trainable", "shape"}],
 #                   "topology_hash": sha256 of the canonical topology JSON}
 #            "trainable" is always true, kept so format 1 does not change;
-#            the reader ignores it
-#   payload  raw float64 little-endian C-order array bytes, header order
+#            the reader ignores it and requires the rest of "arrays" to be
+#            layout(topology) of the bundle's topology, in order
+#   payload  raw float64 little-endian C-order array bytes, header order,
+#            ending exactly at the digest
 #   32 bytes sha256 of everything above
 #
 # bundle.meta is JSON with the topology, preprocessing fingerprint,
@@ -461,33 +470,29 @@ def topology_hash(topo: TopologyConfig) -> str:
     return hashlib.sha256(canonical).hexdigest()
 
 
+def _header_arrays(entries) -> list[dict]:
+    """The header's "arrays" list of (group, name, shape) layout entries."""
+    return [{"group": group, "name": name, "shape": list(shape), "trainable": True}
+            for group, name, shape in entries]
+
+
 def _member_bytes(params: ModelParams, topo_hash: str = "") -> bytes:
-    arrays = []
-    blobs = []
-    for group in params.groups():
-        for name, tensor in group.params.items():
-            arrays.append({
-                "name": name,
-                "group": group.name,
-                "trainable": True,
-                "shape": list(tensor.data.shape),
-            })
-            blobs.append(np.ascontiguousarray(tensor.data, dtype="<f8").tobytes())
-    header = json.dumps(
-        {"arrays": arrays, "topology_hash": topo_hash}, sort_keys=True
-    ).encode("utf-8")
-    out = bytearray()
-    out += CKPT_MAGIC
-    out += struct.pack("<I", CKPT_VERSION)
-    out += struct.pack("<Q", len(header))
-    out += header
-    for blob in blobs:
-        out += blob
-    out += hashlib.sha256(bytes(out)).digest()
-    return bytes(out)
+    tensors = [(group.name, name, tensor.data)
+               for group in params.groups() for name, tensor in group.params.items()]
+    header = json.dumps({
+        "arrays": _header_arrays((group, name, data.shape) for group, name, data in tensors),
+        "topology_hash": topo_hash,
+    }, sort_keys=True).encode("utf-8")
+    body = b"".join([
+        CKPT_MAGIC, struct.pack("<IQ", CKPT_VERSION, len(header)), header,
+        *(np.ascontiguousarray(data, dtype="<f8").tobytes() for *_, data in tensors),
+    ])
+    return body + hashlib.sha256(body).digest()
 
 
-def _member_from_bytes(raw: bytes, path: str, expect_hash: str = "") -> ModelParams:
+def _member_from_bytes(raw: bytes, path: str, topology: TopologyConfig) -> ModelParams:
+    """The member in `raw`, whose header must list exactly layout(topology)
+    and whose payload must end at the digest."""
     if len(raw) < 48 or raw[:4] != CKPT_MAGIC:
         raise CheckpointIntegrityError(f"{path}: not a checkpoint file")
     version = struct.unpack("<I", raw[4:8])[0]
@@ -495,29 +500,28 @@ def _member_from_bytes(raw: bytes, path: str, expect_hash: str = "") -> ModelPar
         raise CheckpointVersionError(
             f"{path}: format version {version}, supported {CKPT_VERSION}"
         )
-    digest = raw[-32:]
-    if hashlib.sha256(raw[:-32]).digest() != digest:
+    if hashlib.sha256(raw[:-32]).digest() != raw[-32:]:
         raise CheckpointIntegrityError(f"{path}: checksum mismatch")
-    header_len = struct.unpack("<Q", raw[8:16])[0]
-    header = json.loads(raw[16 : 16 + header_len].decode("utf-8"))
-    if expect_hash and header.get("topology_hash") != expect_hash:
+    payload_start = 16 + struct.unpack("<Q", raw[8:16])[0]
+    entries = layout(topology)
+    try:
+        header = json.loads(raw[16:payload_start].decode("utf-8"))
+        arrays = [{**entry, "trainable": True} for entry in header["arrays"]]
+        fits = (header["topology_hash"] == topology_hash(topology)
+                and arrays == _header_arrays(entries))
+    except (ValueError, KeyError, TypeError, RecursionError) as exc:
         raise CheckpointIntegrityError(
-            f"{path}: member was written for a different topology"
-        )
-    offset = 16 + header_len
-    groups: dict[str, ParamGroup] = {}
-    for entry in header["arrays"]:
-        size = int(np.prod(entry["shape"])) if entry["shape"] else 1
-        blob = raw[offset : offset + 8 * size]
-        if len(blob) != 8 * size:
-            raise CheckpointIntegrityError(f"{path}: truncated payload")
-        offset += 8 * size
-        data = np.frombuffer(blob, dtype="<f8").reshape(entry["shape"]).copy()
-        group = groups.setdefault(entry["group"], ParamGroup(entry["group"], {}))
-        group.params[entry["name"]] = Tensor(data)
-    if set(groups) != {"feature", "classifier"}:
-        raise CheckpointIntegrityError(f"{path}: unexpected groups {sorted(groups)}")
-    return ModelParams(groups["feature"], groups["classifier"])
+            f"{path}: not a checkpoint header ({type(exc).__name__}: {exc})"
+        ) from None
+    if not fits:
+        raise CheckpointIntegrityError(f"{path}: member was written for a different topology")
+    sizes = [math.prod(shape) for *_, shape in entries]
+    if len(raw) - 32 - payload_start != 8 * sum(sizes):
+        raise CheckpointIntegrityError(f"{path}: payload of {len(raw) - 32 - payload_start} "
+                                       f"bytes, the topology has {8 * sum(sizes)}")
+    block = np.frombuffer(raw, dtype="<f8", count=sum(sizes), offset=payload_start)
+    return ModelParams.of(topology, [part.reshape(shape).copy() for part, (*_, shape)
+                                     in zip(np.split(block, np.cumsum(sizes)[:-1]), entries)])
 
 
 def _replace_with(path, data: bytes) -> None:
@@ -533,8 +537,6 @@ def _replace_with(path, data: bytes) -> None:
 def save_bundle(bundle: EnsembleBundle, dirpath) -> None:
     """Write each member, then bundle.meta with their digests, each file
     whole: a save cut short never leaves a mixed bundle that loads."""
-    from pathlib import Path
-
     out = Path(dirpath)
     out.mkdir(parents=True, exist_ok=True)
     topo_hash = topology_hash(bundle.topology)
@@ -562,8 +564,6 @@ def load_bundle(dirpath) -> EnsembleBundle:
     """The bundle in `dirpath`.  A bundle.meta that is not UTF-8 JSON of the
     documented shape, or a member whose digest differs from the one listed
     there, raises a CheckpointIntegrityError naming the file."""
-    from pathlib import Path
-
     src = Path(dirpath)
     meta_path = src / META_NAME
     if not meta_path.exists():
@@ -583,17 +583,16 @@ def load_bundle(dirpath) -> EnsembleBundle:
             raise TypeError("a member file name is not a string")
         if not isinstance(fingerprint["dim"], int):
             raise TypeError("the fingerprint dim is not an integer")
-    except (ValueError, KeyError, TypeError, AttributeError, InvalidConfig) as exc:
+    except (ValueError, KeyError, TypeError, AttributeError, RecursionError, InvalidConfig) as exc:
         raise CheckpointIntegrityError(
             f"{meta_path}: not a bundle meta file ({type(exc).__name__}: {exc})"
         ) from None
-    expect_hash = topology_hash(topology)
     members = []
     for name, digest in entries:
         raw = (src / name).read_bytes()
         if hashlib.sha256(raw).hexdigest() != digest:
             raise CheckpointIntegrityError(f"{name}: digest mismatch")
-        members.append(_member_from_bytes(raw, name, expect_hash))
+        members.append(_member_from_bytes(raw, name, topology))
     return EnsembleBundle(
         members=members,
         topology=topology,

@@ -4,6 +4,8 @@ layers as single autograd operations with hand-written backward passes."""
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .autograd import Tensor
@@ -29,13 +31,15 @@ class ParamGroup:
         return sum(v.data.size for v in self.params.values())
 
 
-def glorot_uniform(rng: np.random.Generator, shape, fan_in: int, fan_out: int) -> Tensor:
-    limit = np.sqrt(6.0 / (fan_in + fan_out))
-    return Tensor(rng.uniform(-limit, limit, size=shape))
-
-
-def zeros(shape) -> Tensor:
-    return Tensor(np.zeros(shape))
+def init_param(rng: np.random.Generator, shape) -> np.ndarray:
+    """The initial value of one parameter tensor: zeros for a 1-d bias;
+    Glorot-uniform for a weight (out, in, *taps), with fan_in = in * taps
+    and fan_out = out * taps."""
+    if len(shape) == 1:
+        return np.zeros(shape)
+    taps = math.prod(shape[2:])
+    limit = np.sqrt(6.0 / (shape[1] * taps + shape[0] * taps))
+    return rng.uniform(-limit, limit, size=shape)
 
 
 def fc_forward(x: Tensor, weight: Tensor, bias: Tensor, activation: "str | None") -> Tensor:
@@ -63,15 +67,16 @@ def fc_forward(x: Tensor, weight: Tensor, bias: Tensor, activation: "str | None"
     raise ValueError(f"unknown activation {activation!r}")
 
 
+def rnn_shapes(d_in: int, hidden: int, gates) -> list[tuple[str, tuple[int, ...]]]:
+    """(name, shape) of W_g (hidden, d_in), U_g (hidden, hidden) and b_g
+    (hidden,) for each gate g of GRU_GATES or LSTM_GATES, gate by gate."""
+    return [(f"{kind}_{gate}", shape) for gate in gates
+            for kind, shape in (("w", (hidden, d_in)), ("u", (hidden, hidden)), ("b", (hidden,)))]
+
+
 def init_rnn(rng: np.random.Generator, d_in: int, hidden: int, gates) -> dict[str, Tensor]:
-    """W_g (hidden, d_in), U_g (hidden, hidden) and a zero b_g for each gate
-    g of GRU_GATES or LSTM_GATES, drawn gate by gate in that order."""
-    p = {}
-    for gate in gates:
-        p[f"w_{gate}"] = glorot_uniform(rng, (hidden, d_in), d_in, hidden)
-        p[f"u_{gate}"] = glorot_uniform(rng, (hidden, hidden), hidden, hidden)
-        p[f"b_{gate}"] = zeros(hidden)
-    return p
+    """The recurrent layer's tensors (rnn_shapes), drawn in that order."""
+    return {name: Tensor(init_param(rng, shape)) for name, shape in rnn_shapes(d_in, hidden, gates)}
 
 
 def _sigmoid(a: np.ndarray, out: "np.ndarray | None" = None) -> np.ndarray:

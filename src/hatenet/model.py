@@ -26,11 +26,10 @@ from .layers import (
     LSTM_GATES,
     ParamGroup,
     fc_forward,
-    glorot_uniform,
     gru_forward,
-    init_rnn,
+    init_param,
     lstm_forward,
-    zeros,
+    rnn_shapes,
 )
 
 CNN_RNN_FC = "cnn_rnn_fc"
@@ -112,6 +111,14 @@ class ModelParams:
     def groups(self) -> list[ParamGroup]:
         return [self.feature, self.classifier]
 
+    @classmethod
+    def of(cls, config: TopologyConfig, arrays) -> "ModelParams":
+        """The member holding `arrays`, one per layout(config) entry, in order."""
+        groups: dict[str, dict[str, Tensor]] = {"feature": {}, "classifier": {}}
+        for (group, name, _), array in zip(layout(config), arrays):
+            groups[group][name] = Tensor(array)
+        return cls(*(ParamGroup(group, params) for group, params in groups.items()))
+
     def named_tensors(self) -> dict[str, Tensor]:
         out = {}
         for group in self.groups():
@@ -139,43 +146,26 @@ def param_count(config: TopologyConfig) -> int:
     return n
 
 
-def build(config: TopologyConfig, seed: int) -> ModelParams:
-    """Allocate and initialize parameters; same seed gives identical values."""
-    config.validate()
-    rng = np.random.default_rng(seed)
-    c_in = config.conv_channels()
-    feature = {
-        "conv_w": glorot_uniform(
-            rng,
-            (config.conv_filters, c_in, config.conv_width),
-            c_in * config.conv_width,
-            config.conv_filters * config.conv_width,
-        ),
-        "conv_b": zeros(config.conv_filters),
-    }
+def layout(config: TopologyConfig) -> list[tuple[str, str, tuple[int, ...]]]:
+    """(group, name, shape) of every parameter tensor of a member, in the
+    order build draws them and a checkpoint stores them."""
+    h, c = config.fc_hidden, config.n_classes
+    feature = [("conv_w", (config.conv_filters, config.conv_channels(), config.conv_width)),
+               ("conv_b", (config.conv_filters,))]
     if config.variant == CNN_RNN_FC:
         gates = GRU_GATES if config.rnn_kind == "gru" else LSTM_GATES
-        feature.update(init_rnn(rng, config.conv_filters, config.rnn_hidden, gates))
-    classifier = {
-        "fc1_w": glorot_uniform(
-            rng,
-            (config.fc_hidden, config.feature_dim()),
-            config.feature_dim(),
-            config.fc_hidden,
-        ),
-        "fc1_b": zeros(config.fc_hidden),
-        "fc2_w": glorot_uniform(
-            rng,
-            (config.n_classes, config.fc_hidden),
-            config.fc_hidden,
-            config.n_classes,
-        ),
-        "fc2_b": zeros(config.n_classes),
-    }
-    return ModelParams(
-        ParamGroup("feature", feature),
-        ParamGroup("classifier", classifier),
-    )
+        feature += rnn_shapes(config.conv_filters, config.rnn_hidden, gates)
+    classifier = [("fc1_w", (h, config.feature_dim())), ("fc1_b", (h,)),
+                  ("fc2_w", (c, h)), ("fc2_b", (c,))]
+    return [("feature", *e) for e in feature] + [("classifier", *e) for e in classifier]
+
+
+def build(config: TopologyConfig, seed: int) -> ModelParams:
+    """Allocate and initialize parameters (layers.init_param, in layout
+    order); same seed gives identical values."""
+    config.validate()
+    rng = np.random.default_rng(seed)
+    return ModelParams.of(config, [init_param(rng, shape) for *_, shape in layout(config)])
 
 
 def _conv_input(batch, config: TopologyConfig) -> IdBatch:

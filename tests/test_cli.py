@@ -440,6 +440,7 @@ def cli_subprocess(argv):
     '{"train": {"epochs": "2"}}',
     '{"topology": {"seq_len": "12"}}',
     "{not json",
+    pytest.param("[" * 100_000 + "]" * 100_000, id="nested too deep"),
 ])
 def test_config_file_faults_exit_3_without_traceback(tmp_path, content):
     config = tmp_path / "bad.json"
@@ -509,6 +510,46 @@ def test_non_utf8_input_exits_3_naming_the_file(tmp_path, capsys, property_input
     named = vectors if case == "vectors" else latin1
     assert f"{named} is not UTF-8 text" in err, err
     assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("command, field, value, source", [
+    ("weak-train", "train.class_weights", [1.0, 2.0, 3.0], "--class-weights"),
+    ("train", "train.class_weights", "imbalance", "--class-weights"),
+    ("train", "topology.emb_dim", 9, "--embeddings synthetic:0:8"),
+    ("weak-train", "topology.emb_dim", 9, "--embeddings synthetic:0:8"),
+    ("train", "train.loss_mode", "weak", "the train subcommand"),
+    ("weak-train", "train.loss_mode", "supervised", "the weak-train subcommand"),
+    ("tune", "topology.rnn_hidden", 7, "--bundle"),
+    ("tune", "topology.seq_len", 12, "--bundle"),
+])
+def test_config_values_the_command_overrides_exit_3(tmp_path, capsys, property_inputs,
+                                                    command, field, value, source):
+    section, key = field.split(".")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({section: {key: value}}))
+    out = tmp_path / "run"
+    assert run([*base_argv(command, property_inputs, str(out)),
+                "--config", str(config)]) == cli.EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert f"config field {field} is" in err and source in err, err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, config_of", [
+    ("train", "own run"), ("weak-train", "own run"), ("tune", "own run"),
+    ("tune", "the bundle's run"),
+])
+def test_a_runs_config_passes_back_as_config(tmp_path, property_inputs, command, config_of):
+    first = tmp_path / "first"
+    if config_of == "own run":
+        assert run(base_argv(command, property_inputs, str(first))) == cli.EXIT_OK
+    else:
+        first = Path(property_inputs["bundle"])
+    again = tmp_path / "again"
+    assert run([*base_argv(command, property_inputs, str(again)),
+                "--config", str(first / "config.json")]) == cli.EXIT_OK
+    assert (again / "bundle.meta").exists()
 
 
 # -- property: no argument vector exits 1 or raises ----------------------

@@ -182,12 +182,3 @@ class TestSplit:
         corpus = make_corpus((2, 5, 5))
         with pytest.raises(CorpusTooSmall):
             split(corpus, SplitSpec(seed=0))
-
-    def test_unstratified_allows_small_classes(self):
-        corpus = make_corpus((2, 5, 5))
-        parts = split(corpus, SplitSpec(seed=0, stratified=False))
-        assert sum(len(p) for p in parts) == 12
-
-    def test_fraction_validation(self):
-        with pytest.raises(ValueError):
-            split(make_corpus((5, 5, 5)), SplitSpec(fractions=(0.5, 0.2, 0.2)))

@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import json
 import logging
 import tempfile
@@ -436,6 +437,7 @@ class TestPredictAndBundle:
                                                                b'"members": ["x", ')),
         ("fingerprint without dim", lambda raw: raw.replace(b'"dim"', b'"dime"')),
         ("not UTF-8", lambda raw: raw + b"\xe9"),
+        ("nested too deep", lambda raw: b"[" * 100_000 + b"]" * 100_000),
     ])
     def test_damaged_meta_names_the_file(self, topo, table, tmp_path, name, damage):
         save_bundle(self._quick_bundle(topo, table), tmp_path / "run")
@@ -496,6 +498,150 @@ def test_damaged_bundle_raises_an_exit_3_error_or_loads_the_saved_members(files)
         saved[f"member_{i}.ckpt"] for i in range(2)]
 
 
+MEMBER_DIGESTS = {  # sha256 of _member_bytes(build(tiny topology, seed 0))
+    "gru": "29cd0d8f5a6cd6b5716c45615bbef1a521168c8032a89b2a04e39dd436e4cdf6",
+    "lstm": "8f1b3d49edf67b2f6db3595e2da61d84ce46c78686a52c5a8878b2baf6b451d7",
+    "cnn_fc": "7201005c428c1f184932402f9fb5507cceea765e01692e80d0d4fac4b5e93a5f",
+}
+
+
+@pytest.mark.parametrize("variant", sorted(MEMBER_DIGESTS))
+def test_member_bytes_are_pinned(variant):
+    from hatenet.ensemble import _member_bytes
+
+    topo = tiny_topology(**({"variant": "cnn_fc"} if variant == "cnn_fc"
+                            else {"rnn_kind": variant}))
+    raw = _member_bytes(build(topo, 0))
+    assert hashlib.sha256(raw).hexdigest() == MEMBER_DIGESTS[variant]
+
+
+def redigested(files: dict, name: str, edit) -> dict:
+    """`files` with member `name` rebuilt from edit(header bytes, payload
+    bytes), its length field, digest and bundle.meta entry made to match."""
+    raw = files[name]
+    end = 16 + int.from_bytes(raw[8:16], "little")
+    header, payload = edit(raw[16:end], raw[end:-32])
+    body = raw[:8] + len(header).to_bytes(8, "little") + header + payload
+    member = body + hashlib.sha256(body).digest()
+    meta = json.loads(files["bundle.meta"])
+    for entry in meta["members"]:
+        if entry["file"] == name:
+            entry["sha256"] = hashlib.sha256(member).hexdigest()
+    return {**files, name: member,
+            "bundle.meta": (json.dumps(meta, sort_keys=True, indent=2) + "\n").encode("utf-8")}
+
+
+def header_edit(change):
+    """An edit that applies change(header dict) to the parsed header."""
+    def edit(header, payload):
+        parsed = json.loads(header)
+        change(parsed)
+        return json.dumps(parsed, sort_keys=True).encode("utf-8"), payload
+    return edit
+
+
+def write_files(files: dict, directory) -> None:
+    for name, raw in files.items():
+        (Path(directory) / name).write_bytes(raw)
+
+
+DAMAGED_MEMBERS = {
+    "bad header JSON": lambda header, payload: (header[:-1], payload),
+    "header nested too deep": lambda header, payload: (b"[" * 100_000 + b"]" * 100_000,
+                                                       payload),
+    "no arrays key": header_edit(lambda h: h.pop("arrays")),
+    "renamed array": header_edit(lambda h: h["arrays"][1].update(name="conv_c")),
+    "transposed shape": header_edit(lambda h: h["arrays"][0]["shape"].reverse()),
+    "array in the other group": header_edit(lambda h: h["arrays"][-1].update(group="feature")),
+    "payload 8 bytes short": lambda header, payload: (header, payload[:-8]),
+    "payload 8 bytes long": lambda header, payload: (header, payload + payload[-8:]),
+}
+
+
+@pytest.mark.parametrize("damage", sorted(DAMAGED_MEMBERS))
+def test_damaged_member_with_fresh_digests_exits_3_naming_it(tmp_path, capsys, damage):
+    from hatenet import cli
+
+    files = redigested(saved_tiny_bundle(), "member_1.ckpt", DAMAGED_MEMBERS[damage])
+    write_files(files, tmp_path)
+    with pytest.raises(CheckpointIntegrityError, match="member_1.ckpt"):
+        load_bundle(tmp_path)
+    posts = tmp_path / "posts.txt"
+    posts.write_text("wolfsbane in the sun\n")
+    code = cli.main(["predict", "--bundle", str(tmp_path), "--input", str(posts),
+                     "--embeddings", "synthetic:0:6"])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_DATA
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "member_1.ckpt" in captured.err
+
+
+@st.composite
+def redigested_damage(draw):
+    """A header or payload edit of one member of the tiny bundle, with its
+    digests made to match: drop a header key, rename, reorder or re-group
+    arrays, change one shape dimension, toggle a trainable flag, or cut or
+    pad the payload by 1-16 bytes."""
+    files = saved_tiny_bundle()
+    name = draw(st.sampled_from(["member_0.ckpt", "member_1.ckpt"]))
+    raw = files[name]
+    arrays = json.loads(raw[16 : 16 + int.from_bytes(raw[8:16], "little")])["arrays"]
+    i = draw(st.integers(0, len(arrays) - 1))
+    kind = draw(st.sampled_from(["drop key", "drop entry key", "rename", "reorder", "regroup",
+                                 "shape", "trainable", "cut", "pad"]))
+    if kind in ("cut", "pad"):
+        n = draw(st.integers(1, 16))
+        pad = draw(st.binary(min_size=n, max_size=n))
+        return redigested(files, name, lambda header, payload: (
+            header, payload[:-n] if kind == "cut" else payload + pad))
+    value = draw({
+        "drop key": st.sampled_from(["arrays", "topology_hash"]),
+        "drop entry key": st.sampled_from(sorted(arrays[i])),
+        "rename": st.sampled_from(sorted({a["name"] for a in arrays} | {"conv_c"})),
+        "reorder": st.permutations(range(len(arrays))),
+        "regroup": st.sampled_from(["feature", "classifier", "head"]),
+        "shape": st.tuples(st.integers(0, len(arrays[i]["shape"]) - 1), st.integers(-2, 2)),
+        "trainable": st.just(None),
+    }[kind])
+
+    def change(header):
+        entry = header["arrays"][i]
+        if kind == "drop key":
+            del header[value]
+        elif kind == "drop entry key":
+            del entry[value]
+        elif kind == "rename":
+            entry["name"] = value
+        elif kind == "reorder":
+            header["arrays"] = [header["arrays"][j] for j in value]
+        elif kind == "regroup":
+            entry["group"] = value
+        elif kind == "shape":
+            entry["shape"][value[0]] += value[1]
+        else:
+            entry["trainable"] = not entry["trainable"]
+
+    return redigested(files, name, header_edit(change))
+
+
+@settings(max_examples=200, deadline=None)
+@given(redigested_damage())
+def test_redigested_damage_raises_an_exit_3_error_or_loads_the_saved_members(files):
+    from hatenet.ensemble import _member_bytes, topology_hash
+
+    saved = saved_tiny_bundle()
+    with tempfile.TemporaryDirectory() as scratch:
+        write_files(files, scratch)
+        try:
+            loaded = load_bundle(scratch)
+        except (HatenetError, OSError):  # what the CLI maps to exit 3
+            return
+    topo_hash = topology_hash(loaded.topology)
+    assert [_member_bytes(m, topo_hash) for m in loaded.members] == [
+        saved[f"member_{i}.ckpt"] for i in range(2)]
+
+
 class TestTune:
     def _bundle(self, topo, table):
         corpus = separable_corpus(4, seed=12)
@@ -514,6 +660,11 @@ class TestTune:
         for i, member in enumerate(tuned.members):
             for key, tensor in member.feature.params.items():
                 assert tensor.data.tobytes() == before[i][key]
+
+    def test_table_checked_against_the_fingerprint(self, topo, table):
+        with pytest.raises(PreprocessingMismatch, match="table dim 7 != bundle dim 6"):
+            tune(self._bundle(topo, table), separable_corpus(3, seed=13),
+                 TrainConfig(ensemble_size=2, seed=0), synthetic_table(0, 7))
 
     def test_classifier_changes(self, topo, table):
         bundle = self._bundle(topo, table)

@@ -15,6 +15,7 @@ from hatenet.model import (
     classify,
     features,
     forward,
+    layout,
     param_count,
 )
 from hatenet.weaksup import ClassBounds, ClassWeights, weak_loss
@@ -56,6 +57,24 @@ class TestBuild:
     def test_param_count_formula(self, variant, rnn_kind, conv_axis):
         cfg = TopologyConfig(variant=variant, rnn_kind=rnn_kind, conv_axis=conv_axis)
         assert build(cfg, 0).n_params() == param_count(cfg)
+
+    @pytest.mark.parametrize("variant,rnn_kind,conv_axis", [
+        (CNN_RNN_FC, "gru", "sequence"),
+        (CNN_RNN_FC, "lstm", "sequence"),
+        (CNN_RNN_FC, "gru", "embedding"),
+        (CNN_RNN_FC, "lstm", "embedding"),
+        (CNN_FC, "gru", "sequence"),
+        (CNN_FC, "gru", "embedding"),
+    ])
+    def test_layout_sums_to_param_count_and_is_what_build_draws(self, variant, rnn_kind,
+                                                                conv_axis):
+        for cfg in (TopologyConfig(variant=variant, rnn_kind=rnn_kind, conv_axis=conv_axis),
+                    tiny_topology(variant=variant, rnn_kind=rnn_kind, conv_axis=conv_axis)):
+            entries = layout(cfg)
+            assert sum(int(np.prod(shape)) for *_, shape in entries) == param_count(cfg)
+            params = build(cfg, 0)
+            assert [(group.name, name, tensor.data.shape) for group in params.groups()
+                    for name, tensor in group.params.items()] == entries
 
     def test_default_counts(self):
         assert param_count(TopologyConfig()) == 205735
