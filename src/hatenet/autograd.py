@@ -135,9 +135,23 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
 
 
 def _tap_major(filters: np.ndarray) -> np.ndarray:
-    """(C_out, C_in, W) filters as (C_in, W*C_out): column block w is tap w."""
+    """(C_out, C_in, W) filters as (C_in, W*C_out): column block w is tap w.
+    A copy unless the filters are a view of a C-contiguous (C_in, W, C_out)
+    array, the layout build gives them."""
     c_out, c_in, width = filters.shape
     return filters.transpose(1, 2, 0).reshape(c_in, width * c_out)
+
+
+def _tap_products(rows: np.ndarray, filters: np.ndarray):
+    """Each tap's (V + 1, C_out) products of the V rows, from one GEMM
+    against the tap-major filters; the last row is zero."""
+    c_out, _, width = filters.shape
+    product = np.empty((len(rows) + 1, width * c_out))
+    np.matmul(rows, _tap_major(filters), out=product[:-1])
+    product[-1] = 0.0
+    product = product.reshape(-1, width, c_out)
+    for w in range(width):
+        yield product[:, w]
 
 
 class IdBatch:
@@ -182,6 +196,34 @@ def dense_ids(x: np.ndarray) -> IdBatch:
     return IdBatch(ids, steps[live])
 
 
+def conv_ids(x: IdBatch, bias: np.ndarray, pad: int, width: int, products) -> np.ndarray:
+    """The (B, T_out, N) outputs of a stride-1 cross-correlation of width
+    `width` with symmetric zero padding over the (B, T) ids of `x`.
+
+    An output step is `bias` plus, tap by tap, the product row of the input
+    step that tap reads.  `products` yields, tap by tap, the (V + 1, N)
+    products of x's V rows, the last row (read by id -1) zero; it is not
+    advanced when no step is live, and each yield is read before the next.
+    Output steps that no live step reaches keep the bias alone.
+    """
+    ids = x.ids
+    n, t = ids.shape
+    t_out = t + 2 * pad - width + 1
+    y = np.empty((n, t_out, len(bias)))
+    y[:] = bias
+    padded = np.full((n, t + 2 * pad), -1, dtype=np.intp)
+    padded[:, pad : pad + t] = ids
+    live_cols = np.flatnonzero((ids >= 0).any(axis=0)) + pad
+    if live_cols.size:
+        # output step j reads padded column j + w through tap w; steps j0:j1
+        # are those a live column reaches
+        j0, j1 = max(live_cols[0] - width + 1, 0), min(live_cols[-1] + 1, t_out)
+        span = y[:, j0:j1]
+        for w, product in enumerate(products):
+            span += product[padded[:, j0 + w : j1 + w]]
+    return y
+
+
 # distinct ids per product in conv1d's backward, which bounds its transients
 CONV_BLOCK_ROWS = 256
 
@@ -195,9 +237,7 @@ def conv1d(x: IdBatch, filters: Tensor, bias: Tensor, pad: int) -> Tensor:
     The input is a constant: it gets no graph node and no gradient.
 
     Each distinct row is multiplied once by the tap-major filters
-    (C_in, W*C_out); an output step is its bias plus, tap by tap, the
-    product row of the input step that tap reads (a -1 step reads a zero
-    row).  Output steps that no live step reaches keep the bias alone.
+    (C_in, W*C_out), and conv_ids adds up the taps.
     """
     if not isinstance(x, IdBatch) or filters.data.ndim != 3:
         raise ShapeMismatch("conv1d expects an IdBatch and (C_out, C_in, W) filters")
@@ -213,23 +253,7 @@ def conv1d(x: IdBatch, filters: Tensor, bias: Tensor, pad: int) -> Tensor:
             f"{ids.shape} into rows {rows.shape}, and bias (C_out,), 0 <= pad < W, "
             f"T_out >= 1: filters {filters.data.shape}, bias {bias.data.shape}, pad {pad}"
         )
-    y = np.empty((n, t_out, c_out))
-    y[:] = bias.data
-    padded = np.full((n, t + 2 * pad), -1, dtype=np.intp)
-    padded[:, pad : pad + t] = ids
-    live_cols = np.flatnonzero((ids >= 0).any(axis=0)) + pad
-    if live_cols.size:
-        # output step j reads padded column j + w through tap w; steps j0:j1
-        # are those a live column reaches
-        j0, j1 = max(live_cols[0] - width + 1, 0), min(live_cols[-1] + 1, t_out)
-        # product[v, w] is row v times tap w; row V, read by id -1, is zero
-        product = np.empty((len(rows) + 1, width * c_out))
-        np.matmul(rows, _tap_major(filters.data), out=product[:-1])
-        product[-1] = 0.0
-        product = product.reshape(-1, width, c_out)
-        span = y[:, j0:j1]
-        for w in range(width):
-            span += product[padded[:, j0 + w : j1 + w], w]
+    y = conv_ids(x, bias.data, pad, width, _tap_products(rows, filters.data))
 
     def bwd(g):
         g = g.swapaxes(1, 2)

@@ -462,16 +462,22 @@ def cmd_tune(args) -> int:
     bundle = load_bundle(args.bundle)
     _check_agrees(_config_section(file_cfg, "topology", TopologyConfig), "topology",
                   bundle.topology.to_dict(), f"--bundle {args.bundle}")
+    # training fields that tune does not use: the bundle's run set them
+    trained = {key: bundle.provenance[key] for key in ("ensemble_size", "epochs", "loss_mode")
+               if key in bundle.provenance}
+    _check_agrees(_config_section(file_cfg, "train", TrainConfig), "train", trained,
+                  f"--bundle {args.bundle}")
     table = _make_table(args)
     target = load_labeled_lines(args.target)
     test = load_labeled_lines(args.test) if args.test else target
     out = Path(args.out)
+    unused = ("class_weights", "base_lr", "ensemble_size", "epochs", "loss_mode")
     _write_json(out, "config", {
         "command": "tune",
         "bundle": args.bundle,
         "target": args.target,
         "test": args.test,
-        "train": {k: v for k, v in asdict(cfg).items() if k != "class_weights"},
+        "train": {**{k: v for k, v in asdict(cfg).items() if k not in unused}, **trained},
         "embeddings": table.name,
     })
     before = evaluate(bundle, test, table)

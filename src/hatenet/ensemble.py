@@ -36,7 +36,18 @@ from .errors import (
 )
 from .layers import cross_entropy
 from .metrics import accumulate, report
-from .model import ModelParams, TopologyConfig, build, classify, features, forward, layout
+from .model import (
+    ModelParams,
+    TopologyConfig,
+    build,
+    classify,
+    forward,
+    layout,
+    stack,
+    stacked_forward,
+    stacked_members,
+    with_heads,
+)
 from .optim import Adam
 from .text import RawPost, preprocess
 from .weaksup import (
@@ -108,12 +119,31 @@ class TrainTrace:
     snapshots: "list[ModelParams] | None" = None
 
 
-@dataclass
 class EnsembleBundle:
-    members: list[ModelParams]
-    topology: TopologyConfig
-    fingerprint: dict
-    provenance: dict = field(default_factory=dict)
+    """K members whose parameters the bundle holds once, stacked
+    (model.stack): `stacked` maps each layer to one read-only array with a
+    member axis, and each of `members` is a ModelParams of views of its
+    rows.  Built from members, the bundle copies their arrays."""
+
+    def __init__(self, members: list[ModelParams], topology: TopologyConfig,
+                 fingerprint: dict, provenance: "dict | None" = None):
+        arrays = ([t.data for t in member.named_tensors().values()] for member in members)
+        self._hold(stack(topology, len(members), arrays), topology, fingerprint, provenance)
+
+    @classmethod
+    def of_stack(cls, stacked: dict, topology: TopologyConfig, fingerprint: dict,
+                 provenance: "dict | None" = None) -> "EnsembleBundle":
+        """The bundle holding `stacked`, read-only arrays of model.stack."""
+        bundle = cls.__new__(cls)
+        bundle._hold(stacked, topology, fingerprint, provenance)
+        return bundle
+
+    def _hold(self, stacked, topology, fingerprint, provenance) -> None:
+        self.stacked = stacked
+        self.members = stacked_members(topology, stacked)
+        self.topology = topology
+        self.fingerprint = fingerprint
+        self.provenance = {} if provenance is None else provenance
 
     def size(self) -> int:
         return len(self.members)
@@ -368,14 +398,12 @@ def _check_table(bundle: EnsembleBundle, table: EmbeddingTable) -> None:
 
 def predict_all(bundle: EnsembleBundle, posts, table: EmbeddingTable) -> Iterator[Prediction]:
     """Each post's Prediction, in order.  The posts are preprocessed and
-    encoded once, then scored in chunks of EVAL_CHUNK posts, one forward
-    call per member and chunk."""
+    encoded once, then scored in chunks of EVAL_CHUNK posts, one
+    stacked_forward pass of all members per chunk."""
     _check_table(bundle, table)
     _, encoded = _encode(posts, table, bundle.topology)
     for chunk in _batches(np.arange(len(encoded)), EVAL_CHUNK):
-        batch = encoded.take(chunk)
-        probs = np.stack([forward(member, bundle.topology, batch).data
-                          for member in bundle.members])
+        _, probs = stacked_forward(bundle.topology, bundle.stacked, encoded.take(chunk))
         yield from (_prediction(probs[:, i]) for i in range(len(chunk)))
 
 
@@ -401,10 +429,11 @@ def tune(
 ) -> EnsembleBundle:
     """Freeze the feature extractor, retrain the dense head on the target.
 
-    Runs tune_epochs of balanced epochs at tune_lr; feature tensors are
-    untouched byte for byte.  The target is encoded once; each member runs
-    its extractor once per distinct post, on the post's first draw, and
-    trains the head on the kept features.
+    Runs tune_epochs of balanced epochs at tune_lr.  The target is encoded
+    once and one stacked_forward pass per EVAL_CHUNK posts gives every
+    member's frozen features of every target post; each member then trains
+    a copy of its head on its (N, F) slice.  The tuned bundle shares the
+    source's feature arrays, so they are untouched byte for byte.
     """
     cfg.validate()
     _check_table(bundle, table)
@@ -416,31 +445,27 @@ def tune(
     topo = bundle.topology
     _, encoded = _encode(target_train.posts, table, topo)
     labels = np.array([post.label for post in target_train.posts])
-    tuned_members = []
+    frozen = np.concatenate([  # (K, N, F)
+        stacked_forward(topo, bundle.stacked, encoded.take(chunk))[0]
+        for chunk in _batches(np.arange(len(encoded)), EVAL_CHUNK)
+    ], axis=1)
+    heads = []
     for index, member in enumerate(bundle.members):
-        params = member.copy()
+        params = ModelParams(member.feature, member.classifier.copy())
         rng = np.random.default_rng([cfg.seed + index, 2])
         optimizer = Adam(lr=cfg.tune_lr)
-        # row i: the frozen extractor's features of post i, once done[i]
-        frozen = np.empty((len(encoded), topo.feature_dim()))
-        done = np.zeros(len(encoded), dtype=bool)
         for epoch in range(1, cfg.tune_epochs + 1):
             for batch in _batches(_balanced_positions(labels, rng), cfg.batch_size):
-                fresh = batch[~done[batch]]
-                new = fresh[np.sort(np.unique(fresh, return_index=True)[1])]  # first draws
-                for chunk in _batches(new, EVAL_CHUNK):
-                    frozen[chunk] = features(params, topo, encoded.take(chunk)).data
-                done[new] = True
-                probs = classify(params, topo, Tensor(frozen[batch]), train=True, rng=rng)
+                probs = classify(params, topo, Tensor(frozen[index, batch]), train=True, rng=rng)
                 _step(params, cross_entropy(probs, labels[batch]), optimizer, epoch)
-        tuned_members.append(params)
+        heads.append(params.classifier)
     provenance = dict(bundle.provenance)
     provenance["tuned_on"] = target_train.provenance
     provenance["tune_epochs"] = cfg.tune_epochs
     provenance["tune_lr"] = cfg.tune_lr
-    return EnsembleBundle(
-        members=tuned_members,
-        topology=bundle.topology,
+    return EnsembleBundle.of_stack(
+        with_heads(topo, bundle.stacked, heads),
+        topology=topo,
         fingerprint=dict(bundle.fingerprint),
         provenance=provenance,
     )
@@ -490,9 +515,10 @@ def _member_bytes(params: ModelParams, topo_hash: str = "") -> bytes:
     return body + hashlib.sha256(body).digest()
 
 
-def _member_from_bytes(raw: bytes, path: str, topology: TopologyConfig) -> ModelParams:
-    """The member in `raw`, whose header must list exactly layout(topology)
-    and whose payload must end at the digest."""
+def _member_arrays(raw: bytes, path: str, topology: TopologyConfig) -> list[np.ndarray]:
+    """The arrays of the member in `raw`, in layout order, as views of
+    `raw`; its header must list exactly layout(topology) and its payload
+    must end at the digest."""
     if len(raw) < 48 or raw[:4] != CKPT_MAGIC:
         raise CheckpointIntegrityError(f"{path}: not a checkpoint file")
     version = struct.unpack("<I", raw[4:8])[0]
@@ -520,8 +546,8 @@ def _member_from_bytes(raw: bytes, path: str, topology: TopologyConfig) -> Model
         raise CheckpointIntegrityError(f"{path}: payload of {len(raw) - 32 - payload_start} "
                                        f"bytes, the topology has {8 * sum(sizes)}")
     block = np.frombuffer(raw, dtype="<f8", count=sum(sizes), offset=payload_start)
-    return ModelParams.of(topology, [part.reshape(shape).copy() for part, (*_, shape)
-                                     in zip(np.split(block, np.cumsum(sizes)[:-1]), entries)])
+    return [part.reshape(shape) for part, (*_, shape)
+            in zip(np.split(block, np.cumsum(sizes)[:-1]), entries)]
 
 
 def _replace_with(path, data: bytes) -> None:
@@ -579,6 +605,8 @@ def load_bundle(dirpath) -> EnsembleBundle:
         topology = TopologyConfig.from_dict(meta["topology"])
         entries = [(entry["file"], entry["sha256"]) for entry in meta["members"]]
         fingerprint = meta["fingerprint"]
+        if not entries:
+            raise ValueError("the bundle lists no member")
         if not all(isinstance(name, str) for name, _ in entries):
             raise TypeError("a member file name is not a string")
         if not isinstance(fingerprint["dim"], int):
@@ -587,14 +615,16 @@ def load_bundle(dirpath) -> EnsembleBundle:
         raise CheckpointIntegrityError(
             f"{meta_path}: not a bundle meta file ({type(exc).__name__}: {exc})"
         ) from None
-    members = []
-    for name, digest in entries:
-        raw = (src / name).read_bytes()
-        if hashlib.sha256(raw).hexdigest() != digest:
-            raise CheckpointIntegrityError(f"{name}: digest mismatch")
-        members.append(_member_from_bytes(raw, name, topology))
-    return EnsembleBundle(
-        members=members,
+
+    def member_arrays():
+        for name, digest in entries:
+            raw = (src / name).read_bytes()
+            if hashlib.sha256(raw).hexdigest() != digest:
+                raise CheckpointIntegrityError(f"{name}: digest mismatch")
+            yield _member_arrays(raw, name, topology)
+
+    return EnsembleBundle.of_stack(
+        stack(topology, len(entries), member_arrays()),  # each file read into the stack
         topology=topology,
         fingerprint=fingerprint,
         provenance=meta.get("provenance", {}),

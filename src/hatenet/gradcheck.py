@@ -56,19 +56,19 @@ def compare(loss_fn, tensors: dict[str, Tensor], h: float = DEFAULT_STEP) -> dic
     analytic = {name: t.grad.copy() for name, t in tensors.items()}
     errors = {}
     for name, tensor in tensors.items():
-        flat = tensor.data.reshape(-1)
-        numeric = np.zeros_like(flat)
-        for i in range(flat.size):
-            saved = flat[i]
-            flat[i] = saved + h
+        data = tensor.data  # perturbed in place, whatever its memory layout
+        numeric = np.zeros(data.shape)
+        for i in np.ndindex(data.shape):
+            saved = data[i]
+            data[i] = saved + h
             up = loss_fn().data.item()
-            flat[i] = saved - h
+            data[i] = saved - h
             down = loss_fn().data.item()
-            flat[i] = saved
+            data[i] = saved
             numeric[i] = (up - down) / (2.0 * h)
         if not np.all(np.isfinite(numeric)):
             raise NonFiniteValue(f"non-finite finite-difference value in {name}")
-        errors[name] = _rel_error(analytic[name].reshape(-1), numeric)
+        errors[name] = _rel_error(analytic[name], numeric)
     return errors
 
 

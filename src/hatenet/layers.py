@@ -17,14 +17,15 @@ LSTM_GATES = ("i", "f", "o", "g")
 
 
 class ParamGroup:
-    """Named parameter tensors, saved and copied together."""
+    """Named parameter tensors, saved and copied together; a copy keeps
+    each array's memory layout."""
 
     def __init__(self, name: str, params: dict[str, Tensor]):
         self.name = name
         self.params = params
 
     def copy(self) -> "ParamGroup":
-        cloned = {k: Tensor(v.data.copy()) for k, v in self.params.items()}
+        cloned = {k: Tensor(v.data.copy(order="K")) for k, v in self.params.items()}
         return ParamGroup(self.name, cloned)
 
     def n_params(self) -> int:
@@ -79,7 +80,7 @@ def init_rnn(rng: np.random.Generator, d_in: int, hidden: int, gates) -> dict[st
     return {name: Tensor(init_param(rng, shape)) for name, shape in rnn_shapes(d_in, hidden, gates)}
 
 
-def _sigmoid(a: np.ndarray, out: "np.ndarray | None" = None) -> np.ndarray:
+def sigmoid(a: np.ndarray, out: "np.ndarray | None" = None) -> np.ndarray:
     """1 / (1 + exp(-a)), written into `out` when given."""
     out = np.negative(a, out=out)
     np.exp(out, out=out)
@@ -153,7 +154,7 @@ def gru_forward(inputs: Tensor, p: dict[str, Tensor]) -> Tensor:
     xp_zr, xp_h = xp[..., : 2 * hidden], xp[..., 2 * hidden :]
     z_steps, r_steps = zr[..., :hidden], zr[..., hidden:]
     for t in range(t_steps):
-        _sigmoid(xp_zr[t] + h[t] @ u_zr.T, out=zr[t])
+        sigmoid(xp_zr[t] + h[t] @ u_zr.T, out=zr[t])
         np.multiply(r_steps[t], h[t], out=rh[t])
         np.tanh(xp_h[t] + rh[t] @ u_h.T, out=g[t])
         z = z_steps[t]
@@ -211,7 +212,7 @@ def lstm_forward(inputs: Tensor, p: dict[str, Tensor]) -> Tensor:
     sig_steps, tanh_steps = act[..., : 3 * hidden], act[..., 3 * hidden :]
     for t in range(t_steps):
         a = xp[t] + h[t] @ u.T
-        _sigmoid(a[:, : 3 * hidden], out=sig_steps[t])
+        sigmoid(a[:, : 3 * hidden], out=sig_steps[t])
         np.tanh(a[:, 3 * hidden :], out=tanh_steps[t])
         i, f, o, g = act[t].reshape(n, 4, hidden).swapaxes(0, 1)
         c[t + 1] = f * c[t] + i * g

@@ -7,6 +7,10 @@ pooled feature map straight into the two dense layers.  Every layer runs
 once over a batch of posts (token ids or post matrices, see ``forward``);
 one post is a batch of 1.
 
+``forward`` is one member's autograd pass, for training and gradient
+checks.  An ensemble stores its K members stacked (``stack``), and
+``stacked_forward`` scores them all in one eval-mode pass without a graph.
+
 ``conv_axis`` selects which input axis the convolution slides along:
 "sequence" treats the embedding coordinates as channels (pooled length
 seq_len // pool_rate), "embedding" slides along the embedding axis
@@ -19,7 +23,16 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .autograd import IdBatch, Tensor, conv1d, dense_ids, dropout, global_maxpool, maxpool1d
+from .autograd import (
+    IdBatch,
+    Tensor,
+    conv1d,
+    conv_ids,
+    dense_ids,
+    dropout,
+    global_maxpool,
+    maxpool1d,
+)
 from .errors import InvalidConfig, ShapeMismatch
 from .layers import (
     GRU_GATES,
@@ -30,6 +43,7 @@ from .layers import (
     init_param,
     lstm_forward,
     rnn_shapes,
+    sigmoid,
 )
 
 CNN_RNN_FC = "cnn_rnn_fc"
@@ -146,6 +160,10 @@ def param_count(config: TopologyConfig) -> int:
     return n
 
 
+def _gates(config: TopologyConfig) -> tuple[str, ...]:
+    return GRU_GATES if config.rnn_kind == "gru" else LSTM_GATES
+
+
 def layout(config: TopologyConfig) -> list[tuple[str, str, tuple[int, ...]]]:
     """(group, name, shape) of every parameter tensor of a member, in the
     order build draws them and a checkpoint stores them."""
@@ -153,8 +171,7 @@ def layout(config: TopologyConfig) -> list[tuple[str, str, tuple[int, ...]]]:
     feature = [("conv_w", (config.conv_filters, config.conv_channels(), config.conv_width)),
                ("conv_b", (config.conv_filters,))]
     if config.variant == CNN_RNN_FC:
-        gates = GRU_GATES if config.rnn_kind == "gru" else LSTM_GATES
-        feature += rnn_shapes(config.conv_filters, config.rnn_hidden, gates)
+        feature += rnn_shapes(config.conv_filters, config.rnn_hidden, _gates(config))
     classifier = [("fc1_w", (h, config.feature_dim())), ("fc1_b", (h,)),
                   ("fc2_w", (c, h)), ("fc2_b", (c,))]
     return [("feature", *e) for e in feature] + [("classifier", *e) for e in classifier]
@@ -165,7 +182,11 @@ def build(config: TopologyConfig, seed: int) -> ModelParams:
     order); same seed gives identical values."""
     config.validate()
     rng = np.random.default_rng(seed)
-    return ModelParams.of(config, [init_param(rng, shape) for *_, shape in layout(config)])
+    arrays = {name: init_param(rng, shape) for _, name, shape in layout(config)}
+    # conv_w as a view of a C-contiguous (C_in, W, C_out) array: conv1d's
+    # tap-major (C_in, W*C_out) filter matrix is then a reshape, not a copy
+    arrays["conv_w"] = np.ascontiguousarray(arrays["conv_w"].transpose(1, 2, 0)).transpose(2, 0, 1)
+    return ModelParams.of(config, arrays.values())
 
 
 def _conv_input(batch, config: TopologyConfig) -> IdBatch:
@@ -235,3 +256,155 @@ def forward(
     probs = classify(params, config, features(params, config, batch), train, rng)
     one_post = not isinstance(batch, IdBatch) and np.ndim(getattr(batch, "values", batch)) == 2
     return probs.reshape(config.n_classes) if one_post else probs
+
+
+# -- K members stacked ---------------------------------------------------
+#
+# An ensemble's K members live in one array per layer with a member axis,
+# laid out the way stacked_forward reads them; member k's tensors are views
+# of its rows (member_views).
+
+
+def stacked_shapes(config: TopologyConfig, k: int) -> dict[str, tuple[int, ...]]:
+    """Shape of each stacked array of k members: the conv filters
+    tap-major, (C_in, W, k*C_out), so that a block of taps is one
+    (C_in, taps*k*C_out) matrix; the RNN's W, Uᵀ and b gate-major,
+    (k, G*H, D), (k, H, G*H) and (k, G*H); every other tensor (k, *shape)."""
+    c = config.conv_filters
+    shapes = {"taps": (config.conv_channels(), config.conv_width, k * c), "conv_b": (k, c)}
+    if config.variant == CNN_RNN_FC:
+        gh, h = len(_gates(config)) * config.rnn_hidden, config.rnn_hidden
+        shapes.update(rnn_w=(k, gh, c), rnn_u_t=(k, h, gh), rnn_b=(k, gh))
+    for group, name, shape in layout(config):
+        if group == "classifier":
+            shapes[name] = (k, *shape)
+    return shapes
+
+
+def member_views(config: TopologyConfig, stacked: dict, k: int) -> list[np.ndarray]:
+    """Member k's arrays, in layout order, as views of `stacked`."""
+    c = config.conv_filters
+    views = {"conv_w": stacked["taps"][:, :, k * c : (k + 1) * c].transpose(2, 0, 1),
+             "conv_b": stacked["conv_b"][k]}
+    if config.variant == CNN_RNN_FC:
+        h = config.rnn_hidden
+        for i, gate in enumerate(_gates(config)):
+            rows = slice(i * h, (i + 1) * h)
+            views[f"w_{gate}"] = stacked["rnn_w"][k, rows]
+            views[f"u_{gate}"] = stacked["rnn_u_t"][k, :, rows].T
+            views[f"b_{gate}"] = stacked["rnn_b"][k, rows]
+    return [views[name] if name in views else stacked[name][k] for _, name, _ in layout(config)]
+
+
+def stack(config: TopologyConfig, k: int, members) -> dict[str, np.ndarray]:
+    """The read-only stacked arrays (stacked_shapes) of k members, each
+    given as its arrays in layout order."""
+    stacked = {name: np.empty(shape) for name, shape in stacked_shapes(config, k).items()}
+    for index, arrays in enumerate(members):
+        for (_, name, shape), view, array in zip(layout(config),
+                                                 member_views(config, stacked, index), arrays):
+            if np.shape(array) != shape:
+                raise ShapeMismatch(f"member {index}: {name} is {np.shape(array)}, "
+                                    f"the topology has {shape}")
+            view[...] = array
+    for array in stacked.values():
+        array.flags.writeable = False
+    return stacked
+
+
+def stacked_members(config: TopologyConfig, stacked: dict) -> list[ModelParams]:
+    """The stacked members, each holding read-only views of its rows."""
+    return [ModelParams.of(config, member_views(config, stacked, k))
+            for k in range(len(stacked["conv_b"]))]
+
+
+def with_heads(config: TopologyConfig, stacked: dict, heads: list[ParamGroup]) -> dict:
+    """`stacked` with its classifier arrays those of the K classifier groups
+    `heads`, stacked read-only; the feature arrays are shared, not copied."""
+    out = dict(stacked)
+    for group, name, _ in layout(config):
+        if group == "classifier":
+            out[name] = np.stack([head.params[name].data for head in heads])
+            out[name].flags.writeable = False
+    return out
+
+
+# values per product buffer of the stacked conv, which bounds its transients
+STACKED_PRODUCT_VALUES = 1 << 17
+
+
+def _stacked_products(rows: np.ndarray, taps: np.ndarray):
+    """conv_ids products of the rows against all members' filters, each
+    GEMM covering as many taps as fit STACKED_PRODUCT_VALUES (at least one)."""
+    c_in, width, n = taps.shape
+    group = min(width, max(1, STACKED_PRODUCT_VALUES // ((len(rows) + 1) * n)))
+    product = np.empty((len(rows) + 1, group * n))
+    product[-1] = 0.0
+    for w0 in range(0, width, group):
+        block = taps[:, w0 : w0 + group].reshape(c_in, -1)
+        np.matmul(rows, block, out=product[:-1, : block.shape[1]])
+        for j in range(block.shape[1] // n):
+            yield product[:, j * n : (j + 1) * n]
+
+
+def _stacked_rnn(config: TopologyConfig, stacked: dict, x: np.ndarray) -> np.ndarray:
+    """Max over time of every member's RNN states, (K, B, H), from its
+    (K, T, B, D) inputs.  A step multiplies all (K, B, H) states by Uᵀ in
+    one batched matmul (the GRU's reset gate takes a second for U_h)."""
+    k, t_steps, n, d = x.shape
+    w, u_t = stacked["rnn_w"], stacked["rnn_u_t"]
+    hidden = u_t.shape[1]
+    xp = np.matmul(x.reshape(k, -1, d), w.swapaxes(1, 2))
+    xp += stacked["rnn_b"][:, None]
+    xp = xp.reshape(k, t_steps, n, -1)
+    h = np.zeros((k, n, hidden))
+    c = np.zeros((k, n, hidden))
+    best = np.full((k, n, hidden), -np.inf)
+    for t in range(t_steps):
+        if config.rnn_kind == "gru":
+            zr = sigmoid(xp[:, t, :, : 2 * hidden] + h @ u_t[..., : 2 * hidden])
+            z, r = zr[..., :hidden], zr[..., hidden:]
+            g = np.tanh(xp[:, t, :, 2 * hidden :] + (r * h) @ u_t[..., 2 * hidden :])
+            h = (1.0 - z) * h + z * g
+        else:
+            a = xp[:, t] + h @ u_t
+            sig = sigmoid(a[..., : 3 * hidden])
+            i, f, o = (sig[..., j * hidden : (j + 1) * hidden] for j in range(3))
+            c = f * c + i * np.tanh(a[..., 3 * hidden :])
+            h = o * np.tanh(c)
+        np.maximum(best, h, out=best)
+    return best
+
+
+def _stacked_conv_pool(config: TopologyConfig, stacked: dict, x: IdBatch) -> np.ndarray:
+    """Every member's max-pooled conv output, (B, T_pool, K, C_out)."""
+    k, c = stacked["conv_b"].shape
+    y = conv_ids(x, stacked["conv_b"].reshape(-1), config.conv_pad, config.conv_width,
+                 _stacked_products(x.rows, stacked["taps"]))  # (B, T_out, K*C_out)
+    rate = config.pool_rate
+    t_pool = y.shape[1] // rate
+    return y[:, : t_pool * rate].reshape(len(y), t_pool, rate, k, c).max(axis=2)
+
+
+def stacked_forward(config: TopologyConfig, stacked: dict, batch) -> tuple[np.ndarray, np.ndarray]:
+    """Every stacked member's eval-mode features, (K, B, F), and class
+    probabilities, (K, B, 3), for a batch of posts (as forward takes them).
+
+    One graph-free pass: each layer runs once for all members, with no
+    autograd node.  The conv multiplies the batch's distinct rows by all
+    members' filters, a block of taps per GEMM; the RNN steps and the dense
+    layers are batched matmuls over the member axis.
+    """
+    pooled = _stacked_conv_pool(config, stacked, _conv_input(batch, config))
+    n, _, k, c = pooled.shape
+    if config.variant == CNN_RNN_FC:
+        feats = _stacked_rnn(config, stacked, pooled.transpose(2, 1, 0, 3))
+    else:  # each member's (B, C, T_pool) map, flattened
+        feats = pooled.transpose(2, 0, 3, 1).reshape(k, n, -1)
+    hidden = np.matmul(feats, stacked["fc1_w"].swapaxes(1, 2))
+    hidden += stacked["fc1_b"][:, None]
+    np.maximum(hidden, 0.0, out=hidden)
+    logits = np.matmul(hidden, stacked["fc2_w"].swapaxes(1, 2))
+    logits += stacked["fc2_b"][:, None]
+    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    return feats, e / e.sum(axis=-1, keepdims=True)

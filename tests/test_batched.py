@@ -262,18 +262,18 @@ def test_tune_runs_the_extractor_once_per_distinct_post(monkeypatch, epochs):
     topo, table = tiny_topology(), synthetic_table(0, 6)
     bundle = small_bundle(topo, table)
     target = separable_corpus(3, seed=9)  # 9 posts, 3 per class
-    seen: dict[int, list] = {}
-    original = ensemble.features
+    sizes = []
+    original = ensemble.stacked_forward
 
-    def counting(params, config, batch):
-        seen.setdefault(id(params), []).append(len(batch))
-        return original(params, config, batch)
+    def counting(config, stacked, batch):
+        sizes.append(len(batch))
+        return original(config, stacked, batch)
 
-    monkeypatch.setattr(ensemble, "features", counting)
+    monkeypatch.setattr(ensemble, "stacked_forward", counting)
+    monkeypatch.setattr(ensemble, "forward", None)  # no per-member pass
+    monkeypatch.setattr(ensemble, "EVAL_CHUNK", 4)
     tune(bundle, target, TrainConfig(tune_epochs=epochs, seed=1), table)
-    assert len(seen) == 2
-    for sizes in seen.values():
-        assert sum(sizes) <= len(target.posts)
+    assert sizes == [4, 4, 1]  # one pass of both members over each post
 
 
 def per_post_tune(bundle, target, cfg, table):

@@ -1,6 +1,7 @@
 import argparse
 import json
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -521,6 +522,9 @@ def test_non_utf8_input_exits_3_naming_the_file(tmp_path, capsys, property_input
     ("weak-train", "train.loss_mode", "supervised", "the weak-train subcommand"),
     ("tune", "topology.rnn_hidden", 7, "--bundle"),
     ("tune", "topology.seq_len", 12, "--bundle"),
+    ("tune", "train.ensemble_size", 7, "--bundle"),
+    ("tune", "train.epochs", 99, "--bundle"),
+    ("tune", "train.loss_mode", "weak", "--bundle"),
 ])
 def test_config_values_the_command_overrides_exit_3(tmp_path, capsys, property_inputs,
                                                     command, field, value, source):
@@ -550,6 +554,33 @@ def test_a_runs_config_passes_back_as_config(tmp_path, property_inputs, command,
     assert run([*base_argv(command, property_inputs, str(again)),
                 "--config", str(first / "config.json")]) == cli.EXIT_OK
     assert (again / "bundle.meta").exists()
+
+
+def test_tune_records_the_bundles_training_fields(tmp_path, property_inputs):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"train": {"ensemble_size": 1, "epochs": 1,
+                                            "loss_mode": "supervised", "base_lr": 0.5}}))
+    out = tmp_path / "run"
+    assert run([*base_argv("tune", property_inputs, str(out)),
+                "--config", str(config)]) == cli.EXIT_OK
+    train = json.loads((out / "config.json").read_text())["train"]
+    assert (train["ensemble_size"], train["epochs"], train["loss_mode"]) == (1, 1, "supervised")
+    assert "base_lr" not in train
+
+
+def test_tune_does_not_check_a_field_the_provenance_lacks(tmp_path, property_inputs):
+    bundle = tmp_path / "bundle"
+    shutil.copytree(property_inputs["bundle"], bundle)
+    meta = json.loads((bundle / "bundle.meta").read_text())
+    del meta["provenance"]["epochs"]
+    (bundle / "bundle.meta").write_text(json.dumps(meta))
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"train": {"epochs": 99}}))
+    out = tmp_path / "run"
+    argv = base_argv("tune", {**property_inputs, "bundle": str(bundle)}, str(out))
+    assert run([*argv, "--config", str(config)]) == cli.EXIT_OK
+    train = json.loads((out / "config.json").read_text())["train"]
+    assert "epochs" not in train and train["ensemble_size"] == 1
 
 
 # -- property: no argument vector exits 1 or raises ----------------------

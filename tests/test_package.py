@@ -29,3 +29,7 @@ def test_readme_library_tour(tmp_path):
     assert result.label in (0, 1, 2)
     hn.save_bundle(bundle, tmp_path / "demo")
     assert hn.load_bundle(tmp_path / "demo").size() == 1
+
+    target = hn.load_labeled_lines(str(FIXTURES / "target_lines.txt"))
+    tuned = hn.tune(hn.load_bundle(tmp_path / "demo"), target, cfg, table)
+    assert tuned.size() == 1
