@@ -17,9 +17,9 @@ from .errors import ShapeMismatch
 class Tensor:
     __slots__ = ("data", "grad", "_parents", "_backward")
 
-    def __init__(self, data, parents=(), backward=None):
+    def __init__(self, data, parents=(), backward=None, grad=None):
         self.data = np.asarray(data, dtype=np.float64)
-        self.grad = None
+        self.grad = grad
         self._parents = parents
         self._backward = backward
 
@@ -35,10 +35,12 @@ class Tensor:
     def backward(self):
         """Accumulate d(self)/d(node) into .grad for every upstream node.
 
-        Each node's backward closure receives the node's own gradient and
-        holds only its parents, never its output, so a graph has no
-        reference cycles and is freed as soon as the last reference to its
-        root is dropped.
+        Each node's gradient starts at zero: a new array, or, for a node that
+        has one (a parameter's view of its member's gradient buffer), zeroed
+        in place.  Each node's backward closure receives the node's own
+        gradient and holds only its parents, never its output, so a graph
+        has no reference cycles and is freed as soon as the last reference
+        to its root is dropped.
         """
         if self.data.size != 1:
             raise ShapeMismatch("backward requires a scalar loss")
@@ -57,7 +59,10 @@ class Tensor:
             for parent in node._parents:
                 stack.append((parent, False))
         for node in topo:
-            node.grad = np.zeros_like(node.data)
+            if node.grad is None:
+                node.grad = np.zeros_like(node.data)
+            else:
+                node.grad[...] = 0.0
         self.grad = np.ones_like(self.data)
         for node in reversed(topo):
             if node._backward is not None:
@@ -134,20 +139,15 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     return grad
 
 
-def _tap_major(filters: np.ndarray) -> np.ndarray:
-    """(C_out, C_in, W) filters as (C_in, W*C_out): column block w is tap w.
-    A copy unless the filters are a view of a C-contiguous (C_in, W, C_out)
-    array, the layout build gives them."""
-    c_out, c_in, width = filters.shape
-    return filters.transpose(1, 2, 0).reshape(c_in, width * c_out)
-
-
 def _tap_products(rows: np.ndarray, filters: np.ndarray):
     """Each tap's (V + 1, C_out) products of the V rows, from one GEMM
-    against the tap-major filters; the last row is zero."""
-    c_out, _, width = filters.shape
+    against the (C_out, C_in, W) filters as tap-major (C_in, W*C_out), whose
+    column block w is tap w; the last row is zero.  The tap-major matrix is
+    a copy unless the filters view a C-contiguous (C_in, W, C_out) block,
+    as a built member's do."""
+    c_out, c_in, width = filters.shape
     product = np.empty((len(rows) + 1, width * c_out))
-    np.matmul(rows, _tap_major(filters), out=product[:-1])
+    np.matmul(rows, filters.transpose(1, 2, 0).reshape(c_in, width * c_out), out=product[:-1])
     product[-1] = 0.0
     product = product.reshape(-1, width, c_out)
     for w in range(width):

@@ -471,7 +471,7 @@ def cmd_tune(args) -> int:
     target = load_labeled_lines(args.target)
     test = load_labeled_lines(args.test) if args.test else target
     out = Path(args.out)
-    unused = ("class_weights", "base_lr", "ensemble_size", "epochs", "loss_mode")
+    unused = ("class_weights", "base_lr", "bounds_k", "ensemble_size", "epochs", "loss_mode")
     _write_json(out, "config", {
         "command": "tune",
         "bundle": args.bundle,

@@ -41,12 +41,12 @@ from .model import (
     TopologyConfig,
     build,
     classify,
+    flat,
     forward,
     layout,
     stack,
     stacked_forward,
     stacked_members,
-    with_heads,
 )
 from .optim import Adam
 from .text import RawPost, preprocess
@@ -206,40 +206,38 @@ class _TrainData:
             self.targets = [compute_bounds(count_lexicon(seq, lexicon), cfg.bounds_k)
                             for seq in seqs]
 
-    def loss(self, params, topo, index, train=False, rng=None) -> tuple[Tensor, Tensor]:
-        """(B, 3) class probabilities of the posts at `index` and their
-        batch-mean loss."""
-        probs = forward(params, topo, self.batch.take(index), train=train, rng=rng)
+    def loss(self, probs: Tensor, index) -> Tensor:
+        """The batch-mean loss of `probs`, the (B, 3) rows of the posts at `index`."""
         targets = [self.targets[i] for i in index]
         if self.weights is None:
-            return probs, cross_entropy(probs, targets)
-        return probs, weak_loss(probs, targets, self.weights)
+            return cross_entropy(probs, targets)
+        return weak_loss(probs, targets, self.weights)
 
 
 def _mean_loss_eval(params, topo, data: _TrainData) -> tuple[float, "float | None"]:
     """Mean eval-mode loss over the validation posts, plus hate recall when
-    the targets are labels."""
+    the targets are labels: the member, stacked alone, scored with one
+    stacked_forward pass per EVAL_CHUNK posts."""
+    stacked = stack(topo, 1, [[t.data for t in params.named_tensors().values()]])
     valid = np.arange(data.n_train, len(data.batch))
     total = 0.0
     pairs = []
     for chunk in _batches(valid, EVAL_CHUNK):
-        probs, loss = data.loss(params, topo, chunk)
-        total += loss.data.item() * len(chunk)
+        probs = stacked_forward(topo, stacked, data.batch.take(chunk))[1][0]
+        total += data.loss(Tensor(probs), chunk).data.item() * len(chunk)
         if data.weights is None:
-            pairs.extend(
-                (data.targets[i], int(np.argmax(row))) for i, row in zip(chunk, probs.data)
-            )
+            pairs.extend((data.targets[i], int(np.argmax(row))) for i, row in zip(chunk, probs))
     recall = report(accumulate(pairs))["hate_recall"] if pairs else None
     return total / max(len(valid), 1), recall
 
 
-def _step(params, loss: Tensor, optimizer, epoch_no) -> float:
+def _step(loss: Tensor, optimizer: Adam, epoch_no) -> float:
     """One optimizer step on a batch loss; returns the loss value."""
     value = loss.data.item()
     if not np.isfinite(value):
         raise NumericError(f"non-finite training loss at epoch {epoch_no}")
     loss.backward()
-    optimizer.step(params.groups())
+    optimizer.step()
     return value
 
 
@@ -247,9 +245,9 @@ def _train_member(member_seed, cfg, topo, data: _TrainData,
                   keep_snapshots=False) -> tuple[ModelParams, TrainTrace]:
     params = build(topo, member_seed)
     rng = np.random.default_rng([member_seed, 1])
-    optimizer = Adam(lr=cfg.base_lr)
+    optimizer = Adam(params.data, params.grad, lr=cfg.base_lr)
     trace = TrainTrace(snapshots=[] if keep_snapshots else None)
-    best: "ModelParams | None" = None
+    best: "np.ndarray | None" = None
     best_loss = np.inf
     for epoch in range(1, cfg.epochs + 1):
         if cfg.loss_mode == SUPERVISED:
@@ -261,8 +259,8 @@ def _train_member(member_seed, cfg, topo, data: _TrainData,
             batches = [rng.choice(data.n_train, size=size, replace=False)
                        for _ in range(n_iter)]
         epoch_losses = [
-            _step(params, data.loss(params, topo, batch, train=True, rng=rng)[1],
-                  optimizer, epoch)
+            _step(data.loss(forward(params, topo, data.batch.take(batch), train=True, rng=rng),
+                            batch), optimizer, epoch)
             for batch in batches
         ]
         if epoch == 1 and cfg.loss_mode == WEAK and not any(epoch_losses):
@@ -287,9 +285,9 @@ def _train_member(member_seed, cfg, topo, data: _TrainData,
             trace.snapshots.append(params.copy())
         if valid_loss < best_loss:
             best_loss = valid_loss
-            best = params.copy()
+            best = params.data.copy()
             trace.best_epoch = epoch
-    return best, trace
+    return flat(topo, best), trace
 
 
 def train_member(
@@ -431,9 +429,10 @@ def tune(
 
     Runs tune_epochs of balanced epochs at tune_lr.  The target is encoded
     once and one stacked_forward pass per EVAL_CHUNK posts gives every
-    member's frozen features of every target post; each member then trains
-    a copy of its head on its (N, F) slice.  The tuned bundle shares the
-    source's feature arrays, so they are untouched byte for byte.
+    member's frozen features of every target post.  Each member's head is
+    then copied into one flat buffer's classifier group and trained there on
+    its (N, F) slice.  The tuned bundle shares the source's feature arrays,
+    so they are untouched byte for byte.
     """
     cfg.validate()
     _check_table(bundle, table)
@@ -449,22 +448,30 @@ def tune(
         stacked_forward(topo, bundle.stacked, encoded.take(chunk))[0]
         for chunk in _batches(np.arange(len(encoded)), EVAL_CHUNK)
     ], axis=1)
-    heads = []
+    params = flat(topo)  # every member's head in turn; classify reads no feature block
+    head = params.classifier.params
+    span = slice(-params.classifier.n_params(), None)  # the head's part of the buffer
+    tuned = {name: np.empty_like(array) if name in head else array  # feature arrays shared
+             for name, array in bundle.stacked.items()}
     for index, member in enumerate(bundle.members):
-        params = ModelParams(member.feature, member.classifier.copy())
+        for name, tensor in head.items():
+            tensor.data[...] = member.classifier.params[name].data
         rng = np.random.default_rng([cfg.seed + index, 2])
-        optimizer = Adam(lr=cfg.tune_lr)
+        optimizer = Adam(params.data[span], params.grad[span], lr=cfg.tune_lr)
         for epoch in range(1, cfg.tune_epochs + 1):
             for batch in _batches(_balanced_positions(labels, rng), cfg.batch_size):
                 probs = classify(params, topo, Tensor(frozen[index, batch]), train=True, rng=rng)
-                _step(params, cross_entropy(probs, labels[batch]), optimizer, epoch)
-        heads.append(params.classifier)
+                _step(cross_entropy(probs, labels[batch]), optimizer, epoch)
+        for name, tensor in head.items():
+            tuned[name][index] = tensor.data
+    for array in tuned.values():
+        array.flags.writeable = False
     provenance = dict(bundle.provenance)
     provenance["tuned_on"] = target_train.provenance
     provenance["tune_epochs"] = cfg.tune_epochs
     provenance["tune_lr"] = cfg.tune_lr
     return EnsembleBundle.of_stack(
-        with_heads(topo, bundle.stacked, heads),
+        tuned,
         topology=topo,
         fingerprint=dict(bundle.fingerprint),
         provenance=provenance,

@@ -184,7 +184,8 @@ def _check_rnn(seed: int, h: float, kind: str) -> dict[str, float]:
     rng = np.random.default_rng(seed)
     d_in, hidden, t_steps = 2, 3, 3
     gates = layers.GRU_GATES if kind == "gru" else layers.LSTM_GATES
-    params = layers.init_rnn(rng, d_in, hidden, gates)
+    blocks = layers.init_rnn(rng, d_in, hidden, gates)
+    params = layers.rnn_views(*blocks, gates)  # checked gate by gate
     for key, tensor in params.items():
         if key.startswith("b_"):
             tensor.data[:] = rng.standard_normal(tensor.data.shape)
@@ -192,12 +193,12 @@ def _check_rnn(seed: int, h: float, kind: str) -> dict[str, float]:
     lw = _loss_weights(rng, t_steps * hidden)
     run = layers.gru_forward if kind == "gru" else layers.lstm_forward
     tensors = {"x": x, **params}
-    errors = compare(lambda: (run(x, params).reshape(-1) * lw).sum(), tensors, h)
+    errors = compare(lambda: (run(x, *blocks).reshape(-1) * lw).sum(), tensors, h)
     # a batch of 3 sequences with distinct zero steps
     xb = Tensor(_padded_batch(rng, 3, d_in, t_steps).transpose(0, 2, 1).copy())
     lw = _loss_weights(rng, 3 * t_steps * hidden)
     tensors = {"x_batch": xb, **{f"{k}_batch": v for k, v in params.items()}}
-    errors.update(compare(lambda: (run(xb, params).reshape(-1) * lw).sum(), tensors, h))
+    errors.update(compare(lambda: (run(xb, *blocks).reshape(-1) * lw).sum(), tensors, h))
     return errors
 
 
@@ -278,7 +279,7 @@ def _topology_margins_ok(params, config, values, h: float) -> bool:
     pooled = autograd.maxpool1d(convolved, config.pool_rate)
     if config.variant == model.CNN_RNN_FC:
         run = layers.gru_forward if config.rnn_kind == "gru" else layers.lstm_forward
-        states = run(pooled.transpose(), fp).data[0]
+        states = run(pooled.transpose(), *params.rnn).data[0]
         top2 = np.sort(states, axis=0)[-2:, :]
         # recurrent states drift slowly, so give the pooling argmax a wide berth
         if states.shape[0] > 1 and not np.all(top2[1] - top2[0] > 50 * h):

@@ -17,16 +17,11 @@ LSTM_GATES = ("i", "f", "o", "g")
 
 
 class ParamGroup:
-    """Named parameter tensors, saved and copied together; a copy keeps
-    each array's memory layout."""
+    """Named parameter tensors, saved together."""
 
     def __init__(self, name: str, params: dict[str, Tensor]):
         self.name = name
         self.params = params
-
-    def copy(self) -> "ParamGroup":
-        cloned = {k: Tensor(v.data.copy(order="K")) for k, v in self.params.items()}
-        return ParamGroup(self.name, cloned)
 
     def n_params(self) -> int:
         return sum(v.data.size for v in self.params.values())
@@ -75,9 +70,22 @@ def rnn_shapes(d_in: int, hidden: int, gates) -> list[tuple[str, tuple[int, ...]
             for kind, shape in (("w", (hidden, d_in)), ("u", (hidden, hidden)), ("b", (hidden,)))]
 
 
-def init_rnn(rng: np.random.Generator, d_in: int, hidden: int, gates) -> dict[str, Tensor]:
-    """The recurrent layer's tensors (rnn_shapes), drawn in that order."""
-    return {name: Tensor(init_param(rng, shape)) for name, shape in rnn_shapes(d_in, hidden, gates)}
+def init_rnn(rng: np.random.Generator, d_in: int, hidden: int, gates) -> tuple[Tensor, ...]:
+    """The recurrent layer's gate-major W (G*H, D), U (G*H, H) and b (G*H,),
+    with zeroed gradients; each gate's tensors drawn in rnn_shapes order."""
+    drawn = {name: init_param(rng, shape) for name, shape in rnn_shapes(d_in, hidden, gates)}
+    blocks = [np.concatenate([drawn[f"{kind}_{gate}"] for gate in gates]) for kind in "wub"]
+    return tuple(Tensor(block, grad=np.zeros_like(block)) for block in blocks)
+
+
+def rnn_views(w: Tensor, u: Tensor, b: Tensor, gates) -> dict[str, Tensor]:
+    """W_g, U_g and b_g of each gate g (rnn_shapes order) as Tensors over
+    the gate's rows of the gate-major w, u and b, each gradient over the
+    same rows of its block's gradient (None where the block has none)."""
+    hidden = len(b.data) // len(gates)
+    rows = [slice(i * hidden, (i + 1) * hidden) for i in range(len(gates))]
+    return {f"{kind}_{gate}": Tensor(t.data[r], grad=None if t.grad is None else t.grad[r])
+            for gate, r in zip(gates, rows) for kind, t in zip("wub", (w, u, b))}
 
 
 def sigmoid(a: np.ndarray, out: "np.ndarray | None" = None) -> np.ndarray:
@@ -88,36 +96,17 @@ def sigmoid(a: np.ndarray, out: "np.ndarray | None" = None) -> np.ndarray:
     return np.reciprocal(out, out=out)
 
 
-def _gate_params(p: dict[str, Tensor], gates) -> tuple[list, list, list]:
-    """The per-gate W, U and b tensors, each list in gate order."""
-    return tuple([p[f"{kind}_{gate}"] for gate in gates] for kind in "wub")
-
-
-def _stacked(tensors: list[Tensor]) -> np.ndarray:
-    """Per-gate arrays stacked gate-major along the output axis."""
-    return np.concatenate([t.data for t in tensors])
-
-
-def _scatter(tensors: list[Tensor], grad: np.ndarray) -> None:
-    """Add the gate-major row blocks of a stacked gradient to each gate."""
-    for tensor, part in zip(tensors, np.split(grad, len(tensors))):
-        tensor.grad += part
-
-
-def _recurrent_inputs(inputs: Tensor, w: np.ndarray) -> np.ndarray:
-    """The (B, T, D) recurrent inputs as a contiguous (T, B, D) array."""
+def _projected(inputs: Tensor, w: Tensor, b: Tensor) -> tuple[np.ndarray, np.ndarray]:
+    """The (B, T, D) recurrent inputs as a contiguous (T, B, D) array, and
+    their projection x @ W.T + b for all T steps of all B inputs in one GEMM,
+    (T, B, G*H)."""
     x = inputs.data
-    if x.ndim != 3 or x.shape[-1] != w.shape[1]:
-        raise ShapeMismatch(f"recurrent input {x.shape} does not fit W {w.shape}")
-    return np.ascontiguousarray(x.swapaxes(0, 1))
-
-
-def _input_projection(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """x @ W.T + b for all T steps of all B inputs in one GEMM: (T, B, gates * H)."""
-    t_steps, n, d_in = x.shape
-    xp = x.reshape(-1, d_in) @ w.T
-    xp += b
-    return xp.reshape(t_steps, n, -1)
+    if x.ndim != 3 or x.shape[-1] != w.data.shape[1]:
+        raise ShapeMismatch(f"recurrent input {x.shape} does not fit W {w.data.shape}")
+    x = np.ascontiguousarray(x.swapaxes(0, 1))
+    xp = x.reshape(-1, x.shape[-1]) @ w.data.T
+    xp += b.data
+    return x, xp.reshape(*x.shape[:2], -1)
 
 
 def _flat(a: np.ndarray) -> np.ndarray:
@@ -125,28 +114,25 @@ def _flat(a: np.ndarray) -> np.ndarray:
     return a.reshape(-1, a.shape[-1])
 
 
-def gru_forward(inputs: Tensor, p: dict[str, Tensor]) -> Tensor:
+def gru_forward(inputs: Tensor, w: Tensor, u: Tensor, b: Tensor) -> Tensor:
     """Gated recurrent unit over (B, T, D) inputs; returns all T hidden
-    states, (B, T, H).
+    states, (B, T, H).  w, u and b are gate-major (z, r, h): (3H, D), (3H, H)
+    and (3H,).
 
     z_t = sigmoid(W_z x_t + U_z h + b_z)
     r_t = sigmoid(W_r x_t + U_r h + b_r)
     g_t = tanh(W_h x_t + U_h (r_t * h) + b_h)
     h_t = (1 - z_t) * h + z_t * g_t
 
-    One autograd node with a hand-written backward pass through time.  The
-    input projection of all steps and inputs is one GEMM over the stacked
-    gate matrices; each step then multiplies the (B, H) states once by
-    [U_z; U_r] and once by U_h.
+    One autograd node with a hand-written backward pass through time that
+    adds into the blocks' gradients.  The input projection of all steps and
+    inputs is one GEMM against W; each step then multiplies the (B, H)
+    states once by [U_z; U_r] and once by U_h, row blocks of U.
     """
-    ws, us, bs = _gate_params(p, GRU_GATES)
-    w = _stacked(ws)
-    x = _recurrent_inputs(inputs, w)
-    xp = _input_projection(x, w, _stacked(bs))
-    u_zr = _stacked(us[:2])
-    u_h = us[2].data
+    x, xp = _projected(inputs, w, b)
     t_steps, n = x.shape[:2]
-    hidden = u_h.shape[0]
+    hidden = u.data.shape[1]
+    u_zr, u_h = u.data[: 2 * hidden], u.data[2 * hidden :]
     h = np.zeros((t_steps + 1, n, hidden))  # h[t] is the state entering step t
     zr = np.empty((t_steps, n, 2 * hidden))
     g = np.empty((t_steps, n, hidden))
@@ -175,43 +161,39 @@ def gru_forward(inputs: Tensor, p: dict[str, Tensor]) -> Tensor:
             da[t, :, hidden : 2 * hidden] = drh * h[t]
             da[t, :, : 2 * hidden] *= d_zr[t]
             dh = dh * (1.0 - z) + drh * r + da[t, :, : 2 * hidden] @ u_zr
-        inputs.grad += (da @ w).swapaxes(0, 1)
+        inputs.grad += (da @ w.data).swapaxes(0, 1)
         da = _flat(da)
-        _scatter(ws, da.T @ _flat(x))
-        _scatter(bs, da.sum(axis=0))
-        _scatter(us[:2], da[:, : 2 * hidden].T @ _flat(h[:-1]))
-        us[2].grad += da[:, 2 * hidden :].T @ _flat(rh)
+        w.grad += da.T @ _flat(x)
+        b.grad += da.sum(axis=0)
+        u.grad[: 2 * hidden] += da[:, : 2 * hidden].T @ _flat(h[:-1])
+        u.grad[2 * hidden :] += da[:, 2 * hidden :].T @ _flat(rh)
 
-    return Tensor(h[1:].swapaxes(0, 1), (inputs, *ws, *us, *bs), bwd)
+    return Tensor(h[1:].swapaxes(0, 1), (inputs, w, u, b), bwd)
 
 
-def lstm_forward(inputs: Tensor, p: dict[str, Tensor]) -> Tensor:
+def lstm_forward(inputs: Tensor, w: Tensor, u: Tensor, b: Tensor) -> Tensor:
     """LSTM with forget/input/output gates over (B, T, D) inputs; returns
-    all T hidden states, (B, T, H).
+    all T hidden states, (B, T, H).  w, u and b are gate-major (i, f, o, g):
+    (4H, D), (4H, H) and (4H,).
 
     i, f, o = sigmoid(W x_t + U h + b) per gate, g = tanh(W_g x_t + U_g h + b_g)
     c_t = f * c + i * g
     h_t = o * tanh(c_t)
 
-    One autograd node with a hand-written backward pass through time: one
-    GEMM projects all steps of all inputs through the four stacked gate
-    matrices, and each step multiplies the (B, H) states once by the
-    stacked U.
+    One autograd node with a hand-written backward pass through time that
+    adds into the blocks' gradients: one GEMM projects all steps of all
+    inputs through W, and each step multiplies the (B, H) states once by U.
     """
-    ws, us, bs = _gate_params(p, LSTM_GATES)
-    w = _stacked(ws)
-    x = _recurrent_inputs(inputs, w)
-    xp = _input_projection(x, w, _stacked(bs))
-    u = _stacked(us)
+    x, xp = _projected(inputs, w, b)
     t_steps, n = x.shape[:2]
-    hidden = u.shape[1]
+    hidden = u.data.shape[1]
     h = np.zeros((t_steps + 1, n, hidden))  # h[t], c[t] enter step t
     c = np.zeros((t_steps + 1, n, hidden))
     act = np.empty((t_steps, n, 4 * hidden))  # i, f, o, g
     tc = np.empty((t_steps, n, hidden))
     sig_steps, tanh_steps = act[..., : 3 * hidden], act[..., 3 * hidden :]
     for t in range(t_steps):
-        a = xp[t] + h[t] @ u.T
+        a = xp[t] + h[t] @ u.data.T
         sigmoid(a[:, : 3 * hidden], out=sig_steps[t])
         np.tanh(a[:, 3 * hidden :], out=tanh_steps[t])
         i, f, o, g = act[t].reshape(n, 4, hidden).swapaxes(0, 1)
@@ -237,14 +219,14 @@ def lstm_forward(inputs: Tensor, p: dict[str, Tensor]) -> Tensor:
             da[t, :, 3 * hidden :] = dc * i
             da[t] *= d_act[t]
             dc = dc * f
-            dh = da[t] @ u
-        inputs.grad += (da @ w).swapaxes(0, 1)
+            dh = da[t] @ u.data
+        inputs.grad += (da @ w.data).swapaxes(0, 1)
         da = _flat(da)
-        _scatter(ws, da.T @ _flat(x))
-        _scatter(bs, da.sum(axis=0))
-        _scatter(us, da.T @ _flat(h[:-1]))
+        w.grad += da.T @ _flat(x)
+        b.grad += da.sum(axis=0)
+        u.grad += da.T @ _flat(h[:-1])
 
-    return Tensor(h[1:].swapaxes(0, 1), (inputs, *ws, *us, *bs), bwd)
+    return Tensor(h[1:].swapaxes(0, 1), (inputs, w, u, b), bwd)
 
 
 def cross_entropy(probs: Tensor, targets) -> Tensor:

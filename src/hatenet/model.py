@@ -19,6 +19,7 @@ seq_len // pool_rate), "embedding" slides along the embedding axis
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -43,6 +44,7 @@ from .layers import (
     init_param,
     lstm_forward,
     rnn_shapes,
+    rnn_views,
     sigmoid,
 )
 
@@ -116,32 +118,39 @@ class TopologyConfig:
 
 class ModelParams:
     """All trainable tensors of one ensemble member, partitioned into the
-    convolutional/recurrent feature group and the dense classifier group."""
+    convolutional/recurrent feature group and the dense classifier group.
 
-    def __init__(self, feature: ParamGroup, classifier: ParamGroup):
-        self.feature = feature
-        self.classifier = classifier
+    The tensors and their gradients view the member's blocks (`flat`): in
+    one flat buffer, `data`, and its gradient buffer, `grad`, for a member
+    that trains; read-only stacked rows, without gradients, for a bundle's
+    member.  `rnn` is the gate-major W, U and b the per-gate tensors view."""
+
+    def __init__(self, config: "TopologyConfig", blocks: dict, grads: "dict | None" = None):
+        def tensor(name, view=lambda a: a) -> Tensor:
+            return Tensor(view(blocks[name]), grad=None if grads is None else view(grads[name]))
+
+        self.config, self.data, self.grad = config, None, None
+        self.rnn = tuple(tensor(name) for name in ("rnn_w", "rnn_u", "rnn_b") if name in blocks)
+        named = {"conv_w": tensor("taps", lambda a: a.transpose(2, 0, 1)),
+                 **(rnn_views(*self.rnn, _gates(config)) if self.rnn else {})}
+        groups: dict[str, dict[str, Tensor]] = {"feature": {}, "classifier": {}}
+        for group, name, _ in layout(config):
+            groups[group][name] = named[name] if name in named else tensor(name)
+        self.feature, self.classifier = (ParamGroup(g, p) for g, p in groups.items())
 
     def groups(self) -> list[ParamGroup]:
         return [self.feature, self.classifier]
 
-    @classmethod
-    def of(cls, config: TopologyConfig, arrays) -> "ModelParams":
-        """The member holding `arrays`, one per layout(config) entry, in order."""
-        groups: dict[str, dict[str, Tensor]] = {"feature": {}, "classifier": {}}
-        for (group, name, _), array in zip(layout(config), arrays):
-            groups[group][name] = Tensor(array)
-        return cls(*(ParamGroup(group, params) for group, params in groups.items()))
-
     def named_tensors(self) -> dict[str, Tensor]:
-        out = {}
-        for group in self.groups():
-            for key, tensor in group.params.items():
-                out[f"{group.name}.{key}"] = tensor
-        return out
+        return {f"{group.name}.{key}": tensor
+                for group in self.groups() for key, tensor in group.params.items()}
 
     def copy(self) -> "ModelParams":
-        return ModelParams(self.feature.copy(), self.classifier.copy())
+        """A flat member holding a copy of these values."""
+        out = flat(self.config)
+        for mine, theirs in zip(out.named_tensors().values(), self.named_tensors().values()):
+            mine.data[...] = theirs.data
+        return out
 
     def n_params(self) -> int:
         return self.feature.n_params() + self.classifier.n_params()
@@ -177,16 +186,37 @@ def layout(config: TopologyConfig) -> list[tuple[str, str, tuple[int, ...]]]:
     return [("feature", *e) for e in feature] + [("classifier", *e) for e in classifier]
 
 
+def flat(config: TopologyConfig, data: "np.ndarray | None" = None) -> ModelParams:
+    """The member over one flat buffer of param_count(config) values, `data`
+    (zeros when not given), with a zeroed gradient buffer of the same shape.
+    A buffer holds the member's blocks in order: the conv filters tap-major,
+    (C_in, W, C_out), conv_b, the RNN's W, U and b gate-major, (G*H, D),
+    (G*H, H) and (G*H,), then the classifier group's tensors."""
+    c, h, gh = config.conv_filters, config.rnn_hidden, len(_gates(config)) * config.rnn_hidden
+    shapes = {"taps": (config.conv_channels(), config.conv_width, c), "conv_b": (c,)}
+    if config.variant == CNN_RNN_FC:
+        shapes.update(rnn_w=(gh, c), rnn_u=(gh, h), rnn_b=(gh,))
+    shapes.update((name, shape) for group, name, shape in layout(config) if group == "classifier")
+    # values and gradients in one allocation: as separate arrays, with Adam's
+    # four, they doubled a training call's page faults (measured on glibc)
+    data, grad = np.zeros((2, param_count(config))) if data is None else (data, np.zeros_like(data))
+    ends = np.cumsum([math.prod(shape) for shape in shapes.values()])[:-1]
+    params = ModelParams(config, *({name: part.reshape(shape) for (name, shape), part
+                                    in zip(shapes.items(), np.split(buffer, ends))}
+                                   for buffer in (data, grad)))
+    params.data, params.grad = data, grad
+    return params
+
+
 def build(config: TopologyConfig, seed: int) -> ModelParams:
-    """Allocate and initialize parameters (layers.init_param, in layout
-    order); same seed gives identical values."""
+    """A flat member with each tensor drawn (layers.init_param) in layout
+    order; same seed gives identical values."""
     config.validate()
     rng = np.random.default_rng(seed)
-    arrays = {name: init_param(rng, shape) for _, name, shape in layout(config)}
-    # conv_w as a view of a C-contiguous (C_in, W, C_out) array: conv1d's
-    # tap-major (C_in, W*C_out) filter matrix is then a reshape, not a copy
-    arrays["conv_w"] = np.ascontiguousarray(arrays["conv_w"].transpose(1, 2, 0)).transpose(2, 0, 1)
-    return ModelParams.of(config, arrays.values())
+    params = flat(config)
+    for (_, _, shape), tensor in zip(layout(config), params.named_tensors().values()):
+        tensor.data[...] = init_param(rng, shape)
+    return params
 
 
 def _conv_input(batch, config: TopologyConfig) -> IdBatch:
@@ -218,7 +248,7 @@ def features(params: ModelParams, config: TopologyConfig, batch) -> Tensor:
     pooled = maxpool1d(convolved, config.pool_rate)
     if config.variant == CNN_RNN_FC:
         rnn = gru_forward if config.rnn_kind == "gru" else lstm_forward
-        return global_maxpool(rnn(pooled.transpose(), fp))
+        return global_maxpool(rnn(pooled.transpose(), *params.rnn))
     return pooled.reshape(len(x), -1)
 
 
@@ -262,7 +292,7 @@ def forward(
 #
 # An ensemble's K members live in one array per layer with a member axis,
 # laid out the way stacked_forward reads them; member k's tensors are views
-# of its rows (member_views).
+# of its rows (_stacked_blocks).
 
 
 def stacked_shapes(config: TopologyConfig, k: int) -> dict[str, tuple[int, ...]]:
@@ -281,19 +311,15 @@ def stacked_shapes(config: TopologyConfig, k: int) -> dict[str, tuple[int, ...]]
     return shapes
 
 
-def member_views(config: TopologyConfig, stacked: dict, k: int) -> list[np.ndarray]:
-    """Member k's arrays, in layout order, as views of `stacked`."""
+def _stacked_blocks(config: TopologyConfig, stacked: dict, k: int) -> dict:
+    """Member k's blocks (as `flat` lays them out) as views of `stacked`;
+    its U is a transposed view of Uᵀ."""
     c = config.conv_filters
-    views = {"conv_w": stacked["taps"][:, :, k * c : (k + 1) * c].transpose(2, 0, 1),
-             "conv_b": stacked["conv_b"][k]}
+    blocks = {name: array[k] for name, array in stacked.items() if name != "taps"}
+    blocks["taps"] = stacked["taps"][:, :, k * c : (k + 1) * c]
     if config.variant == CNN_RNN_FC:
-        h = config.rnn_hidden
-        for i, gate in enumerate(_gates(config)):
-            rows = slice(i * h, (i + 1) * h)
-            views[f"w_{gate}"] = stacked["rnn_w"][k, rows]
-            views[f"u_{gate}"] = stacked["rnn_u_t"][k, :, rows].T
-            views[f"b_{gate}"] = stacked["rnn_b"][k, rows]
-    return [views[name] if name in views else stacked[name][k] for _, name, _ in layout(config)]
+        blocks["rnn_u"] = blocks.pop("rnn_u_t").T
+    return blocks
 
 
 def stack(config: TopologyConfig, k: int, members) -> dict[str, np.ndarray]:
@@ -301,12 +327,12 @@ def stack(config: TopologyConfig, k: int, members) -> dict[str, np.ndarray]:
     given as its arrays in layout order."""
     stacked = {name: np.empty(shape) for name, shape in stacked_shapes(config, k).items()}
     for index, arrays in enumerate(members):
-        for (_, name, shape), view, array in zip(layout(config),
-                                                 member_views(config, stacked, index), arrays):
+        views = ModelParams(config, _stacked_blocks(config, stacked, index)).named_tensors()
+        for (_, name, shape), view, array in zip(layout(config), views.values(), arrays):
             if np.shape(array) != shape:
                 raise ShapeMismatch(f"member {index}: {name} is {np.shape(array)}, "
                                     f"the topology has {shape}")
-            view[...] = array
+            view.data[...] = array
     for array in stacked.values():
         array.flags.writeable = False
     return stacked
@@ -314,19 +340,8 @@ def stack(config: TopologyConfig, k: int, members) -> dict[str, np.ndarray]:
 
 def stacked_members(config: TopologyConfig, stacked: dict) -> list[ModelParams]:
     """The stacked members, each holding read-only views of its rows."""
-    return [ModelParams.of(config, member_views(config, stacked, k))
+    return [ModelParams(config, _stacked_blocks(config, stacked, k))
             for k in range(len(stacked["conv_b"]))]
-
-
-def with_heads(config: TopologyConfig, stacked: dict, heads: list[ParamGroup]) -> dict:
-    """`stacked` with its classifier arrays those of the K classifier groups
-    `heads`, stacked read-only; the feature arrays are shared, not copied."""
-    out = dict(stacked)
-    for group, name, _ in layout(config):
-        if group == "classifier":
-            out[name] = np.stack([head.params[name].data for head in heads])
-            out[name].flags.writeable = False
-    return out
 
 
 # values per product buffer of the stacked conv, which bounds its transients

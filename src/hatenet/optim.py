@@ -1,4 +1,4 @@
-"""Adaptive-moment gradient descent over parameter groups."""
+"""Adaptive-moment gradient descent over one flat parameter buffer."""
 
 from __future__ import annotations
 
@@ -6,43 +6,37 @@ import math
 
 import numpy as np
 
-from .layers import ParamGroup
-
 
 class Adam:
-    """Adam with bias correction.  A tensor whose grad is None, one that no
-    loss reached (the feature group in ``tune``), is left untouched.
+    """Adam with bias correction (Kingma & Ba 2015) over one flat buffer of
+    parameter values, `data`, and its gradient buffer, `grad`.  A step is a
+    fixed sequence of in-place ufuncs in the evaluation order of the formula
+    m = b1*m + (1 - b1)*g, v = b2*v + (1 - b2)*g*g, data -= lr*m̂ / (√v̂ + eps),
+    so it rounds as the formula does.  Default rate 1e-3 for base training;
+    head tuning uses 5e-4."""
 
-    Default rate 1e-3 for base training; head tuning uses 5e-4.
-    """
-
-    def __init__(self, lr: float = 1e-3, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, data: np.ndarray, grad: np.ndarray, lr: float = 1e-3,
+                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
         if not (lr > 0 and math.isfinite(lr)):
             raise ValueError(f"learning rate must be finite and positive, got {lr}")
-        self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
-        self._state: dict[int, dict] = {}
+        self.data, self.grad = data, grad
+        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
+        self.t = 0
+        self.m, self.v, *self._scratch = np.zeros((4, len(data)))  # one allocation, as in flat
 
-    def step(self, groups: list[ParamGroup]) -> None:
-        for group in groups:
-            for param in group.params.values():
-                if param.grad is None:
-                    continue
-                state = self._state.get(id(param))
-                if state is None:
-                    state = {
-                        "m": np.zeros_like(param.data),
-                        "v": np.zeros_like(param.data),
-                        "t": 0,
-                    }
-                    self._state[id(param)] = state
-                state["t"] += 1
-                g = param.grad
-                state["m"] = self.beta1 * state["m"] + (1 - self.beta1) * g
-                state["v"] = self.beta2 * state["v"] + (1 - self.beta2) * g * g
-                m_hat = state["m"] / (1 - self.beta1 ** state["t"])
-                v_hat = state["v"] / (1 - self.beta2 ** state["t"])
-                param.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+    def step(self) -> None:
+        self.t += 1
+        g, m, v = self.grad, self.m, self.v
+        update, denom = self._scratch
+        m *= self.beta1
+        m += np.multiply(1 - self.beta1, g, out=update)
+        v *= self.beta2
+        np.multiply(1 - self.beta2, g, out=update)
+        v += np.multiply(update, g, out=update)
+        np.divide(m, 1 - self.beta1 ** self.t, out=update)  # m-hat
+        update *= self.lr
+        np.divide(v, 1 - self.beta2 ** self.t, out=denom)  # v-hat
+        np.sqrt(denom, out=denom)
+        denom += self.eps
+        update /= denom
+        self.data -= update

@@ -3,7 +3,8 @@ over batches: one post at a time, the losses composed from elementwise
 graph nodes.  Kept as the oracle the batched layers are checked against,
 with the vector nodes (add, sub, neg, matmul, sigmoid, tanh, stack) that
 the step-by-step recurrent oracles and the tests' summed losses are
-composed from.
+composed from.  Also the per-tensor Adam the library stepped before its
+one-buffer optimizer, as the reference that optimizer is checked against.
 
 Every op here builds its own graph node on ``hatenet.autograd.Tensor``, so
 ``backward()`` on an oracle loss fills the same parameter ``.grad`` fields
@@ -337,3 +338,41 @@ def forward(params, config, values: np.ndarray, train: bool = False, rng=None) -
     if train and config.dropout_p > 0:
         hidden = dropout(hidden, config.dropout_p, rng)
     return softmax(dense(hidden, cp["fc2_w"], cp["fc2_b"]))
+
+
+# -- the optimizer, one tensor at a time -----------------------------------
+
+
+class Adam:
+    """Adam with bias correction over parameter groups, one tensor at a
+    time, its moments keyed by id(tensor); a tensor whose grad is None is
+    left untouched."""
+
+    def __init__(self, lr: float = 1e-3, beta1: float = 0.9,
+                 beta2: float = 0.999, eps: float = 1e-8):
+        self.lr = lr
+        self.beta1 = beta1
+        self.beta2 = beta2
+        self.eps = eps
+        self._state: dict[int, dict] = {}
+
+    def step(self, groups) -> None:
+        for group in groups:
+            for param in group.params.values():
+                if param.grad is None:
+                    continue
+                state = self._state.get(id(param))
+                if state is None:
+                    state = {
+                        "m": np.zeros_like(param.data),
+                        "v": np.zeros_like(param.data),
+                        "t": 0,
+                    }
+                    self._state[id(param)] = state
+                state["t"] += 1
+                g = param.grad
+                state["m"] = self.beta1 * state["m"] + (1 - self.beta1) * g
+                state["v"] = self.beta2 * state["v"] + (1 - self.beta2) * g * g
+                m_hat = state["m"] / (1 - self.beta1 ** state["t"])
+                v_hat = state["v"] / (1 - self.beta2 ** state["t"])
+                param.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import perpost_oracle as oracle
+from conftest import tiny_topology
 from hatenet import autograd
 from hatenet.autograd import (
     IdBatch,
@@ -18,13 +19,14 @@ from hatenet.errors import ShapeMismatch
 from hatenet.layers import (
     GRU_GATES,
     LSTM_GATES,
-    ParamGroup,
     cross_entropy,
     fc_forward,
     init_rnn,
     gru_forward,
     lstm_forward,
+    rnn_views,
 )
+from hatenet.model import CNN_FC, CNN_RNN_FC, build, forward
 from hatenet.optim import Adam
 
 
@@ -231,11 +233,17 @@ class TestMaxPool:
 
 
 def init_gru(rng, d_in, hidden):
-    return init_rnn(rng, d_in, hidden, GRU_GATES)
+    return rnn_views(*init_rnn(rng, d_in, hidden, GRU_GATES), GRU_GATES)
 
 
 def init_lstm(rng, d_in, hidden):
-    return init_rnn(rng, d_in, hidden, LSTM_GATES)
+    return rnn_views(*init_rnn(rng, d_in, hidden, LSTM_GATES), LSTM_GATES)
+
+
+def blocks_of(p, gates):
+    """Gate-major W, U and b Tensors holding the per-gate values of p."""
+    return tuple(Tensor(np.concatenate([p[f"{kind}_{gate}"].data for gate in gates]))
+                 for kind in "wub")
 
 
 def scalar_gru_step(x, h, p):
@@ -259,7 +267,7 @@ class TestRecurrent:
     def test_gru_zero_weights_zero_output(self):
         p = {k: Tensor(np.zeros_like(v.data))
              for k, v in init_gru(np.random.default_rng(0), 3, 4).items()}
-        out = gru_forward(Tensor(np.ones((2, 5, 3))), p)
+        out = gru_forward(Tensor(np.ones((2, 5, 3))), *blocks_of(p, GRU_GATES))
         np.testing.assert_array_equal(out.data, np.zeros((2, 5, 4)))
 
     def test_gru_single_scalar_step(self):
@@ -269,7 +277,7 @@ class TestRecurrent:
         p = {k: Tensor(np.full((1, 1) if k[0] in "wu" else (1,), v))
              for k, v in vals.items()}
         x = 0.8
-        got = gru_forward(Tensor(np.array([[[x]]])), p).data[0, 0, 0]
+        got = gru_forward(Tensor(np.array([[[x]]])), *blocks_of(p, GRU_GATES)).data[0, 0, 0]
         assert got == pytest.approx(scalar_gru_step(x, 0.0, vals), abs=1e-12)
 
     def test_gru_three_steps_match_scalar_oracle(self):
@@ -279,7 +287,7 @@ class TestRecurrent:
         p = {k: Tensor(np.full((1, 1) if k[0] in "wu" else (1,), v))
              for k, v in vals.items()}
         xs = rng.uniform(-1, 1, size=3)
-        got = gru_forward(Tensor(xs.reshape(1, 3, 1)), p).data[0, :, 0]
+        got = gru_forward(Tensor(xs.reshape(1, 3, 1)), *blocks_of(p, GRU_GATES)).data[0, :, 0]
         h = 0.0
         for t, x in enumerate(xs):
             h = scalar_gru_step(x, h, vals)
@@ -288,7 +296,7 @@ class TestRecurrent:
     def test_lstm_zero_weights_zero_output(self):
         p = {k: Tensor(np.zeros_like(v.data))
              for k, v in init_lstm(np.random.default_rng(0), 2, 3).items()}
-        out = lstm_forward(Tensor(np.ones((2, 4, 2))), p)
+        out = lstm_forward(Tensor(np.ones((2, 4, 2))), *blocks_of(p, LSTM_GATES))
         np.testing.assert_array_equal(out.data, np.zeros((2, 4, 3)))
 
     def test_lstm_single_scalar_step(self):
@@ -299,7 +307,7 @@ class TestRecurrent:
         p = {k: Tensor(np.full((1, 1) if k[0] in "wu" else (1,), v))
              for k, v in vals.items()}
         x = -0.4
-        got = lstm_forward(Tensor(np.array([[[x]]])), p).data[0, 0, 0]
+        got = lstm_forward(Tensor(np.array([[[x]]])), *blocks_of(p, LSTM_GATES)).data[0, 0, 0]
         want, _ = scalar_lstm_step(x, 0.0, 0.0, vals)
         assert got == pytest.approx(want, abs=1e-12)
 
@@ -311,7 +319,7 @@ class TestRecurrent:
         p = {k: Tensor(np.full((1, 1) if k[0] in "wu" else (1,), v))
              for k, v in vals.items()}
         xs = rng.uniform(-1, 1, size=2)
-        got = lstm_forward(Tensor(xs.reshape(1, 2, 1)), p).data[0, :, 0]
+        got = lstm_forward(Tensor(xs.reshape(1, 2, 1)), *blocks_of(p, LSTM_GATES)).data[0, :, 0]
         h = c = 0.0
         for t, x in enumerate(xs):
             h, c = scalar_lstm_step(x, h, c, vals)
@@ -348,14 +356,16 @@ def composed_lstm(xs, p):
     return oracle.stack(states)
 
 
-@pytest.mark.parametrize("init, fused, composed", [
-    (init_gru, gru_forward, composed_gru),
-    (init_lstm, lstm_forward, composed_lstm),
-])
-def test_fused_recurrent_op_matches_step_composition(init, fused, composed):
+@pytest.mark.parametrize("gates, fused, composed", [
+    (GRU_GATES, gru_forward, composed_gru),
+    (LSTM_GATES, lstm_forward, composed_lstm),
+], ids=["init_gru-gru_forward-composed_gru", "init_lstm-lstm_forward-composed_lstm"])
+def test_fused_recurrent_op_matches_step_composition(gates, fused, composed):
+    # the per-gate tensors are views of the blocks the fused op runs on
     t_steps, d_in, hidden = 6, 4, 5
     rng = np.random.default_rng(12)
-    p = init(rng, d_in, hidden)
+    blocks = init_rnn(rng, d_in, hidden, gates)
+    p = rnn_views(*blocks, gates)
     for key, tensor in p.items():
         if key.startswith("b_"):
             tensor.data[:] = rng.standard_normal(hidden)
@@ -364,7 +374,7 @@ def test_fused_recurrent_op_matches_step_composition(init, fused, composed):
     lw = rng.standard_normal((t_steps, hidden))
 
     inputs = Tensor(x[None])
-    out = fused(inputs, p)
+    out = fused(inputs, *blocks)
     (out * lw).sum().backward()
     rows = [Tensor(x[t]) for t in range(t_steps)]
     want = composed(rows, q)
@@ -502,45 +512,58 @@ def reference_adam(theta, grads, lr=0.1, b1=0.9, b2=0.999, eps=1e-8):
 
 class TestAdam:
     def test_zero_gradient_no_change(self):
-        p = Tensor(np.array([1.5, -2.0]))
-        p.grad = np.zeros(2)
-        group = ParamGroup("g", {"p": p})
-        Adam(lr=0.1).step([group])
-        np.testing.assert_array_equal(p.data, [1.5, -2.0])
+        data = np.array([1.5, -2.0])
+        Adam(data, np.zeros(2), lr=0.1).step()
+        np.testing.assert_array_equal(data, [1.5, -2.0])
 
     def test_three_hand_iterated_steps(self):
-        p = Tensor(np.array([1.0]))
-        group = ParamGroup("g", {"p": p})
-        opt = Adam(lr=0.1)
+        data, grad = np.array([1.0]), np.zeros(1)
+        opt = Adam(data, grad, lr=0.1)
         grads = [0.3, -0.2, 0.5]
         want = reference_adam(1.0, grads)
         for g, expected in zip(grads, want):
-            p.grad = np.array([g])
-            opt.step([group])
-            assert p.data[0] == pytest.approx(expected, abs=1e-15)
+            grad[0] = g
+            opt.step()
+            assert data[0] == pytest.approx(expected, abs=1e-15)
 
     def test_constant_gradient_steps_equal_lr(self):
-        p = Tensor(np.array([0.0]))
-        group = ParamGroup("g", {"p": p})
-        opt = Adam(lr=0.05)
+        data, grad = np.array([0.0]), np.ones(1)
+        opt = Adam(data, grad, lr=0.05)
         for t in range(1, 4):
-            p.grad = np.array([1.0])
-            opt.step([group])
-            assert p.data[0] == pytest.approx(-0.05 * t, rel=1e-7)
+            opt.step()
+            assert data[0] == pytest.approx(-0.05 * t, rel=1e-7)
 
-    def test_tensor_without_grad_untouched(self):
-        # no loss reached it, as tune's feature group
-        unreached, live = Tensor(np.array([3.0])), Tensor(np.array([3.0]))
-        live.grad = np.array([10.0])
-        Adam(lr=0.1).step([ParamGroup("g", {"unreached": unreached, "live": live})])
-        assert unreached.data[0] == 3.0 and unreached.grad is None
-        assert live.data[0] != 3.0
+    def test_values_outside_the_buffer_untouched(self):
+        # tune steps only the classifier's slice of a member's buffer
+        data, grad = np.array([3.0, 3.0]), np.array([10.0, 10.0])
+        Adam(data[1:], grad[1:], lr=0.1).step()
+        assert data[0] == 3.0 and data[1] != 3.0
+
+    @pytest.mark.parametrize("variant, rnn_kind", [
+        (CNN_RNN_FC, "gru"), (CNN_RNN_FC, "lstm"), (CNN_FC, "gru"),
+    ])
+    def test_buffer_step_matches_per_tensor_reference(self, variant, rnn_kind):
+        # the same member trained twice: one Adam over the member's buffer,
+        # the reference one tensor at a time; their values stay bit-equal
+        topo = tiny_topology(variant=variant, rnn_kind=rnn_kind)
+        ours, theirs = build(topo, seed=3), build(topo, seed=3)
+        opt, ref = Adam(ours.data, ours.grad, lr=1e-2), oracle.Adam(lr=1e-2)
+        rng = np.random.default_rng(4)
+        for _ in range(25):
+            batch = IdBatch(rng.integers(-1, 6, size=(4, topo.seq_len)),
+                            rng.standard_normal((6, topo.emb_dim)))
+            targets = rng.integers(0, 3, size=4)
+            for params, step in ((ours, opt.step), (theirs, lambda: ref.step(theirs.groups()))):
+                probs = forward(params, topo, batch, train=True, rng=np.random.default_rng(5))
+                cross_entropy(probs, targets).backward()
+                step()
+            assert ours.data.tobytes() == theirs.data.tobytes()
 
     def test_rejects_nonpositive_lr(self):
         with pytest.raises(ValueError):
-            Adam(lr=0.0)
+            Adam(np.zeros(1), np.zeros(1), lr=0.0)
 
     @pytest.mark.parametrize("lr", [float("nan"), float("inf")])
     def test_rejects_nonfinite_lr(self, lr):
         with pytest.raises(ValueError):
-            Adam(lr=lr)
+            Adam(np.zeros(1), np.zeros(1), lr=lr)

@@ -28,7 +28,6 @@ from hatenet.ensemble import (
 from hatenet.layers import cross_entropy
 from hatenet.metrics import accumulate, report
 from hatenet.model import CNN_FC, CNN_RNN_FC, TopologyConfig, build, forward
-from hatenet.optim import Adam
 from hatenet.text import preprocess
 from hatenet.weaksup import ClassBounds, ClassWeights, Lexicon, weak_loss
 
@@ -187,7 +186,8 @@ def test_chunked_validation_loss_is_the_mean_over_posts(mode):
     data = _TrainData(cfg, topo, table, [], posts, lexicon)  # posts as validation
     params = build(topo, seed=2)
     mean, _ = _mean_loss_eval(params, topo, data)
-    per_post = [data.loss(params, topo, [i])[1].data for i in range(len(posts))]
+    per_post = [data.loss(forward(params, topo, data.batch.take([i])), [i]).data
+                for i in range(len(posts))]
     assert any(per_post)
     assert mean == pytest.approx(np.mean(per_post), rel=1e-12, abs=1e-15)
 
@@ -284,7 +284,7 @@ def per_post_tune(bundle, target, cfg, table):
     for index, member in enumerate(bundle.members):
         params = member.copy()
         rng = np.random.default_rng([cfg.seed + index, 2])
-        optimizer = Adam(lr=cfg.tune_lr)
+        optimizer = oracle.Adam(lr=cfg.tune_lr)
         for _ in range(cfg.tune_epochs):
             sample = balanced_epoch_sample(target, rng)
             for start in range(0, len(sample), cfg.batch_size):

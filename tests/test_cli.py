@@ -319,6 +319,28 @@ class TestTuneCommand:
                         == b.feature.params[key].data.tobytes())
 
 
+    def test_weak_train_config_passes_back_as_tune_config(self, tmp_path):
+        # tune records no weak-training field: neither base_lr nor bounds_k
+        weak = tmp_path / "weak"
+        assert run([
+            "weak-train", "--config", write_config(tmp_path),
+            "--unlabeled", str(FIXTURES / "unlabeled_lines.txt"),
+            "--lex-hate", str(FIXTURES / "lex_hate.txt"),
+            "--lex-offensive", str(FIXTURES / "lex_offensive.txt"),
+            "--lex-positive", str(FIXTURES / "lex_positive.txt"),
+            "--embeddings", "synthetic:0:6", "--out", str(weak),
+            "--epochs", "1", "--bounds-k", "9",
+        ]) == 0
+        out = tmp_path / "tuned"
+        assert run([
+            "tune", "--bundle", str(weak), "--config", str(weak / "config.json"),
+            "--target", str(FIXTURES / "target_lines.txt"),
+            "--embeddings", "synthetic:0:6", "--out", str(out), "--tune-epochs", "1",
+        ]) == 0
+        train = json.loads((out / "config.json").read_text())["train"]
+        assert "bounds_k" not in train and "base_lr" not in train
+
+
 class TestGradcheckCommand:
     def test_single_layer(self, capsys):
         assert run(["gradcheck", "--layer", "fc_relu", "--trials", "2"]) == 0

@@ -16,6 +16,7 @@ from hatenet.corpus import LabeledCorpus
 from hatenet.embeddings import embed, synthetic_table
 from hatenet.ensemble import (
     EnsembleBundle,
+    SUPERVISED,
     TrainConfig,
     WEAK,
     balanced_epoch_sample,
@@ -182,9 +183,10 @@ class TestTrainMember:
         cfg = TrainConfig(ensemble_size=1, epochs=1)
         post = RawPost("anything at all", label=0, source_id="x")
         data = _TrainData(cfg, topo, table, [post], [post], None)
-        _, loss = data.loss(params, topo, [0], train=True, rng=np.random.default_rng(0))
+        probs = forward(params, topo, data.batch.take([0]), train=True,
+                        rng=np.random.default_rng(0))
         with pytest.raises(NumericError, match="epoch"):
-            _step(params, loss, Adam(), 1)
+            _step(data.loss(probs, [0]), Adam(params.data, params.grad), 1)
 
 
 class TestEnsemble:
@@ -227,6 +229,25 @@ class TestEnsemble:
         b, _ = train_ensemble(cfg, topo, table, corpus, corpus)
         for ma, mb in zip(a.members, b.members):
             assert _member_bytes(ma) == _member_bytes(mb)
+
+    @pytest.mark.parametrize("mode", [SUPERVISED, WEAK])
+    def test_validation_makes_no_autograd_forward(self, topo, table, monkeypatch, mode):
+        # every autograd forward is a training batch: validation is graph-free
+        import hatenet.ensemble as ens
+
+        modes = []
+
+        def counting(*args, **kwargs):
+            modes.append(kwargs.get("train", False))
+            return forward(*args, **kwargs)
+
+        monkeypatch.setattr(ens, "forward", counting)
+        corpus = separable_corpus(5, seed=12)  # 5 hate posts: 15 per balanced epoch
+        lexicon = Lexicon([MARKERS[0]], [MARKERS[1]], [MARKERS[2]])
+        cfg = TrainConfig(ensemble_size=2, epochs=3, seed=0, batch_size=4, loss_mode=mode)
+        train_ensemble(cfg, topo, table, corpus.posts, corpus.posts[:7], lexicon=lexicon)
+        per_epoch = 4 if mode == SUPERVISED else len(corpus.posts) // 4  # ceil(15/4), 15//4
+        assert modes == [True] * (cfg.ensemble_size * cfg.epochs * per_epoch)
 
 
 def brute_force_vote(votes, member_probs):

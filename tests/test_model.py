@@ -236,10 +236,12 @@ class TestForward:
         full, frozen = build(cfg, seed=5), build(cfg, seed=5)
         probs = forward(full, cfg, values, train=True, rng=np.random.default_rng(7))
         cross_entropy(probs, [2]).backward()
+        feature_bytes = [t.data.tobytes() for t in frozen.feature.params.values()]
         feats = Tensor(features(frozen, cfg, values).data)
         probs = classify(frozen, cfg, feats, train=True, rng=np.random.default_rng(7))
         cross_entropy(probs, [2]).backward()
-        assert all(t.grad is None for t in frozen.feature.params.values())
+        assert not any(t.grad.any() for t in frozen.feature.params.values())
+        assert [t.data.tobytes() for t in frozen.feature.params.values()] == feature_bytes
         for key, tensor in full.classifier.params.items():
             np.testing.assert_allclose(frozen.classifier.params[key].grad, tensor.grad,
                                        atol=1e-12, rtol=0)

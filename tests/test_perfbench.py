@@ -3,14 +3,18 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def test_gab_transfer_k5_tiny_run_is_correct():
-    """The one workload that saves a bundle, loads it back and checks it
-    against the reference's own checkpoint reader, on its tiny shape."""
+@pytest.mark.parametrize("workload", ["hon_gru", "gab_weak_lstm", "gab_transfer_k5"])
+def test_tiny_run_is_correct(workload):
+    """Each workload on its tiny shape passes every check of its run: the
+    training workloads' best-epoch, reference-forward and digest checks,
+    and the transfer workload's save, load and checkpoint-reader checks."""
     proc = subprocess.run(
-        [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", "gab_transfer_k5",
+        [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", workload,
          "--shape", "tiny", "--seed", "7", "--seconds", "1", "--trace", "0"],
         capture_output=True, text=True, timeout=300,
     )

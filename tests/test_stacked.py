@@ -6,9 +6,10 @@ import json
 import numpy as np
 import pytest
 
+import perpost_oracle as oracle
 from conftest import separable_corpus, tiny_topology
 from hatenet import cli, ensemble, model
-from hatenet.autograd import IdBatch, Tensor, _tap_major
+from hatenet.autograd import IdBatch, Tensor
 from hatenet.corpus import load_unlabeled
 from hatenet.embeddings import synthetic_table
 from hatenet.ensemble import (
@@ -32,7 +33,6 @@ from hatenet.metrics import accumulate, report
 from hatenet.model import (
     CNN_FC,
     CNN_RNN_FC,
-    ModelParams,
     build,
     classify,
     features,
@@ -175,21 +175,29 @@ def test_a_bundle_without_members_does_not_load(trained, tmp_path):
         load_bundle(tmp_path)
 
 
-def per_member_tune(bundle, target, cfg, table):
-    """The tuned heads from each member's own autograd features."""
+def per_member_tune(bundle, target, cfg, table, stacked_features=False):
+    """The tuned heads from each member's own autograd features (or from
+    the stacked pass's, as tune takes them), each stepped one tensor at a
+    time by the reference Adam."""
     topo = bundle.topology
     _, encoded = _encode(target.posts, table, topo)
     labels = np.array([post.label for post in target.posts])
     heads = []
     for index, member in enumerate(bundle.members):
-        frozen = features(member, topo, encoded).data
-        params = ModelParams(member.feature, member.classifier.copy())
+        if stacked_features:
+            frozen = np.concatenate([
+                stacked_forward(topo, bundle.stacked, encoded.take(chunk))[0][index]
+                for chunk in _batches(np.arange(len(encoded)), ensemble.EVAL_CHUNK)])
+        else:
+            frozen = features(member, topo, encoded).data
+        params = member.copy()
         rng = np.random.default_rng([cfg.seed + index, 2])
-        optimizer = Adam(lr=cfg.tune_lr)
+        optimizer = oracle.Adam(lr=cfg.tune_lr)
         for epoch in range(1, cfg.tune_epochs + 1):
             for batch in _batches(_balanced_positions(labels, rng), cfg.batch_size):
                 probs = classify(params, topo, Tensor(frozen[batch]), train=True, rng=rng)
-                _step(params, cross_entropy(probs, labels[batch]), optimizer, epoch)
+                cross_entropy(probs, labels[batch]).backward()
+                optimizer.step([params.classifier])
         heads.append(params.classifier)
     return heads
 
@@ -209,18 +217,31 @@ def test_tune_heads_match_per_member_features(trained):
             assert tuned.stacked[name] is array
 
 
+def test_tune_head_steps_match_per_tensor_adam(trained):
+    # 7 epochs of 3 batches: 21 steps of the buffer Adam on each head
+    bundle, table = trained
+    target = separable_corpus(3, seed=9)
+    cfg = TrainConfig(tune_epochs=7, seed=4, batch_size=3)
+    tuned = tune(bundle, target, cfg, table)
+    heads = per_member_tune(bundle, target, cfg, table, stacked_features=True)
+    for member, head in zip(tuned.members, heads, strict=True):
+        for name, tensor in head.params.items():
+            assert member.classifier.params[name].data.tobytes() == tensor.data.tobytes(), name
+
+
 def test_training_filters_stay_tap_major():
     config = tiny_topology()
     params = build(config, 0)
     conv_w = params.feature.params["conv_w"]
     assert conv_w.data.transpose(1, 2, 0).flags.c_contiguous
-    assert np.shares_memory(_tap_major(conv_w.data), conv_w.data)  # a reshape, no copy
+    taps = conv_w.data.transpose(1, 2, 0).reshape(config.conv_channels(), -1)
+    assert np.shares_memory(taps, conv_w.data)  # a reshape, no copy
     rng = np.random.default_rng(0)
     batch = id_batch(config, seed=0)
-    optimizer = Adam()
+    optimizer = Adam(params.data, params.grad)
     for _ in range(2):
         probs = forward(params, config, batch, train=True, rng=rng)
-        _step(params, cross_entropy(probs, [0, 1, 2, 0]), optimizer, 1)
+        _step(cross_entropy(probs, [0, 1, 2, 0]), optimizer, 1)
         assert conv_w.grad.transpose(1, 2, 0).flags.c_contiguous
     assert conv_w.data.transpose(1, 2, 0).flags.c_contiguous
     copied = params.copy().feature.params["conv_w"].data
