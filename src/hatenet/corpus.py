@@ -82,7 +82,7 @@ def open_utf8(path: str, newline: "str | None" = None):
         try:
             yield fh
         except UnicodeDecodeError as exc:
-            raise InputEncodingError(f"{path} is not UTF-8 text ({exc.reason})") from None
+            raise InputEncodingError.of(path, exc) from None
 
 
 def _find_column(header: list[str], *candidates: str) -> int:

@@ -20,6 +20,11 @@ class EmptyTableError(HatenetError):
 class InputEncodingError(HatenetError):
     """An input file is not UTF-8 text."""
 
+    @classmethod
+    def of(cls, path, exc: UnicodeDecodeError) -> "InputEncodingError":
+        """The error for ``path``, whose bytes failed to decode with ``exc``."""
+        return cls(f"{path} is not UTF-8 text ({exc.reason})")
+
 
 class MissingColumn(HatenetError):
     """A dataset file lacks a required header column."""

@@ -92,6 +92,8 @@ class TokenSequence:
 
 
 def _split_clitics(token: str) -> list[str]:
+    if "'" not in token and "’" not in token:
+        return [token] if token else []
     parts = re.split(r"['’]", token)
     return [p for p in parts if p]
 
@@ -101,6 +103,9 @@ def _is_punct_or_symbol(ch: str) -> bool:
 
 
 def _strip_edges(token: str) -> str:
+    # a letter or digit (category L* or N*) is never punctuation or a symbol
+    if token[:1].isalnum() and token[-1:].isalnum():
+        return token
     start, end = 0, len(token)
     while start < end and _is_punct_or_symbol(token[start]):
         start += 1

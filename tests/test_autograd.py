@@ -1,11 +1,12 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import perpost_oracle as oracle
 from conftest import tiny_topology
-from hatenet import autograd
+from hatenet import autograd, optim
 from hatenet.autograd import (
     IdBatch,
     Tensor,
@@ -558,6 +559,19 @@ class TestAdam:
                 cross_entropy(probs, targets).backward()
                 step()
             assert ours.data.tobytes() == theirs.data.tobytes()
+
+    def test_steps_across_blocks_match_per_tensor_reference(self):
+        # two whole blocks and a part of one: each block rounds as the formula
+        rng = np.random.default_rng(6)
+        n = 2 * optim.ADAM_BLOCK + 5
+        data, grad = rng.standard_normal(n), np.empty(n)
+        param = SimpleNamespace(data=data.copy(), grad=grad)
+        opt, ref = Adam(data, grad, lr=1e-2), oracle.Adam(lr=1e-2)
+        for _ in range(3):
+            grad[:] = rng.standard_normal(n)
+            opt.step()
+            ref.step([SimpleNamespace(params={"w": param})])
+        assert data.tobytes() == param.data.tobytes()
 
     def test_rejects_nonpositive_lr(self):
         with pytest.raises(ValueError):

@@ -1,17 +1,24 @@
+import gc
 import logging
+import os
 import sys
 import tempfile
 import threading
+import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hatenet import cli, embeddings
 from hatenet.embeddings import EmbeddingTable, embed, encode, load_table, synthetic_table
-from hatenet.errors import EmptyTableError
+from hatenet.errors import EmptyTableError, HatenetError, InputEncodingError
 from hatenet.text import TokenSequence
+
+from conftest import separable_corpus
 
 
 def write_vectors(path, lines):
@@ -66,10 +73,11 @@ class TestLoadTable:
 def eager_load(path, dim):
     """The loader before rows were parsed lazily: every row parsed at load.
 
-    Returns (vectors, skipped); the reference for the lazy table's contract.
+    Returns (vectors, skipped), where skipped lists the line numbers of
+    malformed rows; the reference for the lazy table's contract.
     """
     vectors = {}
-    skipped = 0
+    skipped = []
     with open(path, encoding="utf-8", errors="replace") as fh:
         for lineno, line in enumerate(fh, start=1):
             parts = line.rstrip("\n").split()
@@ -82,19 +90,31 @@ def eager_load(path, dim):
                 except ValueError:
                     pass
             if len(parts) != dim + 1:
-                skipped += 1
+                skipped.append(lineno)
                 continue
             token = parts[0]
             try:
                 vec = np.array([float(p) for p in parts[1:]], dtype=np.float64)
             except ValueError:
-                skipped += 1
+                skipped.append(lineno)
                 continue
             if token not in vectors:
                 vectors[token] = vec
     if not vectors:
         raise EmptyTableError(f"no usable vectors in {path}")
     return vectors, skipped
+
+
+class RowWarnings(logging.Handler):
+    """Collects the line numbers of the "<file>:<line>: ..." row warnings."""
+
+    def __init__(self):
+        super().__init__()
+        self.lines = []
+
+    def emit(self, record):
+        if record.msg.startswith("%s:%d:"):
+            self.lines.append(record.args[1])
 
 
 class TestLazyTable:
@@ -181,7 +201,7 @@ class TestLazyTable:
             sys.setswitchinterval(previous)
         assert not any(thread.is_alive() for thread in threads)
         assert failures == []
-        assert table.skipped == want_skipped
+        assert table.skipped == len(want_skipped)
         assert len(table) == len(want)
 
     @given(
@@ -191,15 +211,17 @@ class TestLazyTable:
                 st.sampled_from(["blank", "header", "good", "arity", "text"]),
                 st.sampled_from(["a", "b", "c", "7", "x"]),
                 st.lists(st.sampled_from(["0", "1.5", "-2", "3e-1", "4"]), min_size=3, max_size=3),
-                st.sampled_from([" ", "\t", "  "]),
-                st.sampled_from(["\n", "\r\n"]),
+                st.sampled_from([" ", "\t", "  ", "\x1f", "\u3000 "]),  # str.split whitespace
+                st.sampled_from(["\n", "\r\n", "\r"]),
             ),
             max_size=12,
         ),
         count_first=st.booleans(),
+        open_last=st.booleans(),
+        chunk=st.sampled_from([1, 2, 3, 7, embeddings._CHUNK]),
     )
     @settings(max_examples=300, deadline=None)
-    def test_matches_eager_loader(self, dim, rows, count_first):
+    def test_matches_eager_loader(self, dim, rows, count_first, open_last, chunk):
         lines = []
         for kind, token, values, sep, end in rows:
             if kind == "blank":
@@ -213,7 +235,12 @@ class TestLazyTable:
             else:
                 fields = [token] + values[: dim - 1] + ["x1"]
             lines.append(sep.join(fields) + end)
-        with tempfile.TemporaryDirectory() as tmp:
+        if open_last and lines:  # a last line with no line end
+            lines[-1] = lines[-1].rstrip("\r\n")
+        handler = RowWarnings()
+        logger = logging.getLogger("hatenet.embeddings")
+        with tempfile.TemporaryDirectory() as tmp, \
+                mock.patch.object(embeddings, "_CHUNK", chunk):  # line ends cut by reads
             path = Path(tmp) / "v.txt"
             path.write_bytes("".join(lines).encode("utf-8"))
             try:
@@ -222,18 +249,139 @@ class TestLazyTable:
                 with pytest.raises(EmptyTableError):
                     load_table(str(path), dim)
                 return
-            table = load_table(str(path), dim)
-        if count_first:
-            assert len(table) == len(want)
-            assert table.skipped == want_skipped
-        for token in ["a", "b", "c", "7", "x", "3", "12", ""]:
-            got = table.get(token)
-            assert (got is None) == (token not in want)
-            if got is not None:
-                np.testing.assert_array_equal(got, want[token])
-            assert (token in table) == (token in want)
-        assert len(table) == len(want)
-        assert table.skipped == want_skipped
+            logger.addHandler(handler)
+            try:
+                table = load_table(str(path), dim)
+                if count_first:
+                    assert len(table) == len(want)
+                    assert table.skipped == len(want_skipped)
+                for token in ["a", "b", "c", "7", "x", "3", "12", ""]:
+                    got = table.get(token)
+                    assert (got is None) == (token not in want)
+                    if got is not None:
+                        np.testing.assert_array_equal(got, want[token])
+                    assert (token in table) == (token in want)
+                assert len(table) == len(want)
+                assert table.skipped == len(want_skipped)
+            finally:
+                logger.removeHandler(handler)
+        # each malformed row warned once, under its line number
+        assert sorted(handler.lines) == want_skipped
+
+
+class TestFileBackedRows:
+    """The table keeps the file open and reads each row's bytes on first
+    lookup; these pin what that means for the file and the process."""
+
+    def test_bad_utf8_in_unread_row_fails_at_load(self, tmp_path):
+        path = tmp_path / "v.txt"
+        path.write_bytes(b"cat 1 2\ndog 3 4\ncaf\xe9 5 6\n")
+        with pytest.raises(InputEncodingError, match=f"{path} is not UTF-8 text"):
+            load_table(str(path), dim=2)
+
+    def test_train_with_bad_utf8_row_exits_3_naming_the_file(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text("".join(f"{p.label}\t{p.text}\n" for p in separable_corpus(8).posts))
+        vectors = tmp_path / "vectors.txt"
+        vectors.write_bytes(b"the 1 2 3 4\n" * 3 + b"zz\xe9 1 2 3 4\n")
+        code = cli.main(["train", "--labeled-lines", str(corpus), "--seq-len", "8", "-k", "1",
+                         "--epochs", "1", "--embeddings", str(vectors), "--emb-dim", "4",
+                         "--out", str(tmp_path / "run")])
+        assert code == cli.EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert f"{vectors} is not UTF-8 text" in err, err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+    def test_pipe_exits_3_naming_the_file(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text("".join(f"{p.label}\t{p.text}\n" for p in separable_corpus(8).posts))
+        r, w = os.pipe()
+        os.write(w, b"the 1 2 3 4\n")
+        os.close(w)  # at end of data, so a loader that reads the pipe cannot block
+        try:
+            vectors = f"/dev/fd/{r}"
+            with pytest.raises(HatenetError, match=f"{vectors} is not a regular file"):
+                load_table(vectors, dim=4)
+            code = cli.main(["train", "--labeled-lines", str(corpus), "--seq-len", "8",
+                             "-k", "1", "--epochs", "1", "--embeddings", vectors,
+                             "--emb-dim", "4", "--out", str(tmp_path / "run")])
+        finally:
+            os.close(r)
+        assert code == cli.EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert f"{vectors} is not a regular file" in err, err
+
+    def test_rows_served_after_unlink(self, tmp_path):
+        path = write_vectors(tmp_path / "v.txt", ["cat 1 2", "dog 3 4", "eel 5 6"])
+        table = load_table(path, dim=2)
+        os.unlink(path)
+        np.testing.assert_array_equal(table.get("eel"), [5, 6])
+        assert len(table) == 3 and table.skipped == 0
+
+    def test_rows_served_after_replace_by_rename(self, tmp_path):
+        path = write_vectors(tmp_path / "v.txt", ["cat 1 2", "dog 3 4", "eel 5 6"])
+        table = load_table(path, dim=2)
+        other = write_vectors(tmp_path / "new.txt", ["dog 9 9", "eel 8 8", "cat 7 7"])
+        os.replace(other, path)
+        np.testing.assert_array_equal(table.get("dog"), [3, 4])
+        np.testing.assert_array_equal(table.get("eel"), [5, 6])
+        assert len(table) == 3
+
+    @pytest.mark.parametrize("new, line", [
+        (b"cat 1 2\ncow 3 4\neel 5 6\n", 2),   # another token on the line
+        (b"cat 1 2\ndog 3\n4\neel 5 6\n", 2),  # the line end moved
+        (b"cat 1 2\ndog 3 45\neel 5 6\n", 2),  # the line grew
+        (b"cat 1 2\ndog 3 4\n", 3),             # the file was cut short
+    ])
+    def test_row_rewritten_in_place_is_an_error(self, tmp_path, new, line):
+        path = write_vectors(tmp_path / "v.txt", ["cat 1 2", "dog 3 4", "eel 5 6"])
+        table = load_table(path, dim=2)
+        with open(path, "r+b") as fh:
+            fh.write(new)
+            fh.truncate()
+        token = {2: "dog", 3: "eel"}[line]
+        with pytest.raises(HatenetError, match=f"{path}:{line}: "):
+            table.get(token)
+        with pytest.raises(HatenetError, match=f"{path}:{line}: "):
+            len(table)
+
+    def test_dropped_tables_close_their_files(self, tmp_path):
+        fds = Path("/proc/self/fd")
+        if not fds.is_dir():
+            pytest.skip("no /proc/self/fd to count descriptors in")
+        path = write_vectors(tmp_path / "v.txt", ["cat 1 2", "dog 3 4"])
+        gc.collect()
+        before = len(os.listdir(fds))
+        for _ in range(50):
+            table = load_table(path, dim=2)
+            assert table.get("dog") is not None
+            del table
+        with pytest.raises(EmptyTableError):
+            load_table(write_vectors(tmp_path / "bad.txt", ["cat 1"]), dim=2)
+        gc.collect()
+        assert len(os.listdir(fds)) == before
+
+    def test_table_holds_far_less_than_the_file(self, tmp_path):
+        rng = np.random.default_rng(0)
+        path = tmp_path / "v.txt"
+        with open(path, "w", encoding="utf-8") as fh:
+            for i in range(2000):
+                values = " ".join(f"{x:.4f}" for x in rng.standard_normal(300))
+                fh.write(f"tok{i} {values}\n")
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            table = load_table(str(path), dim=300)
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert table.get("tok1999") is not None
+        assert held < path.stat().st_size / 5, (held, path.stat().st_size)
 
 
 class TestSyntheticTable:

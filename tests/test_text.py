@@ -1,4 +1,5 @@
 import re
+import unicodedata
 from pathlib import Path
 
 import pytest
@@ -96,6 +97,29 @@ class TestTokenize:
 
     def test_internal_hyphen_kept(self):
         assert tokenize("well-known fact") == ["well-known", "fact"]
+
+    @staticmethod
+    def char_by_char(word):
+        """The rule without shortcuts: strip P*/S* characters from both
+        edges one at a time, then split on apostrophes."""
+        def edge(ch):
+            return unicodedata.category(ch)[0] in ("P", "S")
+        start, end = 0, len(word)
+        while start < end and edge(word[start]):
+            start += 1
+        while end > start and edge(word[end - 1]):
+            end -= 1
+        return [p for p in re.split(r"['’]", word[start:end]) if p]
+
+    @given(st.lists(st.text(alphabet=st.one_of(st.characters(), st.sampled_from("'’a7.!$")),
+                            min_size=1, max_size=8), max_size=6))
+    @settings(max_examples=500, deadline=None)
+    def test_fast_paths_match_char_by_char_rule(self, words):
+        text = " ".join(words)
+        want = [tok for raw in text.split()
+                for tok in ([raw] if raw in (MENTION_SENTINEL, HASHTAG_SENTINEL)
+                            else self.char_by_char(raw))]
+        assert tokenize(text) == want
 
 
 class TestStem:
