@@ -275,7 +275,8 @@ def conv1d(x: IdBatch, filters: Tensor, bias: Tensor, pad: int) -> Tensor:
         rank = np.arange(len(order)) - starts[run]
         at = order + (order // t + 1) * (width - 1)  # each step's gpad row at tap 0
         back = np.arange(width)
-        d_taps = np.zeros((c_in, width * c_out))
+        # (C_in, W, C_out), C-contiguous for a built member's filters
+        d_taps = filters.grad.transpose(1, 2, 0)
         # per block of CONV_BLOCK_ROWS ids: sum each id's shifted output
         # gradients a rank at a time, then multiply by its row once
         for r0 in range(0, len(starts), CONV_BLOCK_ROWS):
@@ -286,9 +287,8 @@ def conv1d(x: IdBatch, filters: Tensor, bias: Tensor, pad: int) -> Tensor:
                 sel = block_rank == k
                 summed[block_run[sel]] += gflat[block_at[sel, None] - back]
             block_rows = rows[sorted_ids[starts[r0 : r0 + CONV_BLOCK_ROWS]]]
-            d_taps += block_rows.T @ summed.reshape(len(summed), -1)
+            d_taps += (block_rows.T @ summed.reshape(len(summed), -1)).reshape(d_taps.shape)
             del summed
-        filters.grad += d_taps.reshape(c_in, width, c_out).transpose(2, 0, 1)
 
     return Tensor(y.swapaxes(1, 2), (filters, bias), bwd)
 

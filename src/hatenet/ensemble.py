@@ -216,14 +216,13 @@ class _TrainData:
 
 def _mean_loss_eval(params, topo, data: _TrainData) -> tuple[float, "float | None"]:
     """Mean eval-mode loss over the validation posts, plus hate recall when
-    the targets are labels: the member, stacked alone, scored with one
-    stacked_forward pass per EVAL_CHUNK posts."""
-    stacked = stack(topo, 1, [[t.data for t in params.named_tensors().values()]])
+    the targets are labels: the member's own K=1 stack (model.flat) scored
+    in place, one stacked_forward pass per EVAL_CHUNK posts."""
     valid = np.arange(data.n_train, len(data.batch))
     total = 0.0
     pairs = []
     for chunk in _batches(valid, EVAL_CHUNK):
-        probs = stacked_forward(topo, stacked, data.batch.take(chunk))[1][0]
+        probs = stacked_forward(topo, params.stacked, data.batch.take(chunk))[1][0]
         total += data.loss(Tensor(probs), chunk).data.item() * len(chunk)
         if data.weights is None:
             pairs.extend((data.targets[i], int(np.argmax(row))) for i, row in zip(chunk, probs))

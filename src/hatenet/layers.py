@@ -71,19 +71,20 @@ def rnn_shapes(d_in: int, hidden: int, gates) -> list[tuple[str, tuple[int, ...]
 
 
 def init_rnn(rng: np.random.Generator, d_in: int, hidden: int, gates) -> tuple[Tensor, ...]:
-    """The recurrent layer's gate-major W (G*H, D), U (G*H, H) and b (G*H,),
-    with zeroed gradients; each gate's tensors drawn in rnn_shapes order."""
+    """The recurrent layer's gate-major W (G*H, D), contiguous Uᵀ (H, G*H) and
+    b (G*H,), with zeroed gradients; each gate's tensors drawn in rnn_shapes order."""
     drawn = {name: init_param(rng, shape) for name, shape in rnn_shapes(d_in, hidden, gates)}
-    blocks = [np.concatenate([drawn[f"{kind}_{gate}"] for gate in gates]) for kind in "wub"]
-    return tuple(Tensor(block, grad=np.zeros_like(block)) for block in blocks)
+    w, u, b = (np.concatenate([drawn[f"{kind}_{gate}"] for gate in gates]) for kind in "wub")
+    return tuple(Tensor(block, grad=np.zeros_like(block)) for block in (w, u.T.copy(), b))
 
 
-def rnn_views(w: Tensor, u: Tensor, b: Tensor, gates) -> dict[str, Tensor]:
+def rnn_views(w: Tensor, u_t: Tensor, b: Tensor, gates) -> dict[str, Tensor]:
     """W_g, U_g and b_g of each gate g (rnn_shapes order) as Tensors over
-    the gate's rows of the gate-major w, u and b, each gradient over the
+    the gate's rows of the gate-major w, u_t.T and b, each gradient over the
     same rows of its block's gradient (None where the block has none)."""
     hidden = len(b.data) // len(gates)
     rows = [slice(i * hidden, (i + 1) * hidden) for i in range(len(gates))]
+    u = Tensor(u_t.data.T, grad=None if u_t.grad is None else u_t.grad.T)
     return {f"{kind}_{gate}": Tensor(t.data[r], grad=None if t.grad is None else t.grad[r])
             for gate, r in zip(gates, rows) for kind, t in zip("wub", (w, u, b))}
 
@@ -114,10 +115,10 @@ def _flat(a: np.ndarray) -> np.ndarray:
     return a.reshape(-1, a.shape[-1])
 
 
-def gru_forward(inputs: Tensor, w: Tensor, u: Tensor, b: Tensor) -> Tensor:
+def gru_forward(inputs: Tensor, w: Tensor, u_t: Tensor, b: Tensor) -> Tensor:
     """Gated recurrent unit over (B, T, D) inputs; returns all T hidden
-    states, (B, T, H).  w, u and b are gate-major (z, r, h): (3H, D), (3H, H)
-    and (3H,).
+    states, (B, T, H).  w, u_t and b are gate-major (z, r, h): W (3H, D),
+    Uᵀ (H, 3H) and b (3H,).
 
     z_t = sigmoid(W_z x_t + U_z h + b_z)
     r_t = sigmoid(W_r x_t + U_r h + b_r)
@@ -127,12 +128,13 @@ def gru_forward(inputs: Tensor, w: Tensor, u: Tensor, b: Tensor) -> Tensor:
     One autograd node with a hand-written backward pass through time that
     adds into the blocks' gradients.  The input projection of all steps and
     inputs is one GEMM against W; each step then multiplies the (B, H)
-    states once by [U_z; U_r] and once by U_h, row blocks of U.
+    states once by [U_z; U_r]ᵀ and once by U_hᵀ, column blocks of the stored
+    Uᵀ, as model._stacked_rnn does; the backward pass reads a contiguous U.
     """
     x, xp = _projected(inputs, w, b)
     t_steps, n = x.shape[:2]
-    hidden = u.data.shape[1]
-    u_zr, u_h = u.data[: 2 * hidden], u.data[2 * hidden :]
+    hidden = u_t.data.shape[0]
+    ut_zr, ut_h = u_t.data[:, : 2 * hidden], u_t.data[:, 2 * hidden :]
     h = np.zeros((t_steps + 1, n, hidden))  # h[t] is the state entering step t
     zr = np.empty((t_steps, n, 2 * hidden))
     g = np.empty((t_steps, n, hidden))
@@ -140,14 +142,15 @@ def gru_forward(inputs: Tensor, w: Tensor, u: Tensor, b: Tensor) -> Tensor:
     xp_zr, xp_h = xp[..., : 2 * hidden], xp[..., 2 * hidden :]
     z_steps, r_steps = zr[..., :hidden], zr[..., hidden:]
     for t in range(t_steps):
-        sigmoid(xp_zr[t] + h[t] @ u_zr.T, out=zr[t])
+        sigmoid(xp_zr[t] + h[t] @ ut_zr, out=zr[t])
         np.multiply(r_steps[t], h[t], out=rh[t])
-        np.tanh(xp_h[t] + rh[t] @ u_h.T, out=g[t])
+        np.tanh(xp_h[t] + rh[t] @ ut_h, out=g[t])
         z = z_steps[t]
         h[t + 1] = (1.0 - z) * h[t] + z * g[t]
 
     def bwd(grad):
         grad = grad.swapaxes(0, 1)
+        u_zr, u_h = np.split(np.ascontiguousarray(u_t.data.T), [2 * hidden])
         d_zr = zr * (1.0 - zr)
         d_g = 1.0 - g * g
         da = np.empty((t_steps, n, 3 * hidden))  # gradient of the preactivations
@@ -165,16 +168,16 @@ def gru_forward(inputs: Tensor, w: Tensor, u: Tensor, b: Tensor) -> Tensor:
         da = _flat(da)
         w.grad += da.T @ _flat(x)
         b.grad += da.sum(axis=0)
-        u.grad[: 2 * hidden] += da[:, : 2 * hidden].T @ _flat(h[:-1])
-        u.grad[2 * hidden :] += da[:, 2 * hidden :].T @ _flat(rh)
+        u_t.grad[:, : 2 * hidden] += (da[:, : 2 * hidden].T @ _flat(h[:-1])).T
+        u_t.grad[:, 2 * hidden :] += (da[:, 2 * hidden :].T @ _flat(rh)).T
 
-    return Tensor(h[1:].swapaxes(0, 1), (inputs, w, u, b), bwd)
+    return Tensor(h[1:].swapaxes(0, 1), (inputs, w, u_t, b), bwd)
 
 
-def lstm_forward(inputs: Tensor, w: Tensor, u: Tensor, b: Tensor) -> Tensor:
+def lstm_forward(inputs: Tensor, w: Tensor, u_t: Tensor, b: Tensor) -> Tensor:
     """LSTM with forget/input/output gates over (B, T, D) inputs; returns
-    all T hidden states, (B, T, H).  w, u and b are gate-major (i, f, o, g):
-    (4H, D), (4H, H) and (4H,).
+    all T hidden states, (B, T, H).  w, u_t and b are gate-major (i, f, o, g):
+    W (4H, D), Uᵀ (H, 4H) and b (4H,).
 
     i, f, o = sigmoid(W x_t + U h + b) per gate, g = tanh(W_g x_t + U_g h + b_g)
     c_t = f * c + i * g
@@ -182,18 +185,19 @@ def lstm_forward(inputs: Tensor, w: Tensor, u: Tensor, b: Tensor) -> Tensor:
 
     One autograd node with a hand-written backward pass through time that
     adds into the blocks' gradients: one GEMM projects all steps of all
-    inputs through W, and each step multiplies the (B, H) states once by U.
+    inputs through W, and each step multiplies the (B, H) states once by the
+    stored Uᵀ, as model._stacked_rnn does; the backward pass reads a contiguous U.
     """
     x, xp = _projected(inputs, w, b)
     t_steps, n = x.shape[:2]
-    hidden = u.data.shape[1]
+    hidden = u_t.data.shape[0]
     h = np.zeros((t_steps + 1, n, hidden))  # h[t], c[t] enter step t
     c = np.zeros((t_steps + 1, n, hidden))
     act = np.empty((t_steps, n, 4 * hidden))  # i, f, o, g
     tc = np.empty((t_steps, n, hidden))
     sig_steps, tanh_steps = act[..., : 3 * hidden], act[..., 3 * hidden :]
     for t in range(t_steps):
-        a = xp[t] + h[t] @ u.data.T
+        a = xp[t] + h[t] @ u_t.data
         sigmoid(a[:, : 3 * hidden], out=sig_steps[t])
         np.tanh(a[:, 3 * hidden :], out=tanh_steps[t])
         i, f, o, g = act[t].reshape(n, 4, hidden).swapaxes(0, 1)
@@ -203,6 +207,7 @@ def lstm_forward(inputs: Tensor, w: Tensor, u: Tensor, b: Tensor) -> Tensor:
 
     def bwd(grad):
         grad = grad.swapaxes(0, 1)
+        u = np.ascontiguousarray(u_t.data.T)
         d_act = np.empty_like(act)
         d_act[..., : 3 * hidden] = act[..., : 3 * hidden] * (1.0 - act[..., : 3 * hidden])
         d_act[..., 3 * hidden :] = 1.0 - act[..., 3 * hidden :] ** 2
@@ -219,14 +224,14 @@ def lstm_forward(inputs: Tensor, w: Tensor, u: Tensor, b: Tensor) -> Tensor:
             da[t, :, 3 * hidden :] = dc * i
             da[t] *= d_act[t]
             dc = dc * f
-            dh = da[t] @ u.data
+            dh = da[t] @ u
         inputs.grad += (da @ w.data).swapaxes(0, 1)
         da = _flat(da)
         w.grad += da.T @ _flat(x)
         b.grad += da.sum(axis=0)
-        u.grad += da.T @ _flat(h[:-1])
+        u_t.grad += (da.T @ _flat(h[:-1])).T
 
-    return Tensor(h[1:].swapaxes(0, 1), (inputs, w, u, b), bwd)
+    return Tensor(h[1:].swapaxes(0, 1), (inputs, w, u_t, b), bwd)
 
 
 def cross_entropy(probs: Tensor, targets) -> Tensor:

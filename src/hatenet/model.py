@@ -10,6 +10,8 @@ one post is a batch of 1.
 ``forward`` is one member's autograd pass, for training and gradient
 checks.  An ensemble stores its K members stacked (``stack``), and
 ``stacked_forward`` scores them all in one eval-mode pass without a graph.
+Parameters have one layout, ``stacked_shapes``: a training member is the
+K=1 stack over one flat buffer (``flat``), which validation scores in place.
 
 ``conv_axis`` selects which input axis the convolution slides along:
 "sequence" treats the embedding coordinates as channels (pooled length
@@ -120,17 +122,17 @@ class ModelParams:
     """All trainable tensors of one ensemble member, partitioned into the
     convolutional/recurrent feature group and the dense classifier group.
 
-    The tensors and their gradients view the member's blocks (`flat`): in
-    one flat buffer, `data`, and its gradient buffer, `grad`, for a member
-    that trains; read-only stacked rows, without gradients, for a bundle's
-    member.  `rnn` is the gate-major W, U and b the per-gate tensors view."""
+    The tensors view the member's blocks of stacked arrays (stacked_shapes):
+    for a member that trains, its K=1 stack `stacked` over one flat buffer,
+    `data`, with gradients over `grad` (`flat`); for a bundle's member, its
+    read-only rows of the bundle's stack.  `rnn` is W, Uᵀ and b gate-major."""
 
     def __init__(self, config: "TopologyConfig", blocks: dict, grads: "dict | None" = None):
         def tensor(name, view=lambda a: a) -> Tensor:
             return Tensor(view(blocks[name]), grad=None if grads is None else view(grads[name]))
 
-        self.config, self.data, self.grad = config, None, None
-        self.rnn = tuple(tensor(name) for name in ("rnn_w", "rnn_u", "rnn_b") if name in blocks)
+        self.config, self.data, self.grad, self.stacked = config, None, None, None
+        self.rnn = tuple(tensor(name) for name in ("rnn_w", "rnn_u_t", "rnn_b") if name in blocks)
         named = {"conv_w": tensor("taps", lambda a: a.transpose(2, 0, 1)),
                  **(rnn_views(*self.rnn, _gates(config)) if self.rnn else {})}
         groups: dict[str, dict[str, Tensor]] = {"feature": {}, "classifier": {}}
@@ -186,25 +188,46 @@ def layout(config: TopologyConfig) -> list[tuple[str, str, tuple[int, ...]]]:
     return [("feature", *e) for e in feature] + [("classifier", *e) for e in classifier]
 
 
-def flat(config: TopologyConfig, data: "np.ndarray | None" = None) -> ModelParams:
-    """The member over one flat buffer of param_count(config) values, `data`
-    (zeros when not given), with a zeroed gradient buffer of the same shape.
-    A buffer holds the member's blocks in order: the conv filters tap-major,
-    (C_in, W, C_out), conv_b, the RNN's W, U and b gate-major, (G*H, D),
-    (G*H, H) and (G*H,), then the classifier group's tensors."""
-    c, h, gh = config.conv_filters, config.rnn_hidden, len(_gates(config)) * config.rnn_hidden
-    shapes = {"taps": (config.conv_channels(), config.conv_width, c), "conv_b": (c,)}
+def stacked_shapes(config: TopologyConfig, k: int) -> dict[str, tuple[int, ...]]:
+    """Shape of each stacked array of k members, in flat's buffer order: the
+    conv filters tap-major, (C_in, W, k*C_out), so that a block of taps is one
+    (C_in, taps*k*C_out) matrix; the RNN's W, Uᵀ and b gate-major,
+    (k, G*H, D), (k, H, G*H) and (k, G*H); every other tensor (k, *shape)."""
+    c = config.conv_filters
+    shapes = {"taps": (config.conv_channels(), config.conv_width, k * c), "conv_b": (k, c)}
     if config.variant == CNN_RNN_FC:
-        shapes.update(rnn_w=(gh, c), rnn_u=(gh, h), rnn_b=(gh,))
-    shapes.update((name, shape) for group, name, shape in layout(config) if group == "classifier")
+        gh, h = len(_gates(config)) * config.rnn_hidden, config.rnn_hidden
+        shapes.update(rnn_w=(k, gh, c), rnn_u_t=(k, h, gh), rnn_b=(k, gh))
+    for group, name, shape in layout(config):
+        if group == "classifier":
+            shapes[name] = (k, *shape)
+    return shapes
+
+
+def _stacked_blocks(config: TopologyConfig, stacked: dict, k: int) -> dict:
+    """Member k's blocks, the views of `stacked` that ModelParams reads:
+    its (C_in, W, C_out) taps and its row of every other array."""
+    c = config.conv_filters
+    blocks = {name: array[k] for name, array in stacked.items() if name != "taps"}
+    blocks["taps"] = stacked["taps"][:, :, k * c : (k + 1) * c]
+    return blocks
+
+
+def flat(config: TopologyConfig, data: "np.ndarray | None" = None) -> ModelParams:
+    """The member as the K=1 stack over one flat buffer of param_count(config)
+    values, `data` (zeros when not given), with a zeroed gradient buffer of
+    the same shape: each buffer holds the arrays of stacked_shapes(config, 1)
+    in order, `params.stacked` those of `data`, which stacked_forward scores
+    in place."""
+    shapes = stacked_shapes(config, 1)
     # values and gradients in one allocation: as separate arrays, with Adam's
     # four, they doubled a training call's page faults (measured on glibc)
     data, grad = np.zeros((2, param_count(config))) if data is None else (data, np.zeros_like(data))
     ends = np.cumsum([math.prod(shape) for shape in shapes.values()])[:-1]
-    params = ModelParams(config, *({name: part.reshape(shape) for (name, shape), part
-                                    in zip(shapes.items(), np.split(buffer, ends))}
-                                   for buffer in (data, grad)))
-    params.data, params.grad = data, grad
+    stacked, grads = ({name: part.reshape(shape) for (name, shape), part
+                       in zip(shapes.items(), np.split(buffer, ends))} for buffer in (data, grad))
+    params = ModelParams(config, *(_stacked_blocks(config, s, 0) for s in (stacked, grads)))
+    params.data, params.grad, params.stacked = data, grad, stacked
     return params
 
 
@@ -290,36 +313,9 @@ def forward(
 
 # -- K members stacked ---------------------------------------------------
 #
-# An ensemble's K members live in one array per layer with a member axis,
-# laid out the way stacked_forward reads them; member k's tensors are views
-# of its rows (_stacked_blocks).
-
-
-def stacked_shapes(config: TopologyConfig, k: int) -> dict[str, tuple[int, ...]]:
-    """Shape of each stacked array of k members: the conv filters
-    tap-major, (C_in, W, k*C_out), so that a block of taps is one
-    (C_in, taps*k*C_out) matrix; the RNN's W, Uᵀ and b gate-major,
-    (k, G*H, D), (k, H, G*H) and (k, G*H); every other tensor (k, *shape)."""
-    c = config.conv_filters
-    shapes = {"taps": (config.conv_channels(), config.conv_width, k * c), "conv_b": (k, c)}
-    if config.variant == CNN_RNN_FC:
-        gh, h = len(_gates(config)) * config.rnn_hidden, config.rnn_hidden
-        shapes.update(rnn_w=(k, gh, c), rnn_u_t=(k, h, gh), rnn_b=(k, gh))
-    for group, name, shape in layout(config):
-        if group == "classifier":
-            shapes[name] = (k, *shape)
-    return shapes
-
-
-def _stacked_blocks(config: TopologyConfig, stacked: dict, k: int) -> dict:
-    """Member k's blocks (as `flat` lays them out) as views of `stacked`;
-    its U is a transposed view of Uᵀ."""
-    c = config.conv_filters
-    blocks = {name: array[k] for name, array in stacked.items() if name != "taps"}
-    blocks["taps"] = stacked["taps"][:, :, k * c : (k + 1) * c]
-    if config.variant == CNN_RNN_FC:
-        blocks["rnn_u"] = blocks.pop("rnn_u_t").T
-    return blocks
+# An ensemble's K members live in one array per layer with a member axis
+# (stacked_shapes), laid out the way stacked_forward reads them; member k's
+# tensors are views of its rows (_stacked_blocks).
 
 
 def stack(config: TopologyConfig, k: int, members) -> dict[str, np.ndarray]:

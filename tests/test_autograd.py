@@ -242,9 +242,9 @@ def init_lstm(rng, d_in, hidden):
 
 
 def blocks_of(p, gates):
-    """Gate-major W, U and b Tensors holding the per-gate values of p."""
-    return tuple(Tensor(np.concatenate([p[f"{kind}_{gate}"].data for gate in gates]))
-                 for kind in "wub")
+    """Gate-major W, Uᵀ and b Tensors holding the per-gate values of p."""
+    w, u, b = (np.concatenate([p[f"{kind}_{gate}"].data for gate in gates]) for kind in "wub")
+    return Tensor(w), Tensor(u.T.copy()), Tensor(b)
 
 
 def scalar_gru_step(x, h, p):

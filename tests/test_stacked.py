@@ -230,20 +230,53 @@ def test_tune_head_steps_match_per_tensor_adam(trained):
 
 
 def test_training_filters_stay_tap_major():
-    config = tiny_topology()
-    params = build(config, 0)
-    conv_w = params.feature.params["conv_w"]
-    assert conv_w.data.transpose(1, 2, 0).flags.c_contiguous
-    taps = conv_w.data.transpose(1, 2, 0).reshape(config.conv_channels(), -1)
-    assert np.shares_memory(taps, conv_w.data)  # a reshape, no copy
-    rng = np.random.default_rng(0)
-    batch = id_batch(config, seed=0)
-    optimizer = Adam(params.data, params.grad)
-    for _ in range(2):
-        probs = forward(params, config, batch, train=True, rng=rng)
-        _step(cross_entropy(probs, [0, 1, 2, 0]), optimizer, 1)
-        assert conv_w.grad.transpose(1, 2, 0).flags.c_contiguous
-    assert conv_w.data.transpose(1, 2, 0).flags.c_contiguous
-    copied = params.copy().feature.params["conv_w"].data
-    assert copied.transpose(1, 2, 0).flags.c_contiguous
-    np.testing.assert_array_equal(copied, conv_w.data)
+    for rnn_kind in ("gru", "lstm"):
+        config = tiny_topology(rnn_kind=rnn_kind)
+        params = build(config, 0)
+        conv_w, u_t = params.feature.params["conv_w"], params.rnn[1]
+        assert conv_w.data.transpose(1, 2, 0).flags.c_contiguous
+        taps = conv_w.data.transpose(1, 2, 0).reshape(config.conv_channels(), -1)
+        assert np.shares_memory(taps, conv_w.data)  # a reshape, no copy
+        gates = {"gru": 3, "lstm": 4}[rnn_kind]
+        assert u_t.data.shape == (config.rnn_hidden, gates * config.rnn_hidden)  # Uᵀ, not U
+        rng = np.random.default_rng(0)
+        batch = id_batch(config, seed=0)
+        optimizer = Adam(params.data, params.grad)
+        for _ in range(2):
+            probs = forward(params, config, batch, train=True, rng=rng)
+            _step(cross_entropy(probs, [0, 1, 2, 0]), optimizer, 1)
+            assert conv_w.grad.transpose(1, 2, 0).flags.c_contiguous
+            for block, buffer in ((u_t.data, params.data), (u_t.grad, params.grad)):
+                assert block.flags.c_contiguous and np.shares_memory(block, buffer)
+        assert conv_w.data.transpose(1, 2, 0).flags.c_contiguous
+        copied = params.copy().feature.params["conv_w"].data
+        assert copied.transpose(1, 2, 0).flags.c_contiguous
+        np.testing.assert_array_equal(copied, conv_w.data)
+
+
+@pytest.mark.parametrize("rnn_kind", ["gru", "lstm"])
+def test_training_never_relays_a_member(rnn_kind, monkeypatch):
+    """A training member is the K=1 stack over its buffer: validation scores
+    it in place, so training never calls model.stack."""
+    config = tiny_topology(rnn_kind=rnn_kind)
+    params = build(config, 3)
+    shapes = model.stacked_shapes(config, 1)
+    assert list(params.stacked) == list(shapes)
+    for name, array in params.stacked.items():
+        assert array.shape == shapes[name], name
+        assert np.shares_memory(array, params.data), name
+    restacked = model.stack(config, 1, [[t.data for t in params.named_tensors().values()]])
+    for name, array in restacked.items():
+        assert array.tobytes() == params.stacked[name].tobytes(), name
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("training re-laid a member with model.stack")
+
+    monkeypatch.setattr(ensemble, "stack", refuse)
+    corpus = separable_corpus(3, seed=4)
+    cfg = TrainConfig(ensemble_size=1, epochs=2, seed=0, batch_size=4)
+    trained, trace = ensemble.train_member(0, cfg, config, synthetic_table(0, 6),
+                                           corpus, corpus, keep_snapshots=True)
+    assert len(trace.epochs) == 2
+    for member in (trained, *trace.snapshots):
+        assert all(np.shares_memory(a, member.data) for a in member.stacked.values())
