@@ -361,28 +361,18 @@ class Prediction:
     member_probs: np.ndarray
 
 
-def vote_outcome(votes: "np.ndarray | list[int]", member_probs: np.ndarray) -> int:
+def vote_outcome(votes: "np.ndarray | list[int]",
+                 member_probs: np.ndarray) -> "int | np.ndarray":
     """Majority decision with the documented tie-break chain: most votes,
-    then highest summed probability across members, then lowest ordinal."""
-    counts = np.bincount(np.asarray(votes, dtype=np.int64), minlength=N_CLASSES)
-    tied = np.flatnonzero(counts == counts.max())
-    if len(tied) == 1:
-        return int(tied[0])
-    sums = member_probs.sum(axis=0)[tied]
-    tied = tied[sums == sums.max()]
-    return int(tied[0])
-
-
-def _prediction(member_probs: np.ndarray) -> Prediction:
-    """Per-member argmax votes (ties to the lowest class ordinal), then the
-    majority decision, from one post's (K, 3) member probabilities."""
-    votes = [int(np.argmax(p)) for p in member_probs]
-    return Prediction(
-        label=vote_outcome(votes, member_probs),
-        votes=votes,
-        mean_probs=member_probs.mean(axis=0),
-        member_probs=member_probs,
-    )
+    then highest summed probability across members, then lowest ordinal.
+    Votes (K,) and probabilities (K, 3) give one label, an int; votes
+    (K, B) and probabilities (K, B, 3) give the B posts' labels, (B,)."""
+    votes = np.asarray(votes, dtype=np.int64)
+    counts = (votes[..., None] == np.arange(N_CLASSES)).sum(axis=0)
+    tied = counts == counts.max(axis=-1, keepdims=True)
+    # argmax takes the first of equal sums: the lowest ordinal
+    labels = np.where(tied, member_probs.sum(axis=0), -np.inf).argmax(axis=-1)
+    return int(labels) if votes.ndim == 1 else labels
 
 
 def _check_table(bundle: EnsembleBundle, table: EmbeddingTable) -> None:
@@ -401,7 +391,11 @@ def predict_all(bundle: EnsembleBundle, posts, table: EmbeddingTable) -> Iterato
     _, encoded = _encode(posts, table, bundle.topology)
     for chunk in _batches(np.arange(len(encoded)), EVAL_CHUNK):
         _, probs = stacked_forward(bundle.topology, bundle.stacked, encoded.take(chunk))
-        yield from (_prediction(probs[:, i]) for i in range(len(chunk)))
+        votes = probs.argmax(axis=-1)  # (K, B), ties to the lowest class ordinal
+        means = probs.mean(axis=0)
+        for i, label in enumerate(vote_outcome(votes, probs).tolist()):
+            yield Prediction(label=label, votes=votes[:, i].tolist(),
+                             mean_probs=means[i], member_probs=probs[:, i])
 
 
 def predict(bundle: EnsembleBundle, post: RawPost, table: EmbeddingTable) -> Prediction:

@@ -12,6 +12,10 @@ checks.  An ensemble stores its K members stacked (``stack``), and
 ``stacked_forward`` scores them all in one eval-mode pass without a graph.
 Parameters have one layout, ``stacked_shapes``: a training member is the
 K=1 stack over one flat buffer (``flat``), which validation scores in place.
+Posts are padded on the left, and a pooled step that reads only padding
+gives every member its conv bias as RNN input; so the stacked pass runs
+the steps where every post of the batch is padding on one row, and the
+batch's recurrence from the first step where some post is not.
 
 ``conv_axis`` selects which input axis the convolution slides along:
 "sequence" treats the embedding coordinates as channels (pooled length
@@ -215,18 +219,23 @@ def _stacked_blocks(config: TopologyConfig, stacked: dict, k: int) -> dict:
 
 def flat(config: TopologyConfig, data: "np.ndarray | None" = None) -> ModelParams:
     """The member as the K=1 stack over one flat buffer of param_count(config)
-    values, `data` (zeros when not given), with a zeroed gradient buffer of
-    the same shape: each buffer holds the arrays of stacked_shapes(config, 1)
-    in order, `params.stacked` those of `data`, which stacked_forward scores
-    in place."""
+    values: zeros with a zeroed gradient buffer of the same shape, or, for a
+    finished member, the given `data` with no gradient buffer.  Each buffer
+    holds the arrays of stacked_shapes(config, 1) in order, `params.stacked`
+    those of the values, which stacked_forward scores in place."""
     shapes = stacked_shapes(config, 1)
     # values and gradients in one allocation: as separate arrays, with Adam's
     # four, they doubled a training call's page faults (measured on glibc)
-    data, grad = np.zeros((2, param_count(config))) if data is None else (data, np.zeros_like(data))
+    data, grad = np.zeros((2, param_count(config))) if data is None else (data, None)
     ends = np.cumsum([math.prod(shape) for shape in shapes.values()])[:-1]
-    stacked, grads = ({name: part.reshape(shape) for (name, shape), part
-                       in zip(shapes.items(), np.split(buffer, ends))} for buffer in (data, grad))
-    params = ModelParams(config, *(_stacked_blocks(config, s, 0) for s in (stacked, grads)))
+
+    def split(buffer) -> dict:
+        return {name: part.reshape(shape)
+                for (name, shape), part in zip(shapes.items(), np.split(buffer, ends))}
+
+    stacked = split(data)
+    params = ModelParams(config, _stacked_blocks(config, stacked, 0),
+                         None if grad is None else _stacked_blocks(config, split(grad), 0))
     params.data, params.grad, params.stacked = data, grad, stacked
     return params
 
@@ -358,19 +367,23 @@ def _stacked_products(rows: np.ndarray, taps: np.ndarray):
             yield product[:, j * n : (j + 1) * n]
 
 
-def _stacked_rnn(config: TopologyConfig, stacked: dict, x: np.ndarray) -> np.ndarray:
-    """Max over time of every member's RNN states, (K, B, H), from its
-    (K, T, B, D) inputs.  A step multiplies all (K, B, H) states by Uᵀ in
-    one batched matmul (the GRU's reset gate takes a second for U_h)."""
+def _stacked_rnn(config: TopologyConfig, stacked: dict, x: np.ndarray,
+                 state: "tuple | None" = None) -> tuple:
+    """Every member's RNN state after its (K, T, B, D) inputs: (h, c, best),
+    (K, B, H) arrays, best the running max of h over time and c the LSTM's
+    cell.  It starts from `state`, whose best it updates in place, or from
+    zero.  A step multiplies all (K, B, H) states by Uᵀ in one batched
+    matmul (the GRU's reset gate takes a second for U_h)."""
     k, t_steps, n, d = x.shape
     w, u_t = stacked["rnn_w"], stacked["rnn_u_t"]
     hidden = u_t.shape[1]
     xp = np.matmul(x.reshape(k, -1, d), w.swapaxes(1, 2))
     xp += stacked["rnn_b"][:, None]
-    xp = xp.reshape(k, t_steps, n, -1)
-    h = np.zeros((k, n, hidden))
-    c = np.zeros((k, n, hidden))
-    best = np.full((k, n, hidden), -np.inf)
+    xp = xp.reshape(k, t_steps, n, w.shape[1])
+    if state is None:
+        state = (np.zeros((k, n, hidden)), np.zeros((k, n, hidden)),
+                 np.full((k, n, hidden), -np.inf))
+    h, c, best = state
     for t in range(t_steps):
         if config.rnn_kind == "gru":
             zr = sigmoid(xp[:, t, :, : 2 * hidden] + h @ u_t[..., : 2 * hidden])
@@ -384,7 +397,19 @@ def _stacked_rnn(config: TopologyConfig, stacked: dict, x: np.ndarray) -> np.nda
             c = f * c + i * np.tanh(a[..., 3 * hidden :])
             h = o * np.tanh(c)
         np.maximum(best, h, out=best)
-    return best
+    return h, c, best
+
+
+def _padding_steps(config: TopologyConfig, ids: np.ndarray) -> int:
+    """min(lead) over the posts of (B, T) conv input ids: the leading pooled
+    steps that read only padding in every post.  With s the first live step,
+    pooled step p reads none iff (p + 1) * rate - 1 < s + pad - W + 1, the
+    first conv output that reads step s (conv_ids' j0)."""
+    live = np.flatnonzero((ids >= 0).any(axis=0))
+    if not live.size:
+        return config.pooled_len()
+    lead = (live[0] + config.conv_pad - config.conv_width + 1) // config.pool_rate
+    return int(min(max(lead, 0), config.pooled_len()))
 
 
 def _stacked_conv_pool(config: TopologyConfig, stacked: dict, x: IdBatch) -> np.ndarray:
@@ -404,12 +429,22 @@ def stacked_forward(config: TopologyConfig, stacked: dict, batch) -> tuple[np.nd
     One graph-free pass: each layer runs once for all members, with no
     autograd node.  The conv multiplies the batch's distinct rows by all
     members' filters, a block of taps per GEMM; the RNN steps and the dense
-    layers are batched matmuls over the member axis.
+    layers are batched matmuls over the member axis.  The first t0 =
+    min(lead) pooled steps read only padding in every post, so their RNN
+    input is each member's conv bias: for a batch of several posts the
+    recurrence runs them once, on one row, and the batch's steps start
+    from the state they reach.
     """
-    pooled = _stacked_conv_pool(config, stacked, _conv_input(batch, config))
+    x = _conv_input(batch, config)
+    pooled = _stacked_conv_pool(config, stacked, x)
     n, _, k, c = pooled.shape
     if config.variant == CNN_RNN_FC:
-        feats = _stacked_rnn(config, stacked, pooled.transpose(2, 1, 0, 3))
+        t0 = _padding_steps(config, x.ids) if n > 1 else 0  # one post is one row already
+        state = None
+        if t0:
+            bias = np.broadcast_to(stacked["conv_b"][:, None, None], (k, t0, 1, c))
+            state = tuple(np.repeat(s, n, axis=1) for s in _stacked_rnn(config, stacked, bias))
+        feats = _stacked_rnn(config, stacked, pooled.transpose(2, 1, 0, 3)[:, t0:], state)[2]
     else:  # each member's (B, C, T_pool) map, flattened
         feats = pooled.transpose(2, 0, 3, 1).reshape(k, n, -1)
     hidden = np.matmul(feats, stacked["fc1_w"].swapaxes(1, 2))

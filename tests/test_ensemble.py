@@ -314,6 +314,48 @@ class TestVoting:
         assert stages["ordinal"] > 0
 
 
+# rows of dyadic values, whose column sums are exact: equal sums tie exactly
+DYADIC_ROWS = ([0.5, 0.25, 0.25], [0.25, 0.5, 0.25], [0.25, 0.25, 0.5],
+               [0.375, 0.375, 0.25], [0.25, 0.375, 0.375], [0.5, 0.0, 0.5])
+
+
+@st.composite
+def vote_chunks(draw):
+    """(K, B) votes and (K, B, 3) member probabilities of a chunk; each post
+    draws free votes or tied counts, and free probabilities, dyadic rows
+    (summed ties) or one flat row for every member (every tie to the
+    ordinal stage)."""
+    k, b = draw(st.integers(1, 7)), draw(st.integers(1, 6))
+    votes, probs = np.empty((k, b), dtype=np.int64), np.empty((k, b, 3))
+    for j in range(b):
+        if draw(st.booleans()):  # the first two classes get k // 2 votes each
+            a, c, third = draw(st.permutations([0, 1, 2]))
+            column = [a] * (k // 2) + [c] * (k // 2) + [third] * (k % 2)
+            votes[:, j] = draw(st.permutations(column))
+        else:
+            votes[:, j] = draw(st.lists(st.integers(0, 2), min_size=k, max_size=k))
+        mode = draw(st.sampled_from(["free", "dyadic", "flat"]))
+        for i in range(k):
+            if mode == "free":
+                row = draw(st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3))
+            else:
+                row = [0.25] * 3 if mode == "flat" else draw(st.sampled_from(DYADIC_ROWS))
+            probs[i, j] = row
+    return votes, probs
+
+
+@settings(max_examples=300, deadline=None)
+@given(vote_chunks())
+def test_chunk_vote_matches_the_per_post_rule(chunk):
+    votes, probs = chunk
+    labels = vote_outcome(votes, probs)
+    assert labels.shape == (votes.shape[1],)
+    for j, label in enumerate(labels.tolist()):
+        one = vote_outcome(votes[:, j].tolist(), probs[:, j])
+        assert type(one) is int
+        assert label == one == brute_force_vote(votes[:, j].tolist(), probs[:, j])
+
+
 class TestPredictAndBundle:
     def _quick_bundle(self, topo, table, k=2):
         corpus = separable_corpus(4, seed=11)

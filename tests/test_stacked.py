@@ -14,11 +14,11 @@ from hatenet.corpus import load_unlabeled
 from hatenet.embeddings import synthetic_table
 from hatenet.ensemble import (
     EnsembleBundle,
+    Prediction,
     TrainConfig,
     _balanced_positions,
     _batches,
     _encode,
-    _prediction,
     _step,
     evaluate,
     load_bundle,
@@ -26,6 +26,7 @@ from hatenet.ensemble import (
     save_bundle,
     train_ensemble,
     tune,
+    vote_outcome,
 )
 from hatenet.errors import CheckpointIntegrityError
 from hatenet.layers import cross_entropy
@@ -93,7 +94,9 @@ def per_member_predictions(bundle, posts, table):
     for chunk in _batches(np.arange(len(encoded)), ensemble.EVAL_CHUNK):
         batch = encoded.take(chunk)
         probs = np.stack([forward(m, bundle.topology, batch).data for m in bundle.members])
-        out.extend(_prediction(probs[:, i]) for i in range(len(chunk)))
+        for post in probs.swapaxes(0, 1):  # (K, 3), one post's vote at a time
+            votes = [int(np.argmax(p)) for p in post]
+            out.append(Prediction(vote_outcome(votes, post), votes, post.mean(axis=0), post))
     return out
 
 
@@ -114,7 +117,9 @@ def test_predict_and_evaluate_match_per_member_scoring(trained, monkeypatch):
     want = per_member_predictions(bundle, corpus.posts, table)
     for g, w in zip(got, want, strict=True):
         assert (g.label, g.votes) == (w.label, w.votes)
+        assert type(g.label) is int and all(type(v) is int for v in g.votes)
         np.testing.assert_allclose(g.member_probs, w.member_probs, rtol=0, atol=1e-12)
+        assert g.mean_probs.tobytes() == g.member_probs.mean(axis=0).tobytes()
     assert evaluate(bundle, corpus, table) == report(accumulate(
         (post.label, w.label) for post, w in zip(corpus.posts, want)))
 
@@ -280,3 +285,99 @@ def test_training_never_relays_a_member(rnn_kind, monkeypatch):
     assert len(trace.epochs) == 2
     for member in (trained, *trace.snapshots):
         assert all(np.shares_memory(a, member.data) for a in member.stacked.values())
+    # a finished member has no gradient buffer
+    assert trained.grad is None
+    assert all(t.grad is None for t in trained.named_tensors().values())
+
+
+# -- the recurrence starts where the chunk's common padding ends -----------
+
+# T_pool 4: windows of 3 conv outputs, each reading 5 steps; step 12 is
+# read by no pooled step
+SKIPPING = dict(seq_len=13, emb_dim=13, conv_width=5, conv_pad=2, pool_rate=3)
+
+
+def first_live_batch(config, firsts, seed) -> IdBatch:
+    """One post per entry of `firsts`: the first live step of its conv
+    input (None: no live step), every later step live with a row of its
+    own.  Along the embedding axis the posts' rows are zero before that
+    coordinate."""
+    rng = np.random.default_rng(seed)
+    ids = np.arange(len(firsts) * config.seq_len).reshape(len(firsts), -1)
+    rows = rng.standard_normal((ids.size, config.emb_dim))
+    for b, first in enumerate(firsts):
+        if first is None:
+            ids[b] = -1
+        elif config.conv_axis == "sequence":
+            ids[b, :first] = -1
+        else:
+            rows[ids[b], :first] = 0.0
+    return IdBatch(ids, rows)
+
+
+def lead_by_definition(config, live) -> int:
+    """Leading pooled steps of one post whose conv windows read no live
+    step of its (T,) conv input mask."""
+    rate, pad, width = config.pool_rate, config.conv_pad, config.conv_width
+    for p in range(config.pooled_len()):
+        reads = {j + w - pad for j in range(p * rate, (p + 1) * rate) for w in range(width)}
+        if any(0 <= i < len(live) and live[i] for i in reads):
+            return p
+    return config.pooled_len()
+
+
+@pytest.mark.parametrize("conv_axis", ["sequence", "embedding"])
+@pytest.mark.parametrize("k", [1, 2, 5])
+@pytest.mark.parametrize("rnn_kind", ["gru", "lstm"])
+def test_skipping_pass_matches_the_full_recurrence(monkeypatch, rnn_kind, k, conv_axis):
+    config = tiny_topology(rnn_kind=rnn_kind, conv_axis=conv_axis, **SKIPPING)
+    bundle = EnsembleBundle([build(config, 10 + seed) for seed in range(k)], config,
+                            {"dim": config.emb_dim})
+    # every first live step, beside an empty post: each side of every pool
+    # window's boundary; then empty posts and mixed chunks.  A lone post
+    # runs its whole recurrence, so every chunk has two or more
+    chunks = [[first, None] for first in range(config.conv_len())]
+    chunks += [[None, None], [None, 9], [11, 3, None], [7, 8], [12, 12, 10], [0, 4]]
+    t0s = set()
+    for seed, firsts in enumerate(chunks):
+        batch = first_live_batch(config, firsts, seed)
+        ids = model._conv_input(batch, config).ids
+        t0 = model._padding_steps(config, ids)
+        assert t0 == min(lead_by_definition(config, row >= 0) for row in ids), firsts
+        t0s.add(t0)
+        skipped = stacked_forward(config, bundle.stacked, batch)
+        with monkeypatch.context() as patch:
+            patch.setattr(model, "_padding_steps", lambda config, ids: 0)
+            full = stacked_forward(config, bundle.stacked, batch)
+        for got, want in zip(skipped, full):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12, err_msg=str(firsts))
+    assert t0s == set(range(config.pooled_len() + 1))
+
+
+@pytest.mark.parametrize("rnn_kind", ["gru", "lstm"])
+def test_scoring_runs_the_steps_after_the_common_padding(rnn_kind, monkeypatch):
+    """Each recurrence step calls model.sigmoid once: the steps before the
+    chunk's first live one on one row, the rest on the chunk's 9 posts."""
+    config, table = tiny_topology(rnn_kind=rnn_kind, seq_len=24), synthetic_table(0, 6)
+    bundle = EnsembleBundle([build(config, seed) for seed in (1, 2)], config, {"dim": 6})
+    corpus = separable_corpus(3, seed=5)  # 9 short posts, one chunk
+    _, encoded = _encode(corpus.posts, table, config)
+    min_lead = min(lead_by_definition(config, row >= 0) for row in encoded.ids)
+    assert 0 < min_lead < config.pooled_len()
+    steps = []
+    original = model.sigmoid
+
+    def counting(x):
+        steps.append(x.shape[1])  # (K, B, gates)
+        return original(x)
+
+    monkeypatch.setattr(model, "sigmoid", counting)
+    evaluate(bundle, corpus, table)
+    assert steps == [1] * min_lead + [len(corpus.posts)] * (config.pooled_len() - min_lead)
+    # a lone post is one row already: one recurrence over every step
+    steps.clear()
+    calls = []
+    rnn = model._stacked_rnn
+    monkeypatch.setattr(model, "_stacked_rnn", lambda *args: calls.append(1) or rnn(*args))
+    ensemble.predict(bundle, corpus.posts[0], table)
+    assert (len(calls), steps) == (1, [1] * config.pooled_len())
