@@ -15,18 +15,19 @@ rng = np.random.default_rng(0)
 x = IdBatch(np.array([[-1, -1, 0, 1, 0, 2, -1, 3, 1, 0],
                       [2, 2, 2, 3, 0, 1, 1, 0, -1, 3]]),
             rng.standard_normal((4, 3)))
-filters = Tensor(rng.standard_normal((2, 3, 3)))
+# 2 filters of width 3, stored tap-major: (C_in, W, C_out)
+taps = Tensor(rng.standard_normal((3, 3, 2)))
 bias = Tensor(np.zeros(2))
 
-pooled = maxpool1d(conv1d(x, filters, bias, pad=1), rate=2)
+pooled = maxpool1d(conv1d(x, taps, bias, pad=1), rate=2)
 loss = (pooled.reshape(-1) * rng.standard_normal(20)).sum()
 loss.backward()
 
 print(f"scalar loss {loss.data:.4f}; gradient shapes after backward():")
-print(f"  d loss / d filters: {filters.grad.shape}")
+print(f"  d loss / d taps:    {taps.grad.shape}")
 print(f"  d loss / d bias:    {bias.grad.shape}")
 print("  the input is a constant and gets no gradient; each of its 4 rows")
-print("  is multiplied by the filters once, not once per step")
+print("  is multiplied by all the taps in one product, not once per step")
 
 print("\nfinite-difference verification of every registered layer (3 trials):")
 for report in run_all(trials=3):

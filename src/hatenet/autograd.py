@@ -139,19 +139,18 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     return grad
 
 
-def _tap_products(rows: np.ndarray, filters: np.ndarray):
-    """Each tap's (V + 1, C_out) products of the V rows, from one GEMM
-    against the (C_out, C_in, W) filters as tap-major (C_in, W*C_out), whose
-    column block w is tap w; the last row is zero.  The tap-major matrix is
-    a copy unless the filters view a C-contiguous (C_in, W, C_out) block,
-    as a built member's do."""
-    c_out, c_in, width = filters.shape
-    product = np.empty((len(rows) + 1, width * c_out))
-    np.matmul(rows, filters.transpose(1, 2, 0).reshape(c_in, width * c_out), out=product[:-1])
+def tap_products(rows: np.ndarray, taps: np.ndarray, group: int):
+    """Tap by tap, the (V + 1, N) products of the V rows with the
+    (C_in, W, N) tap-major `taps`, the last row zero: one GEMM per `group`
+    taps.  Each yield is a view of one buffer, overwritten by the next GEMM."""
+    c_in, width, n = taps.shape
+    product = np.empty((len(rows) + 1, group * n))
     product[-1] = 0.0
-    product = product.reshape(-1, width, c_out)
-    for w in range(width):
-        yield product[:, w]
+    for w0 in range(0, width, group):
+        block = taps[:, w0 : w0 + group].reshape(c_in, -1)
+        np.matmul(rows, block, out=product[:-1, : block.shape[1]])
+        for j in range(block.shape[1] // n):
+            yield product[:, j * n : (j + 1) * n]
 
 
 class IdBatch:
@@ -228,21 +227,22 @@ def conv_ids(x: IdBatch, bias: np.ndarray, pad: int, width: int, products) -> np
 CONV_BLOCK_ROWS = 256
 
 
-def conv1d(x: IdBatch, filters: Tensor, bias: Tensor, pad: int) -> Tensor:
+def conv1d(x: IdBatch, taps: Tensor, bias: Tensor, pad: int) -> Tensor:
     """Stride-1 cross-correlation with symmetric zero padding, 0 <= pad < W,
     over a batch of constant inputs.
 
-    x: IdBatch of (B, T) ids into (V, C_in) rows, filters: (C_out, C_in, W),
-    bias: (C_out,).  Output: (B, C_out, T_out), T_out = T + 2*pad - W + 1.
-    The input is a constant: it gets no graph node and no gradient.
+    x: IdBatch of (B, T) ids into (V, C_in) rows, taps: the tap-major
+    filters (C_in, W, C_out), bias: (C_out,).  Output: (B, C_out, T_out),
+    T_out = T + 2*pad - W + 1.  The input is a constant: it gets no graph
+    node and no gradient.
 
-    Each distinct row is multiplied once by the tap-major filters
-    (C_in, W*C_out), and conv_ids adds up the taps.
+    Each distinct row is multiplied once by all W taps in one GEMM
+    (tap_products), and conv_ids adds up the taps.
     """
-    if not isinstance(x, IdBatch) or filters.data.ndim != 3:
-        raise ShapeMismatch("conv1d expects an IdBatch and (C_out, C_in, W) filters")
+    if not isinstance(x, IdBatch) or taps.data.ndim != 3:
+        raise ShapeMismatch("conv1d expects an IdBatch and (C_in, W, C_out) taps")
     ids, rows = x.ids, x.rows
-    c_out, c_in, width = filters.data.shape
+    c_in, width, c_out = taps.data.shape
     n, t = ids.shape if ids.ndim == 2 else (0, 0)
     t_out = t + 2 * pad - width + 1
     if (ids.ndim != 2 or ids.dtype.kind != "i" or rows.shape[1:] != (c_in,)
@@ -251,9 +251,9 @@ def conv1d(x: IdBatch, filters: Tensor, bias: Tensor, pad: int) -> Tensor:
         raise ShapeMismatch(
             f"conv1d needs (B, T) ids in [-1, V) into (V, {c_in}) rows, got ids "
             f"{ids.shape} into rows {rows.shape}, and bias (C_out,), 0 <= pad < W, "
-            f"T_out >= 1: filters {filters.data.shape}, bias {bias.data.shape}, pad {pad}"
+            f"T_out >= 1: taps {taps.data.shape}, bias {bias.data.shape}, pad {pad}"
         )
-    y = conv_ids(x, bias.data, pad, width, _tap_products(rows, filters.data))
+    y = conv_ids(x, bias.data, pad, width, tap_products(rows, taps.data, width))
 
     def bwd(g):
         g = g.swapaxes(1, 2)
@@ -275,8 +275,6 @@ def conv1d(x: IdBatch, filters: Tensor, bias: Tensor, pad: int) -> Tensor:
         rank = np.arange(len(order)) - starts[run]
         at = order + (order // t + 1) * (width - 1)  # each step's gpad row at tap 0
         back = np.arange(width)
-        # (C_in, W, C_out), C-contiguous for a built member's filters
-        d_taps = filters.grad.transpose(1, 2, 0)
         # per block of CONV_BLOCK_ROWS ids: sum each id's shifted output
         # gradients a rank at a time, then multiply by its row once
         for r0 in range(0, len(starts), CONV_BLOCK_ROWS):
@@ -287,10 +285,10 @@ def conv1d(x: IdBatch, filters: Tensor, bias: Tensor, pad: int) -> Tensor:
                 sel = block_rank == k
                 summed[block_run[sel]] += gflat[block_at[sel, None] - back]
             block_rows = rows[sorted_ids[starts[r0 : r0 + CONV_BLOCK_ROWS]]]
-            d_taps += (block_rows.T @ summed.reshape(len(summed), -1)).reshape(d_taps.shape)
+            taps.grad += (block_rows.T @ summed.reshape(len(summed), -1)).reshape(taps.shape)
             del summed
 
-    return Tensor(y.swapaxes(1, 2), (filters, bias), bwd)
+    return Tensor(y.swapaxes(1, 2), (taps, bias), bwd)
 
 
 def maxpool1d(x: Tensor, rate: int) -> Tensor:

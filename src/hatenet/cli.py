@@ -104,7 +104,6 @@ def _add_data_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--hon", help="comma-separated corpus with numeric class codes")
     p.add_argument("--olid", help="tab-separated corpus with hierarchical labels")
     p.add_argument("--labeled-lines", help="code<TAB>text corpus, one post per line")
-    p.add_argument("--split-seed", type=_seed, default=0)
 
 
 def _add_run_args(p: argparse.ArgumentParser) -> None:
@@ -164,6 +163,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=_positive_int, default=1,
                    help="rerun T times with seeds seed+1000*t and report mean metrics")
     _add_data_args(p)
+    p.add_argument("--split-seed", type=_seed, default=0)
     _add_embedding_args(p)
 
     p = sub.add_parser("weak-train", help="weak-supervised training on unlabeled posts")

@@ -171,12 +171,15 @@ class _IndexedTable(EmbeddingTable):
             self._skipped += 1
             return None
         try:
-            return np.array([float(p) for p in parts[1:]], dtype=np.float64)
+            vec = np.array([float(p) for p in parts[1:]], dtype=np.float64)
         except ValueError:
-            log.warning("%s:%d: non-numeric vector component; line skipped",
-                        self.name, lineno)
-            self._skipped += 1
-            return None
+            vec = None
+        if vec is not None and np.isfinite(vec).all():
+            return vec
+        log.warning("%s:%d: %s vector component; line skipped", self.name, lineno,
+                    "non-numeric" if vec is None else "non-finite")  # nan, inf, 1e999
+        self._skipped += 1
+        return None
 
     def _read_all(self) -> None:
         with self._lock:
@@ -269,10 +272,10 @@ def load_table(path: str, dim: int) -> EmbeddingTable:
     line's token is its first field by ``str.split``.  The table
     keeps the file open; ``get`` reads and parses a token's row the first
     time it is asked for and keeps the result.  Malformed rows (wrong
-    arity, a non-numeric component) are skipped with a warning naming
-    their line when they are first parsed; duplicates keep the first
-    well-formed row.  ``len()`` and ``skipped`` parse every row not yet
-    read, so they give the counts of a full parse.
+    arity, a non-numeric or non-finite component) are skipped with a
+    warning naming their line when they are first parsed; duplicates keep
+    the first well-formed row.  ``len()`` and ``skipped`` parse every row
+    not yet read, so they give the counts of a full parse.
 
     Raises HatenetError when the file is not seekable (a pipe),
     InputEncodingError when it is not UTF-8, and EmptyTableError when no

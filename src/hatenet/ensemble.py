@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .autograd import Tensor
+from .autograd import IdBatch, Tensor
 from .corpus import ClassLabel, LabeledCorpus, N_CLASSES, open_utf8
 from .embeddings import EmbeddingTable, encode as embed  # perfbench's embeddings.embed
 from .errors import (
@@ -175,6 +175,16 @@ def _batches(items, size: int):
         yield items[start : start + size]
 
 
+def _scored(topo: TopologyConfig, stacked: dict, batch: IdBatch, positions=None):
+    """(chunk, feats, probs) for each EVAL_CHUNK of the posts of `batch` at
+    `positions` (all of them by default): one stacked_forward pass of the
+    stack's members per chunk, (K, B, F) features and (K, B, 3) probabilities."""
+    if positions is None:
+        positions = np.arange(len(batch))
+    for chunk in _batches(positions, EVAL_CHUNK):
+        yield chunk, *stacked_forward(topo, stacked, batch.take(chunk))
+
+
 def _encode(posts, table: EmbeddingTable, topo: TopologyConfig):
     """The posts' token sequences, each text preprocessed once, and all of
     them as one IdBatch."""
@@ -221,8 +231,7 @@ def _mean_loss_eval(params, topo, data: _TrainData) -> tuple[float, "float | Non
     valid = np.arange(data.n_train, len(data.batch))
     total = 0.0
     pairs = []
-    for chunk in _batches(valid, EVAL_CHUNK):
-        probs = stacked_forward(topo, params.stacked, data.batch.take(chunk))[1][0]
+    for chunk, _, (probs,) in _scored(topo, params.stacked, data.batch, valid):
         total += data.loss(Tensor(probs), chunk).data.item() * len(chunk)
         if data.weights is None:
             pairs.extend((data.targets[i], int(np.argmax(row))) for i, row in zip(chunk, probs))
@@ -389,8 +398,7 @@ def predict_all(bundle: EnsembleBundle, posts, table: EmbeddingTable) -> Iterato
     stacked_forward pass of all members per chunk."""
     _check_table(bundle, table)
     _, encoded = _encode(posts, table, bundle.topology)
-    for chunk in _batches(np.arange(len(encoded)), EVAL_CHUNK):
-        _, probs = stacked_forward(bundle.topology, bundle.stacked, encoded.take(chunk))
+    for _, _, probs in _scored(bundle.topology, bundle.stacked, encoded):
         votes = probs.argmax(axis=-1)  # (K, B), ties to the lowest class ordinal
         means = probs.mean(axis=0)
         for i, label in enumerate(vote_outcome(votes, probs).tolist()):
@@ -437,10 +445,8 @@ def tune(
     topo = bundle.topology
     _, encoded = _encode(target_train.posts, table, topo)
     labels = np.array([post.label for post in target_train.posts])
-    frozen = np.concatenate([  # (K, N, F)
-        stacked_forward(topo, bundle.stacked, encoded.take(chunk))[0]
-        for chunk in _batches(np.arange(len(encoded)), EVAL_CHUNK)
-    ], axis=1)
+    frozen = np.concatenate([feats for _, feats, _ in _scored(topo, bundle.stacked, encoded)],
+                            axis=1)  # (K, N, F)
     params = flat(topo)  # every member's head in turn; classify reads no feature block
     head = params.classifier.params
     span = slice(-params.classifier.n_params(), None)  # the head's part of the buffer

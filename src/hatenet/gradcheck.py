@@ -98,10 +98,11 @@ def _check_fc(seed: int, h: float, activation) -> dict[str, float]:
 
 
 def _check_conv1d(seed: int, h: float) -> dict[str, float]:
-    """The conv input is a constant: only the filters and bias get
-    gradients.  Dense (B, C_in, T) inputs go through dense_ids."""
+    """The conv input is a constant: only the filters, tap-major
+    (C_in, W, C_out), and the bias get gradients.  Dense (B, C_in, T) inputs
+    go through dense_ids."""
     rng = np.random.default_rng(seed)
-    f, b = _rand(rng, 2, 3, 3), _rand(rng, 2)
+    f, b = _rand(rng, 3, 3, 2), _rand(rng, 2)
 
     def check(x, suffix):
         lw = _loss_weights(rng, len(x) * 2 * x.ids.shape[1])
@@ -271,9 +272,8 @@ def _topology_margins_ok(params, config, values, h: float) -> bool:
     """Reject inputs whose pooled windows or relu preactivations sit on a
     kink.  Runs the model's layers on the post as a batch of 1, because the
     margins are read from intermediates that model.forward does not expose."""
-    fp = params.feature.params
-    convolved = autograd.conv1d(model._conv_input(values, config), fp["conv_w"],
-                                fp["conv_b"], config.conv_pad)
+    convolved = autograd.conv1d(model._conv_input(values, config), params.taps,
+                                params.feature.params["conv_b"], config.conv_pad)
     if not _windows_well_separated(convolved.data[0], config.pool_rate, 20 * h):
         return False
     pooled = autograd.maxpool1d(convolved, config.pool_rate)

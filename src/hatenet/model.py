@@ -39,6 +39,7 @@ from .autograd import (
     dropout,
     global_maxpool,
     maxpool1d,
+    tap_products,
 )
 from .errors import InvalidConfig, ShapeMismatch
 from .layers import (
@@ -129,13 +130,15 @@ class ModelParams:
     The tensors view the member's blocks of stacked arrays (stacked_shapes):
     for a member that trains, its K=1 stack `stacked` over one flat buffer,
     `data`, with gradients over `grad` (`flat`); for a bundle's member, its
-    read-only rows of the bundle's stack.  `rnn` is W, Uᵀ and b gate-major."""
+    read-only rows of the bundle's stack.  The ops read the blocks `taps`, the
+    filters tap-major, and `rnn`, W, Uᵀ and b gate-major; the named tensors view them."""
 
     def __init__(self, config: "TopologyConfig", blocks: dict, grads: "dict | None" = None):
         def tensor(name, view=lambda a: a) -> Tensor:
             return Tensor(view(blocks[name]), grad=None if grads is None else view(grads[name]))
 
         self.config, self.data, self.grad, self.stacked = config, None, None, None
+        self.taps = tensor("taps")
         self.rnn = tuple(tensor(name) for name in ("rnn_w", "rnn_u_t", "rnn_b") if name in blocks)
         named = {"conv_w": tensor("taps", lambda a: a.transpose(2, 0, 1)),
                  **(rnn_views(*self.rnn, _gates(config)) if self.rnn else {})}
@@ -276,7 +279,7 @@ def features(params: ModelParams, config: TopologyConfig, batch) -> Tensor:
     """
     x = _conv_input(batch, config)
     fp = params.feature.params
-    convolved = conv1d(x, fp["conv_w"], fp["conv_b"], config.conv_pad)
+    convolved = conv1d(x, params.taps, fp["conv_b"], config.conv_pad)
     pooled = maxpool1d(convolved, config.pool_rate)
     if config.variant == CNN_RNN_FC:
         rnn = gru_forward if config.rnn_kind == "gru" else lstm_forward
@@ -349,22 +352,9 @@ def stacked_members(config: TopologyConfig, stacked: dict) -> list[ModelParams]:
             for k in range(len(stacked["conv_b"]))]
 
 
-# values per product buffer of the stacked conv, which bounds its transients
+# values per product buffer of the stacked conv, which bounds its transients:
+# each GEMM covers as many taps as fit, at least one
 STACKED_PRODUCT_VALUES = 1 << 17
-
-
-def _stacked_products(rows: np.ndarray, taps: np.ndarray):
-    """conv_ids products of the rows against all members' filters, each
-    GEMM covering as many taps as fit STACKED_PRODUCT_VALUES (at least one)."""
-    c_in, width, n = taps.shape
-    group = min(width, max(1, STACKED_PRODUCT_VALUES // ((len(rows) + 1) * n)))
-    product = np.empty((len(rows) + 1, group * n))
-    product[-1] = 0.0
-    for w0 in range(0, width, group):
-        block = taps[:, w0 : w0 + group].reshape(c_in, -1)
-        np.matmul(rows, block, out=product[:-1, : block.shape[1]])
-        for j in range(block.shape[1] // n):
-            yield product[:, j * n : (j + 1) * n]
 
 
 def _stacked_rnn(config: TopologyConfig, stacked: dict, x: np.ndarray,
@@ -415,8 +405,9 @@ def _padding_steps(config: TopologyConfig, ids: np.ndarray) -> int:
 def _stacked_conv_pool(config: TopologyConfig, stacked: dict, x: IdBatch) -> np.ndarray:
     """Every member's max-pooled conv output, (B, T_pool, K, C_out)."""
     k, c = stacked["conv_b"].shape
+    group = max(1, STACKED_PRODUCT_VALUES // ((len(x.rows) + 1) * k * c))
     y = conv_ids(x, stacked["conv_b"].reshape(-1), config.conv_pad, config.conv_width,
-                 _stacked_products(x.rows, stacked["taps"]))  # (B, T_out, K*C_out)
+                 tap_products(x.rows, stacked["taps"], min(group, config.conv_width)))
     rate = config.pool_rate
     t_pool = y.shape[1] // rate
     return y[:, : t_pool * rate].reshape(len(y), t_pool, rate, k, c).max(axis=2)

@@ -3,10 +3,12 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import perpost_oracle as oracle
 from conftest import tiny_topology
-from hatenet import autograd, optim
+from hatenet import autograd, model, optim
 from hatenet.autograd import (
     IdBatch,
     Tensor,
@@ -27,14 +29,14 @@ from hatenet.layers import (
     lstm_forward,
     rnn_views,
 )
-from hatenet.model import CNN_FC, CNN_RNN_FC, build, forward
+from hatenet.model import CNN_FC, CNN_RNN_FC, build, forward, stacked_forward
 from hatenet.optim import Adam
 
 
-def brute_conv1d(x, f, b, pad):
-    """Sliding dot-product reference, plain loops."""
+def brute_conv1d(x, taps, b, pad):
+    """Sliding dot-product reference over (C_in, W, C_out) taps, plain loops."""
     c_in, t = x.shape
-    c_out, _, width = f.shape
+    _, width, c_out = taps.shape
     xp = np.pad(x, ((0, 0), (pad, pad)))
     t_out = t + 2 * pad - width + 1
     out = np.zeros((c_out, t_out))
@@ -43,14 +45,14 @@ def brute_conv1d(x, f, b, pad):
             acc = b[o]
             for c in range(c_in):
                 for w in range(width):
-                    acc += f[o, c, w] * xp[c, j + w]
+                    acc += taps[c, w, o] * xp[c, j + w]
             out[o, j] = acc
     return out
 
 
-def conv_one(x, f, b, pad):
+def conv_one(x, taps, b, pad):
     """conv1d of one (C_in, T) input, as a batch of 1."""
-    return conv1d(dense_ids(x[None]), Tensor(f), Tensor(b), pad=pad).data[0]
+    return conv1d(dense_ids(x[None]), Tensor(taps), Tensor(b), pad=pad).data[0]
 
 
 def id_batch_cases():
@@ -72,7 +74,7 @@ class TestConv1d:
     def test_length_preserved_at_production_shape(self):
         rng = np.random.default_rng(0)
         x = rng.standard_normal((2, 3, 100))
-        f = Tensor(rng.standard_normal((2, 3, 17)))
+        f = Tensor(rng.standard_normal((3, 17, 2)))
         b = Tensor(rng.standard_normal(2))
         assert conv1d(dense_ids(x), f, b, pad=8).data.shape == (2, 2, 100)
 
@@ -83,7 +85,7 @@ class TestConv1d:
     def test_matches_brute_force(self):
         rng = np.random.default_rng(1)
         x = rng.standard_normal((1, 5))
-        f = rng.standard_normal((1, 1, 3))
+        f = rng.standard_normal((1, 3, 1))
         b = rng.standard_normal(1)
         got = conv_one(x, f, b, 0)
         np.testing.assert_allclose(got, brute_conv1d(x, f, b, 0), atol=1e-12)
@@ -94,7 +96,7 @@ class TestConv1d:
     def test_matches_brute_force_shapes(self, c_in, c_out, t, w, pad):
         rng = np.random.default_rng(c_in * 100 + c_out)
         x = rng.standard_normal((c_in, t))
-        f = rng.standard_normal((c_out, c_in, w))
+        f = rng.standard_normal((c_in, w, c_out))
         b = rng.standard_normal(c_out)
         got = conv_one(x, f, b, pad)
         np.testing.assert_allclose(got, brute_conv1d(x, f, b, pad), atol=1e-12)
@@ -110,7 +112,7 @@ class TestConv1d:
         rng = np.random.default_rng(len(zero_steps))
         x = rng.standard_normal((3, 9))
         x[:, zero_steps] = 0.0
-        f = rng.standard_normal((4, 3, 5))
+        f = rng.standard_normal((3, 5, 4))
         b = rng.standard_normal(4)
         for pad in (0, 2, 4):
             got = conv_one(x, f, b, pad)
@@ -120,14 +122,14 @@ class TestConv1d:
         rng = np.random.default_rng(5)
         x = rng.standard_normal((3, 8))
         x[:, :3] = 0.0
-        f, b = Tensor(rng.standard_normal((2, 3, 3))), Tensor(rng.standard_normal(2))
+        f, b = Tensor(rng.standard_normal((3, 3, 2))), Tensor(rng.standard_normal(2))
         lw = rng.standard_normal((2, 8))
         out = conv1d(dense_ids(x[None]), f, b, pad=1)
         assert out._parents == (f, b)
         (out * lw).sum().backward()
-        # d/dF[o, c, w] of sum(lw * out) is sum_j lw[o, j] * xpad[c, j + w]
+        # d/dtaps[c, w, o] of sum(lw * out) is sum_j lw[o, j] * xpad[c, j + w]
         xpad = np.pad(x, ((0, 0), (1, 1)))
-        want = np.einsum("oj,cjw->ocw", lw,
+        want = np.einsum("oj,cjw->cwo", lw,
                          np.stack([xpad[:, w : w + 8] for w in range(3)], axis=-1))
         np.testing.assert_allclose(f.grad, want, atol=1e-12, rtol=0)
         np.testing.assert_allclose(b.grad, lw.sum(axis=1), atol=1e-12, rtol=0)
@@ -137,31 +139,31 @@ class TestConv1d:
         for t in (3, 10, 31):
             for w in (1, 3, 5, 7):
                 x = rng.standard_normal((1, 2, t))
-                f = Tensor(rng.standard_normal((2, 2, w)))
+                f = Tensor(rng.standard_normal((2, w, 2)))
                 b = Tensor(np.zeros(2))
                 out = conv1d(dense_ids(x), f, b, pad=(w - 1) // 2)
                 assert out.data.shape == (1, 2, t)
 
     def test_shape_errors(self):
         x = np.zeros((1, 2, 5))
-        f = Tensor(np.zeros((1, 3, 3)))
+        f = Tensor(np.zeros((3, 3, 1)))
         with pytest.raises(ShapeMismatch):
             conv1d(x, f, Tensor(np.zeros(1)), pad=0)
         with pytest.raises(ShapeMismatch):
-            conv1d(x, Tensor(np.zeros((1, 2, 9))), Tensor(np.zeros(1)), pad=0)
+            conv1d(x, Tensor(np.zeros((2, 9, 1))), Tensor(np.zeros(1)), pad=0)
         with pytest.raises(ShapeMismatch):  # one unbatched input
-            conv1d(x[0], Tensor(np.zeros((1, 2, 3))), Tensor(np.zeros(1)), pad=1)
+            conv1d(x[0], Tensor(np.zeros((2, 3, 1))), Tensor(np.zeros(1)), pad=1)
 
     @pytest.mark.parametrize("ids", [[[0, 4]], [[-2, 0]], [[0.0, 1.0]]])
     def test_ids_out_of_range_rejected(self, ids):
         batch = IdBatch(np.array(ids), np.zeros((4, 2)))
         with pytest.raises(ShapeMismatch):
-            conv1d(batch, Tensor(np.zeros((1, 2, 1))), Tensor(np.zeros(1)), pad=0)
+            conv1d(batch, Tensor(np.zeros((2, 1, 1))), Tensor(np.zeros(1)), pad=0)
 
     @pytest.mark.parametrize("name,batch", id_batch_cases())
     def test_ids_match_brute_force_dense_conv(self, name, batch):
         rng = np.random.default_rng(22)
-        f, b = rng.standard_normal((2, 3, 5)), rng.standard_normal(2)
+        f, b = rng.standard_normal((3, 5, 2)), rng.standard_normal(2)
         dense = batch.dense().transpose(0, 2, 1)
         for pad in (0, 2, 4):
             got = conv1d(batch, Tensor(f), Tensor(b), pad=pad).data
@@ -171,7 +173,7 @@ class TestConv1d:
     @pytest.mark.parametrize("name,batch", id_batch_cases())
     def test_dense_adapter_matches_id_path(self, name, batch):
         rng = np.random.default_rng(23)
-        f_data, b_data = rng.standard_normal((2, 3, 3)), rng.standard_normal(2)
+        f_data, b_data = rng.standard_normal((3, 3, 2)), rng.standard_normal(2)
         lw = rng.standard_normal((len(batch), 2, 9))
         results = []
         for x in (batch, dense_ids(batch.dense().transpose(0, 2, 1))):
@@ -188,16 +190,64 @@ class TestConv1d:
         rows = rng.standard_normal((3, 2))
         ids = rng.integers(-1, 3, size=(5, 11))
         batch = IdBatch(ids, rows)
-        f, b = Tensor(rng.standard_normal((3, 2, 5))), Tensor(rng.standard_normal(3))
+        f, b = Tensor(rng.standard_normal((2, 5, 3))), Tensor(rng.standard_normal(3))
         lw = rng.standard_normal((5, 3, 11))
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(autograd, "CONV_BLOCK_ROWS", 4)
             (conv1d(batch, f, b, pad=2) * lw).sum().backward()
         xpad = np.pad(batch.dense().transpose(0, 2, 1), ((0, 0), (0, 0), (2, 2)))
-        want = np.einsum("boj,bcjw->ocw", lw,
+        want = np.einsum("boj,bcjw->cwo", lw,
                          np.stack([xpad[..., w : w + 11] for w in range(5)], axis=-1))
         np.testing.assert_allclose(f.grad, want, atol=1e-12, rtol=0)
         np.testing.assert_allclose(b.grad, lw.sum(axis=(0, 2)), atol=1e-12, rtol=0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(width=st.integers(1, 6), n_rows=st.integers(0, 5), c_in=st.integers(1, 4),
+       k=st.sampled_from([1, 3]), seed=st.integers(0, 2**32 - 1))
+def test_tap_products_yield_every_tap_for_any_group(width, n_rows, c_in, k, seed):
+    rng = np.random.default_rng(seed)
+    rows = rng.standard_normal((n_rows, c_in))
+    taps = rng.standard_normal((c_in, width, k * 2))  # k members of 2 filters
+    for group in range(1, width + 1):
+        # each yield is read before the next GEMM overwrites its buffer
+        products = [p.copy() for p in autograd.tap_products(rows, taps, group)]
+        assert len(products) == width, group
+        for w, product in enumerate(products):
+            assert product.shape == (n_rows + 1, k * 2)
+            np.testing.assert_allclose(product[:-1], rows @ taps[:, w], rtol=0, atol=1e-12)
+            assert not product[-1].any()  # the row that id -1 reads
+
+
+def test_training_conv_multiplies_all_taps_in_one_product(monkeypatch):
+    """conv1d asks tap_products for all W taps in one GEMM, however small
+    the scoring pass's bound: a bounded group made training batches slower,
+    so only stacked_forward passes one."""
+    groups = []
+    real = autograd.tap_products
+
+    def recording(rows, taps, group):
+        groups.append(group)
+        return real(rows, taps, group)
+
+    monkeypatch.setattr(autograd, "tap_products", recording)
+    monkeypatch.setattr(model, "tap_products", recording)
+    monkeypatch.setattr(model, "STACKED_PRODUCT_VALUES", 1)  # scoring: one tap per GEMM
+    rng = np.random.default_rng(3)
+    # 600 rows by 17 taps of 32 filters: over 2^17 product values, the
+    # scoring pass's bound
+    batch = IdBatch(rng.integers(-1, 600, size=(4, 200)), rng.standard_normal((600, 3)))
+    conv1d(batch, Tensor(rng.standard_normal((3, 17, 32))), Tensor(np.zeros(32)), pad=8)
+    assert groups == [17]
+    config = tiny_topology()
+    params = build(config, 0)
+    batch = rng.standard_normal((4, config.seq_len, config.emb_dim))
+    groups.clear()
+    forward(params, config, batch, train=True, rng=rng)
+    assert groups == [config.conv_width]
+    groups.clear()
+    stacked_forward(config, params.stacked, batch)
+    assert groups == [1]
 
 
 class TestMaxPool:
@@ -485,7 +535,7 @@ class TestBackward:
         def run():
             rng = np.random.default_rng(42)
             x = rng.standard_normal((1, 3, 8))
-            f = Tensor(rng.standard_normal((2, 3, 3)))
+            f = Tensor(rng.standard_normal((3, 3, 2)))
             b = Tensor(rng.standard_normal(2))
             out = maxpool1d(conv1d(dense_ids(x), f, b, pad=1), 2)
             loss = (out.reshape(-1) * rng.standard_normal(8)).sum()

@@ -423,6 +423,8 @@ def test_bad_values_exit_without_traceback(tmp_path, command, flags, code):
 TUNE_ARGV = ["tune", "--bundle", "b", "--target", "t", "--out", "o"]
 WEAK_ARGV = ["weak-train", "--unlabeled", "u", "--out", "o"]
 TRAIN_ARGV = ["train", "--out", "o"]
+EVALUATE_ARGV = ["evaluate", "--bundle", "b"]
+PREDICT_ARGV = ["predict", "--bundle", "b", "--input", "i"]
 
 
 @pytest.mark.parametrize("argv, dead", [
@@ -431,12 +433,20 @@ TRAIN_ARGV = ["train", "--out", "o"]
     (TUNE_ARGV, ["-k", "3"]),
     (WEAK_ARGV, ["--trials", "2"]),
     (TRAIN_ARGV, ["--tune-lr", "1e-3"]),
+    (EVALUATE_ARGV, ["--split-seed", "1"]),  # evaluate scores the whole corpus
+    (PREDICT_ARGV, ["--split-seed", "1"]),
 ])
 def test_subcommands_reject_flags_they_never_read(argv, dead):
     cli.build_parser().parse_args(argv)  # complete without the dead flag
     with pytest.raises(SystemExit) as exc:
         run(argv + dead)
     assert exc.value.code == cli.EXIT_USAGE
+
+
+@pytest.mark.parametrize("argv", [TRAIN_ARGV, WEAK_ARGV])
+def test_training_subcommands_take_the_split_seed(argv):
+    assert cli.build_parser().parse_args(argv).split_seed == 0
+    assert cli.build_parser().parse_args(argv + ["--split-seed", "1"]).split_seed == 1
 
 
 @pytest.mark.parametrize("argv", [

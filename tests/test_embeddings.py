@@ -1,5 +1,7 @@
 import gc
+import json
 import logging
+import math
 import os
 import sys
 import tempfile
@@ -98,6 +100,9 @@ def eager_load(path, dim):
             except ValueError:
                 skipped.append(lineno)
                 continue
+            if not np.isfinite(vec).all():
+                skipped.append(lineno)
+                continue
             if token not in vectors:
                 vectors[token] = vec
     if not vectors:
@@ -134,6 +139,45 @@ class TestLazyTable:
             assert "bad" not in table
         messages = [r.getMessage() for r in caplog.records]
         assert messages == [f"{path}:2: non-numeric vector component; line skipped"]
+
+    def test_non_finite_rows_are_malformed(self, tmp_path, caplog):
+        path = write_vectors(tmp_path / "v.txt", [
+            "hello 1 2 3 4", "world nan 0 0 0", "low 0 -inf 0 0", "high 0 0 inf 0",
+            "big 1e999 0 0 0", "world 5 6 7 8"])
+        with caplog.at_level(logging.WARNING, logger="hatenet.embeddings"):
+            table = load_table(path, dim=4)
+            np.testing.assert_array_equal(table.get("world"), [5, 6, 7, 8])  # a later row
+            for token in ("low", "high", "big"):
+                assert table.get(token) is None
+            assert len(table) == 2
+            assert table.skipped == 4
+        messages = [r.getMessage() for r in caplog.records]
+        assert messages == [f"{path}:{n}: non-finite vector component; line skipped"
+                            for n in (2, 3, 4, 5)] + [f"{path}: skipped 4 malformed line(s)"]
+
+    def test_predict_with_non_finite_rows_prints_json(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text("".join(f"{p.label}\t{p.text}\n" for p in separable_corpus(8).posts))
+        clean = write_vectors(tmp_path / "clean.txt", ["the 1 2 3 4", "sun 0 1 0 0"])
+        assert cli.main(["train", "--labeled-lines", str(corpus), "--seq-len", "8", "-k", "2",
+                         "--epochs", "1", "--embeddings", clean, "--emb-dim", "4",
+                         "--out", str(tmp_path / "run")]) == cli.EXIT_OK
+        bad = write_vectors(tmp_path / "bad.txt", [
+            "the 1 2 3 4", "sun nan 0 0 0", "day 0 -inf 0 0", "we 0 0 inf 0", "saw 1e999 0 0 0"])
+        posts = tmp_path / "posts.txt"
+        posts.write_text("the sun\nday we saw\nsaw\n")
+        capsys.readouterr()
+        assert cli.main(["predict", "--bundle", str(tmp_path / "run"), "--input", str(posts),
+                         "--embeddings", bad, "--emb-dim", "4"]) == cli.EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 3
+
+        def refuse(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        for line in lines:
+            record = json.loads(line, parse_constant=refuse)
+            assert all(math.isfinite(p) for p in record["mean_probs"]), line
 
     def test_malformed_first_duplicate_falls_through(self, tmp_path):
         path = write_vectors(tmp_path / "v.txt", ["cat 1", "dog 3 4", "cat 5 6"])
@@ -210,7 +254,8 @@ class TestLazyTable:
             st.tuples(
                 st.sampled_from(["blank", "header", "good", "arity", "text"]),
                 st.sampled_from(["a", "b", "c", "7", "x"]),
-                st.lists(st.sampled_from(["0", "1.5", "-2", "3e-1", "4"]), min_size=3, max_size=3),
+                st.lists(st.sampled_from(["0", "1.5", "-2", "3e-1", "4", "nan", "1e999"]),
+                         min_size=3, max_size=3),
                 st.sampled_from([" ", "\t", "  ", "\x1f", "\u3000 "]),  # str.split whitespace
                 st.sampled_from(["\n", "\r\n", "\r"]),
             ),

@@ -238,10 +238,11 @@ def test_training_filters_stay_tap_major():
     for rnn_kind in ("gru", "lstm"):
         config = tiny_topology(rnn_kind=rnn_kind)
         params = build(config, 0)
-        conv_w, u_t = params.feature.params["conv_w"], params.rnn[1]
-        assert conv_w.data.transpose(1, 2, 0).flags.c_contiguous
-        taps = conv_w.data.transpose(1, 2, 0).reshape(config.conv_channels(), -1)
-        assert np.shares_memory(taps, conv_w.data)  # a reshape, no copy
+        conv_w, taps, u_t = params.feature.params["conv_w"], params.taps, params.rnn[1]
+        assert taps.data.shape == (config.conv_channels(), config.conv_width, config.conv_filters)
+        # conv_w, the checkpoint's (C_out, C_in, W) view of the block
+        assert np.shares_memory(conv_w.data, taps.data)
+        assert np.array_equal(conv_w.data, taps.data.transpose(2, 0, 1))
         gates = {"gru": 3, "lstm": 4}[rnn_kind]
         assert u_t.data.shape == (config.rnn_hidden, gates * config.rnn_hidden)  # Uᵀ, not U
         rng = np.random.default_rng(0)
@@ -250,13 +251,14 @@ def test_training_filters_stay_tap_major():
         for _ in range(2):
             probs = forward(params, config, batch, train=True, rng=rng)
             _step(cross_entropy(probs, [0, 1, 2, 0]), optimizer, 1)
-            assert conv_w.grad.transpose(1, 2, 0).flags.c_contiguous
-            for block, buffer in ((u_t.data, params.data), (u_t.grad, params.grad)):
+            assert np.array_equal(conv_w.grad, taps.grad.transpose(2, 0, 1))
+            for block, buffer in ((taps.data, params.data), (taps.grad, params.grad),
+                                  (u_t.data, params.data), (u_t.grad, params.grad)):
                 assert block.flags.c_contiguous and np.shares_memory(block, buffer)
-        assert conv_w.data.transpose(1, 2, 0).flags.c_contiguous
-        copied = params.copy().feature.params["conv_w"].data
-        assert copied.transpose(1, 2, 0).flags.c_contiguous
-        np.testing.assert_array_equal(copied, conv_w.data)
+        copied = params.copy()
+        assert copied.taps.data.flags.c_contiguous
+        np.testing.assert_array_equal(copied.taps.data, taps.data)
+        np.testing.assert_array_equal(copied.feature.params["conv_w"].data, conv_w.data)
 
 
 @pytest.mark.parametrize("rnn_kind", ["gru", "lstm"])
