@@ -1,5 +1,6 @@
 """Transfer tuning: freeze the CNN-RNN feature extractor and retrain the
-two dense layers on a small balanced sample from a shifted domain.
+two dense layers on a small balanced sample from a shifted domain, then
+report before and after from one features pass.
 
 Run:  python demos/06_transfer_tuning.py
 """
@@ -11,7 +12,7 @@ from hatenet import (
     RawPost,
     TopologyConfig,
     TrainConfig,
-    evaluate,
+    evaluate_heads,
     synthetic_table,
     train_ensemble,
     tune,
@@ -50,9 +51,10 @@ target_test = make_corpus(TARGET_MARKERS, 15, seed=2, tag="target-test")
 # needs a hotter schedule than the production default (10 epochs, 5e-4)
 tune_cfg = TrainConfig(ensemble_size=2, seed=0, batch_size=8,
                        tune_epochs=60, tune_lr=5e-3)
-before = evaluate(bundle, target_test, table)
 tuned = tune(bundle, target_tune, tune_cfg, table)
-after = evaluate(tuned, target_test, table)
+# the two bundles share the frozen extractor, so one features pass over the
+# test posts serves both reports: each bundle's heads classify the features
+before, after = evaluate_heads([bundle, tuned], target_test, table)
 
 print("target-domain metrics (class/marker mapping shifted):")
 print(f"  pre-tuning:  macro F1 {before['macro_f1']:.3f}, "

@@ -21,6 +21,7 @@ from .ensemble import (
     TrainConfig,
     balanced_epoch_sample,
     evaluate,
+    evaluate_heads,
     load_bundle,
     predict,
     predict_all,
@@ -69,6 +70,7 @@ __all__ = [
     "count_lexicon",
     "embed",
     "evaluate",
+    "evaluate_heads",
     "forward",
     "load_bundle",
     "load_hon",

@@ -4,7 +4,8 @@ Subcommands: train, weak-train, tune, predict, evaluate, gradcheck,
 preprocess.  Runs are reproducible: the fully resolved configuration is
 echoed into the output directory before any training starts, and a rerun
 with the same configuration, seed and single thread writes byte-identical
-checkpoints and reports.
+checkpoints and reports, given the same BLAS build and BLAS thread count:
+another thread count can round member_*.ckpt, and so bundle.meta, differently.
 
 Exit codes: 0 success; 2 usage errors; 3 data/configuration errors;
 4 numeric failures (non-finite losses, failed gradient checks).
@@ -37,6 +38,7 @@ from .ensemble import (
     WEAK,
     TrainConfig,
     evaluate,
+    evaluate_heads,
     load_bundle,
     predict_all,
     save_bundle,
@@ -480,9 +482,8 @@ def cmd_tune(args) -> int:
         "train": {**{k: v for k, v in asdict(cfg).items() if k not in unused}, **trained},
         "embeddings": table.name,
     })
-    before = evaluate(bundle, test, table)
     tuned = tune(bundle, target, cfg, table)
-    after = evaluate(tuned, test, table)
+    before, after = evaluate_heads([bundle, tuned], test, table)  # one features pass
     save_bundle(tuned, out)
     _write_json(out, "report", {"pre_tuning": before, "post_tuning": after})
     print("pre-tuning:")
@@ -496,9 +497,10 @@ def cmd_predict(args) -> int:
     bundle = load_bundle(args.bundle)
     table = _make_table(args)
     posts = load_unlabeled(args.input)
+    predictions = predict_all(bundle, posts, table)  # checks the table before --output opens
     sink = open(args.output, "w", encoding="utf-8") if args.output else sys.stdout
     try:
-        for post, result in zip(posts, predict_all(bundle, posts, table)):
+        for post, result in zip(posts, predictions):
             record = {
                 "source_id": post.source_id,
                 "label": ["H", "O", "N"][result.label],

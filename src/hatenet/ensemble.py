@@ -46,6 +46,7 @@ from .model import (
     layout,
     stack,
     stacked_forward,
+    stacked_heads,
     stacked_members,
 )
 from .optim import Adam
@@ -393,17 +394,21 @@ def _check_table(bundle: EnsembleBundle, table: EmbeddingTable) -> None:
 
 
 def predict_all(bundle: EnsembleBundle, posts, table: EmbeddingTable) -> Iterator[Prediction]:
-    """Each post's Prediction, in order.  The posts are preprocessed and
-    encoded once, then scored in chunks of EVAL_CHUNK posts, one
-    stacked_forward pass of all members per chunk."""
+    """Each post's Prediction, in order.  The call checks the table and encodes
+    the posts (each text preprocessed once); the iterator scores them in chunks
+    of EVAL_CHUNK posts, one stacked_forward pass of all members per chunk."""
     _check_table(bundle, table)
     _, encoded = _encode(posts, table, bundle.topology)
-    for _, _, probs in _scored(bundle.topology, bundle.stacked, encoded):
-        votes = probs.argmax(axis=-1)  # (K, B), ties to the lowest class ordinal
-        means = probs.mean(axis=0)
-        for i, label in enumerate(vote_outcome(votes, probs).tolist()):
-            yield Prediction(label=label, votes=votes[:, i].tolist(),
-                             mean_probs=means[i], member_probs=probs[:, i])
+
+    def predictions():
+        for _, _, probs in _scored(bundle.topology, bundle.stacked, encoded):
+            votes = probs.argmax(axis=-1)  # (K, B), ties to the lowest class ordinal
+            means = probs.mean(axis=0)
+            for i, label in enumerate(vote_outcome(votes, probs).tolist()):
+                yield Prediction(label=label, votes=votes[:, i].tolist(),
+                                 mean_probs=means[i], member_probs=probs[:, i])
+
+    return predictions()
 
 
 def predict(bundle: EnsembleBundle, post: RawPost, table: EmbeddingTable) -> Prediction:
@@ -412,12 +417,34 @@ def predict(bundle: EnsembleBundle, post: RawPost, table: EmbeddingTable) -> Pre
     return next(predict_all(bundle, [post], table))
 
 
+def evaluate_heads(bundles: "list[EnsembleBundle]", corpus: LabeledCorpus,
+                   table: EmbeddingTable) -> list[dict]:
+    """Each bundle's evaluate report on the corpus, from one encoding and one
+    features pass: the first bundle's stack gives each chunk's features, which
+    every bundle's heads (model.stacked_heads) classify.  So the bundles must
+    share its topology and feature arrays, by value, as tune's copies do."""
+    first = bundles[0]
+    heads = {name for group, name, _ in layout(first.topology) if group == "classifier"}
+    for bundle in bundles:
+        _check_table(bundle, table)
+        theirs = bundle.stacked  # tune's copy holds the source's arrays themselves
+        if bundle.topology != first.topology or any(
+                array is not theirs[name] and not np.array_equal(array, theirs[name])
+                for name, array in first.stacked.items() if name not in heads):
+            raise ValueError("evaluate_heads needs bundles that differ only in their heads")
+    _, encoded = _encode(corpus.posts, table, first.topology)
+    pairs: list[list] = [[] for _ in bundles]
+    for chunk, feats, probs in _scored(first.topology, first.stacked, encoded):
+        labels = [corpus.posts[i].label for i in chunk]
+        for bundle, out in zip(bundles, pairs):
+            scores = probs if bundle is first else stacked_heads(bundle.stacked, feats)
+            out.extend(zip(labels, vote_outcome(scores.argmax(axis=-1), scores).tolist()))
+    return [report(accumulate(out)) for out in pairs]
+
+
 def evaluate(bundle: EnsembleBundle, corpus: LabeledCorpus, table: EmbeddingTable) -> dict:
-    """The report of the bundle's decisions on the corpus (predict_all)."""
-    predictions = predict_all(bundle, corpus.posts, table)
-    return report(accumulate(
-        (post.label, result.label) for post, result in zip(corpus.posts, predictions)
-    ))
+    """The report of the bundle's decisions on the corpus (evaluate_heads)."""
+    return evaluate_heads([bundle], corpus, table)[0]
 
 
 def tune(

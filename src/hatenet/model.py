@@ -438,10 +438,16 @@ def stacked_forward(config: TopologyConfig, stacked: dict, batch) -> tuple[np.nd
         feats = _stacked_rnn(config, stacked, pooled.transpose(2, 1, 0, 3)[:, t0:], state)[2]
     else:  # each member's (B, C, T_pool) map, flattened
         feats = pooled.transpose(2, 0, 3, 1).reshape(k, n, -1)
+    return feats, stacked_heads(stacked, feats)
+
+
+def stacked_heads(stacked: dict, feats: np.ndarray) -> np.ndarray:
+    """Every stacked member's eval-mode class probabilities, (K, B, 3), from
+    its (K, B, F) features: each dense layer is one batched matmul."""
     hidden = np.matmul(feats, stacked["fc1_w"].swapaxes(1, 2))
     hidden += stacked["fc1_b"][:, None]
     np.maximum(hidden, 0.0, out=hidden)
     logits = np.matmul(hidden, stacked["fc2_w"].swapaxes(1, 2))
     logits += stacked["fc2_b"][:, None]
     e = np.exp(logits - logits.max(axis=-1, keepdims=True))
-    return feats, e / e.sum(axis=-1, keepdims=True)
+    return e / e.sum(axis=-1, keepdims=True)

@@ -12,6 +12,7 @@ import perpost_oracle as oracle
 from conftest import MARKERS, separable_corpus, tiny_topology
 from hatenet import ensemble
 from hatenet.autograd import Tensor
+from hatenet.corpus import LabeledCorpus
 from hatenet.embeddings import embed, synthetic_table
 from hatenet.autograd import global_maxpool
 from hatenet.ensemble import (
@@ -332,3 +333,62 @@ def test_evaluate_report_does_not_depend_on_the_chunk_size(monkeypatch):
         reports.append(evaluate(bundle, corpus, table))
     assert reports[0] == reports[1]
     assert ensemble.EVAL_CHUNK == 20
+
+
+def always_neither(bundle):
+    """A copy of the bundle whose heads answer Neither for every post."""
+    stacked = dict(bundle.stacked)
+    stacked["fc2_w"] = np.zeros_like(stacked["fc2_w"])
+    stacked["fc2_b"] = np.broadcast_to([0.0, 0.0, 5.0], stacked["fc2_b"].shape)
+    return ensemble.EnsembleBundle.of_stack(stacked, bundle.topology, bundle.fingerprint)
+
+
+@pytest.mark.parametrize("chunk", [4, 20])
+def test_evaluate_heads_equals_evaluate_of_each_bundle(monkeypatch, chunk):
+    topo, table = tiny_topology(), synthetic_table(0, 6)
+    bundle = small_bundle(topo, table)
+    tuned = tune(bundle, separable_corpus(3, seed=15), TrainConfig(tune_epochs=3), table)
+    bundles = [bundle, tuned, always_neither(bundle), bundle]
+    monkeypatch.setattr(ensemble, "EVAL_CHUNK", chunk)
+    for corpus in (separable_corpus(9, seed=12), LabeledCorpus([], "empty")):
+        want = [evaluate(b, corpus, table) for b in bundles]
+        assert ensemble.evaluate_heads(bundles, corpus, table) == want
+        assert want[2] != want[0] or not corpus.posts  # the heads decide differently
+
+
+def test_evaluate_heads_runs_one_features_pass(monkeypatch):
+    topo, table = tiny_topology(), synthetic_table(0, 6)
+    bundle = small_bundle(topo, table)
+    corpus = separable_corpus(9, seed=12)  # 27 posts: two chunks
+    calls = []
+    original = ensemble.stacked_forward
+
+    def counting(config, stacked, batch):
+        calls.append(len(batch))
+        return original(config, stacked, batch)
+
+    monkeypatch.setattr(ensemble, "stacked_forward", counting)
+    ensemble.evaluate_heads([bundle, always_neither(bundle), bundle], corpus, table)
+    assert calls == [20, 7]
+
+
+def test_evaluate_heads_refuses_other_feature_extractors(tmp_path):
+    topo, table = tiny_topology(), synthetic_table(0, 6)
+    bundle = small_bundle(topo, table)
+    corpus = separable_corpus(2, seed=16)
+    other, _ = train_ensemble(TrainConfig(ensemble_size=2, epochs=1, seed=5, batch_size=8),
+                              topo, table, separable_corpus(3, seed=1),
+                              separable_corpus(1, seed=2))
+    wider, _ = train_ensemble(TrainConfig(ensemble_size=2, epochs=1, seed=0, batch_size=8),
+                              tiny_topology(variant=CNN_FC), table,
+                              separable_corpus(3, seed=1), separable_corpus(1, seed=2))
+    for stranger in (other, wider):
+        with pytest.raises(ValueError):
+            ensemble.evaluate_heads([bundle, stranger], corpus, table)
+    # a tuned copy saved and loaded again holds equal, not identical, feature arrays
+    tuned = tune(bundle, separable_corpus(3, seed=15), TrainConfig(tune_epochs=2), table)
+    ensemble.save_bundle(tuned, tmp_path / "tuned")
+    reloaded = ensemble.load_bundle(tmp_path / "tuned")
+    assert reloaded.stacked["taps"] is not bundle.stacked["taps"]
+    assert ensemble.evaluate_heads([bundle, reloaded], corpus, table) == [
+        evaluate(bundle, corpus, table), evaluate(tuned, corpus, table)]

@@ -248,6 +248,17 @@ class TestPredictCommand:
         assert code == 0
         assert len(out.read_text().splitlines()) == 1
 
+    def test_failed_predict_leaves_an_existing_output_file_as_it_was(self, tmp_path):
+        bundle_dir = make_bundle_dir(tmp_path, dim=6)
+        inp = tmp_path / "posts.txt"
+        inp.write_text("one post\n")
+        out = tmp_path / "prev.jsonl"
+        out.write_bytes(b'{"label": "H"}\n')
+        code = run(["predict", "--bundle", bundle_dir, "--input", str(inp),
+                    "--embeddings", "synthetic:0:9", "--output", str(out)])
+        assert code == cli.EXIT_DATA
+        assert out.read_bytes() == b'{"label": "H"}\n'
+
 
 class TestEvaluateCommand:
     def test_memorization_scores_one(self, tmp_path, capsys):
@@ -318,6 +329,27 @@ class TestTuneCommand:
                 assert (a.feature.params[key].data.tobytes()
                         == b.feature.params[key].data.tobytes())
 
+
+    def test_reports_share_one_encoding_and_features_pass(self, tmp_path, monkeypatch):
+        # without --test the target is scored by tune, then once for both reports
+        from hatenet import ensemble
+
+        bundle_dir = make_bundle_dir(tmp_path)
+        calls = {"preprocess": 0, "stacked_forward": 0}
+        for name in calls:
+            original = getattr(ensemble, name)
+
+            def counting(*args, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(ensemble, name, counting)
+        target = FIXTURES / "target_lines.txt"
+        assert run(["tune", "--bundle", bundle_dir, "--target", str(target),
+                    "--embeddings", "synthetic:0:6", "--out", str(tmp_path / "tuned"),
+                    "--tune-epochs", "2"]) == 0
+        assert len(target.read_text().splitlines()) == 15
+        assert calls == {"preprocess": 30, "stacked_forward": 2}
 
     def test_weak_train_config_passes_back_as_tune_config(self, tmp_path):
         # tune records no weak-training field: neither base_lr nor bounds_k

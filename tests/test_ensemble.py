@@ -23,6 +23,7 @@ from hatenet.ensemble import (
     evaluate,
     load_bundle,
     predict,
+    predict_all,
     save_bundle,
     train_ensemble,
     train_member,
@@ -375,6 +376,11 @@ class TestPredictAndBundle:
         bundle = self._quick_bundle(topo, table)
         with pytest.raises(PreprocessingMismatch):
             predict(bundle, RawPost("x"), synthetic_table(0, 7))
+
+    def test_predict_all_checks_the_table_at_the_call(self, topo, table):
+        bundle = self._quick_bundle(topo, table)
+        with pytest.raises(PreprocessingMismatch):
+            predict_all(bundle, [RawPost("x")], synthetic_table(0, 7))  # never iterated
 
     def test_save_load_roundtrip_bit_exact(self, topo, table, tmp_path):
         from hatenet.ensemble import _member_bytes
