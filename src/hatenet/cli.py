@@ -472,6 +472,9 @@ def cmd_tune(args) -> int:
     table = _make_table(args)
     target = load_labeled_lines(args.target)
     test = load_labeled_lines(args.test) if args.test else target
+    if args.test and len(test) == 0:  # an empty target fails in tune
+        print(f"warning: --test {args.test} holds no posts; "
+              "the test report will be all zeros", file=sys.stderr)
     out = Path(args.out)
     unused = ("class_weights", "base_lr", "bounds_k", "ensemble_size", "epochs", "loss_mode")
     _write_json(out, "config", {

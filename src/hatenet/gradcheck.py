@@ -139,12 +139,20 @@ def _padded_batch(rng, n: int, channels: int, steps: int) -> np.ndarray:
     return batch
 
 
-def _windows_well_separated(data: np.ndarray, rate: int, margin: float) -> bool:
+def _windows_well_separated(data: np.ndarray, rate: int, margin: float,
+                            bias: "np.ndarray | None" = None) -> bool:
+    """Whether the max of every pool window of the (C, T) values leads the
+    runner-up by more than `margin`.  Given the conv `bias`, a window whose
+    values are all its channel's bias (conv outputs that read only padding)
+    passes too: its max moves exactly with the bias."""
     c, t = data.shape
     t_out = t // rate
     win = data[:, : t_out * rate].reshape(c, t_out, rate)
     top2 = np.sort(win, axis=2)[:, :, -2:]
-    return bool(np.all(top2[:, :, 1] - top2[:, :, 0] > margin))
+    ok = top2[:, :, 1] - top2[:, :, 0] > margin
+    if bias is not None:
+        ok |= np.all(win == bias[:, None, None], axis=2)
+    return bool(np.all(ok))
 
 
 def _check_maxpool(seed: int, h: float) -> dict[str, float]:
@@ -200,6 +208,34 @@ def _check_rnn(seed: int, h: float, kind: str) -> dict[str, float]:
     lw = _loss_weights(rng, 3 * t_steps * hidden)
     tensors = {"x_batch": xb, **{f"{k}_batch": v for k, v in params.items()}}
     errors.update(compare(lambda: (run(xb, *blocks).reshape(-1) * lw).sum(), tensors, h))
+    return errors
+
+
+def _check_rnn_lead(seed: int, h: float, kind: str) -> dict[str, float]:
+    """The recurrent op with a lead of t0 >= 1 steps, which it runs once on
+    one row from the conv bias and does not read from its input: conv_b is
+    checked with the input and the gate tensors, for a lead of one step and
+    one of every step."""
+    rng = np.random.default_rng(seed)
+    d_in, hidden, t_steps = 2, 3, 4
+    gates = layers.GRU_GATES if kind == "gru" else layers.LSTM_GATES
+    blocks = layers.init_rnn(rng, d_in, hidden, gates)
+    params = layers.rnn_views(*blocks, gates)
+    for key, tensor in params.items():
+        if key.startswith("b_"):
+            tensor.data[:] = rng.standard_normal(tensor.data.shape)
+    conv_b = _rand(rng, d_in)
+    run = layers.gru_forward if kind == "gru" else layers.lstm_forward
+    errors = {}
+    for t0 in (1, t_steps):
+        x = _rand(rng, 3, t_steps, d_in)
+        lw = _loss_weights(rng, 3 * t_steps * hidden)
+        tensors = {"x": x, "conv_b": conv_b, **params}
+        errors.update(compare(
+            lambda: (run(x, *blocks, t0, conv_b).reshape(-1) * lw).sum(),
+            {f"{name}_t0_{t0}": tensor for name, tensor in tensors.items()},
+            h,
+        ))
     return errors
 
 
@@ -270,11 +306,13 @@ def _tiny_config(variant: str, rnn_kind: str = "gru") -> model.TopologyConfig:
 
 def _topology_margins_ok(params, config, values, h: float) -> bool:
     """Reject inputs whose pooled windows or relu preactivations sit on a
-    kink.  Runs the model's layers on the post as a batch of 1, because the
-    margins are read from intermediates that model.forward does not expose."""
+    kink; a pool window of padding alone is no kink.  Runs the model's layers
+    on the post as a batch of 1, because the margins are read from
+    intermediates that model.forward does not expose."""
+    conv_b = params.feature.params["conv_b"]
     convolved = autograd.conv1d(model._conv_input(values, config), params.taps,
-                                params.feature.params["conv_b"], config.conv_pad)
-    if not _windows_well_separated(convolved.data[0], config.pool_rate, 20 * h):
+                                conv_b, config.conv_pad)
+    if not _windows_well_separated(convolved.data[0], config.pool_rate, 20 * h, conv_b.data):
         return False
     pooled = autograd.maxpool1d(convolved, config.pool_rate)
     if config.variant == model.CNN_RNN_FC:
@@ -316,7 +354,35 @@ def _check_topology(seed: int, h: float, variant: str, rnn_kind: str = "gru") ->
         {f"{name}_batch": tensor for name, tensor in tensors.items()},
         h,
     ))
+    # a batch of 3 posts that all start with a pooled step of padding alone,
+    # the common lead that the recurrent layer runs on one row, and a
+    # nonzero conv bias (build's is zero), the RNN input of those steps; at
+    # 0.2 sd the GRU's gradients stay well above the differences' rounding
+    conv_b = params.feature.params["conv_b"].data
+    conv_b[:] = 0.2 * rng.standard_normal(conv_b.shape)
+    for _ in range(100):
+        lead_batch = _lead_batch(rng, config)
+        if all(_topology_margins_ok(params, config, post, h) for post in lead_batch):
+            break
+    lw = _loss_weights(rng, (3, config.n_classes))
+    errors.update(compare(
+        lambda: (model.forward(params, config, lead_batch) * lw).sum(),
+        {f"{name}_lead_batch": tensor for name, tensor in tensors.items()},
+        h,
+    ))
     return errors
+
+
+def _lead_batch(rng, config) -> np.ndarray:
+    """3 random (seq_len, emb_dim) posts with distinct zero rows, each with
+    at least one leading pooled step that reads only padding, the first
+    post two."""
+    # the first step that a conv window of pooled step 1 reads
+    first = config.pool_rate + config.conv_width - 1 - config.conv_pad
+    batch = _padded_batch(rng, 3, config.emb_dim, config.seq_len).transpose(0, 2, 1).copy()
+    batch[:, :first] = 0.0
+    batch[0, : first + config.pool_rate] = 0.0
+    return batch
 
 
 REGISTRY = {
@@ -329,6 +395,8 @@ REGISTRY = {
     "dropout": _check_dropout_eval,
     "gru": lambda seed, h: _check_rnn(seed, h, "gru"),
     "lstm": lambda seed, h: _check_rnn(seed, h, "lstm"),
+    "gru_lead": lambda seed, h: _check_rnn_lead(seed, h, "gru"),
+    "lstm_lead": lambda seed, h: _check_rnn_lead(seed, h, "lstm"),
     "cross_entropy": _check_cross_entropy,
     "weak_loss": _check_weak_loss,
     "topology_cnn_rnn_gru": lambda seed, h: _check_topology(seed, h, model.CNN_RNN_FC, "gru"),
@@ -348,6 +416,8 @@ REQUIRED_CHECKS = (
     "dropout",
     "gru",
     "lstm",
+    "gru_lead",
+    "lstm_lead",
     "cross_entropy",
     "weak_loss",
     "topology_cnn_rnn_gru",

@@ -97,45 +97,82 @@ def sigmoid(a: np.ndarray, out: "np.ndarray | None" = None) -> np.ndarray:
     return np.reciprocal(out, out=out)
 
 
-def _projected(inputs: Tensor, w: Tensor, b: Tensor) -> tuple[np.ndarray, np.ndarray]:
-    """The (B, T, D) recurrent inputs as a contiguous (T, B, D) array, and
-    their projection x @ W.T + b for all T steps of all B inputs in one GEMM,
-    (T, B, G*H)."""
-    x = inputs.data
-    if x.ndim != 3 or x.shape[-1] != w.data.shape[1]:
-        raise ShapeMismatch(f"recurrent input {x.shape} does not fit W {w.data.shape}")
-    x = np.ascontiguousarray(x.swapaxes(0, 1))
-    xp = x.reshape(-1, x.shape[-1]) @ w.data.T
-    xp += b.data
-    return x, xp.reshape(*x.shape[:2], -1)
-
-
 def _flat(a: np.ndarray) -> np.ndarray:
     """(T, B, K) as (T*B, K)."""
     return a.reshape(-1, a.shape[-1])
 
 
-def gru_forward(inputs: Tensor, w: Tensor, u_t: Tensor, b: Tensor) -> Tensor:
-    """Gated recurrent unit over (B, T, D) inputs; returns all T hidden
-    states, (B, T, H).  w, u_t and b are gate-major (z, r, h): W (3H, D),
-    Uᵀ (H, 3H) and b (3H,).
+def _recurrence(steps, back, n_states: int, inputs: Tensor, w: Tensor, u_t: Tensor,
+                b: Tensor, t0: int, conv_b: "Tensor | None") -> Tensor:
+    """A recurrent layer over (B, T, D) inputs as one autograd node with a
+    hand-written backward pass through time; returns all T hidden states,
+    (B, T, H).
 
-    z_t = sigmoid(W_z x_t + U_z h + b_z)
-    r_t = sigmoid(W_r x_t + U_r h + b_r)
-    g_t = tanh(W_h x_t + U_h (r_t * h) + b_h)
-    h_t = (1 - z_t) * h + z_t * g_t
+    The first t0 steps of every input are the conv bias `conv_b`, as a
+    pooled step of the batch's common left padding is, so the op does not
+    read inputs[:, :t0]: it runs those steps once, on one row projected as
+    conv_b @ W.T + b, repeats that row's end states over the batch and runs
+    steps t0.. from there, their inputs projected in one GEMM.  Every
+    input's first t0 outputs are the row's.  The backward pass runs steps
+    t0.. back, then the one-row prefix from their start-state gradients and
+    the prefix outputs' gradients, each summed over the batch; the prefix's
+    input gradient goes to conv_b.  With t0 = 0 it is the plain recurrence.
 
-    One autograd node with a hand-written backward pass through time that
-    adds into the blocks' gradients.  The input projection of all steps and
-    inputs is one GEMM against W; each step then multiplies the (B, H)
-    states once by [U_z; U_r]ᵀ and once by U_hᵀ, column blocks of the stored
-    Uᵀ, as model._stacked_rnn does; the backward pass reads a contiguous U.
+    The cell is `steps(xp, u_t, states)`, which runs over (T', B', G*H)
+    projected inputs from each (T' + 1, B', H) state history's [0], writes
+    the states after step t at [t + 1] and returns its activations; and
+    `back(grad, d_states, states, acts, u, u_t_grad)`, which runs back from
+    d_states, the gradients on the last states, given the (T', B', H)
+    outputs' gradients, adds into u_t_grad and returns the preactivations'
+    gradient (T', B', G*H) and the gradients on the first states.
     """
-    x, xp = _projected(inputs, w, b)
-    t_steps, n = x.shape[:2]
+    x = inputs.data
+    if x.ndim != 3 or x.shape[-1] != w.data.shape[1]:
+        raise ShapeMismatch(f"recurrent input {x.shape} does not fit W {w.data.shape}")
+    n, t_steps = x.shape[:2]
+    if not 0 <= t0 <= t_steps or (t0 and conv_b is None):
+        raise ShapeMismatch(f"a lead of {t0} of {t_steps} steps needs 0 <= t0 <= T and conv_b")
     hidden = u_t.data.shape[0]
-    ut_zr, ut_h = u_t.data[:, : 2 * hidden], u_t.data[:, 2 * hidden :]
-    h = np.zeros((t_steps + 1, n, hidden))  # h[t] is the state entering step t
+    x = np.ascontiguousarray(x[:, t0:].swapaxes(0, 1))
+    xp = _flat(x) @ w.data.T
+    xp += b.data
+    prefix = tuple(np.zeros((t0 + 1, 1, hidden)) for _ in range(n_states))
+    if t0:
+        lead_xp = conv_b.data @ w.data.T + b.data
+        prefix_acts = steps(np.broadcast_to(lead_xp, (t0, 1, len(b.data))), u_t.data, prefix)
+    full = tuple(np.empty((t_steps + 1, n, hidden)) for _ in range(n_states))
+    for state, row in zip(full, prefix):
+        state[: t0 + 1] = row
+    rest = tuple(state[t0:] for state in full)
+    acts = steps(xp.reshape(*x.shape[:2], len(b.data)), u_t.data, rest)
+
+    def bwd(grad):
+        grad = grad.swapaxes(0, 1)
+        u = np.ascontiguousarray(u_t.data.T)
+        zeros = tuple(np.zeros((n, hidden)) for _ in range(n_states))
+        da, d_start = back(grad[t0:], zeros, rest, acts, u, u_t.grad)
+        inputs.grad[:, t0:] += (da @ w.data).swapaxes(0, 1)
+        da = _flat(da)
+        w.grad += da.T @ _flat(x)
+        b.grad += da.sum(axis=0)
+        if t0:
+            da_lead, _ = back(grad[:t0].sum(axis=1, keepdims=True),
+                              tuple(d.sum(axis=0, keepdims=True) for d in d_start),
+                              prefix, prefix_acts, u, u_t.grad)
+            da_lead = _flat(da_lead).sum(axis=0)
+            w.grad += np.outer(da_lead, conv_b.data)
+            b.grad += da_lead
+            conv_b.grad += da_lead @ w.data
+
+    parents = (inputs, w, u_t, b) if conv_b is None else (inputs, w, u_t, b, conv_b)
+    return Tensor(full[0][1:].swapaxes(0, 1), parents, bwd)
+
+
+def _gru_steps(xp: np.ndarray, u_t: np.ndarray, states) -> tuple:
+    (h,) = states
+    t_steps, n = xp.shape[:2]
+    hidden = u_t.shape[0]
+    ut_zr, ut_h = u_t[:, : 2 * hidden], u_t[:, 2 * hidden :]
     zr = np.empty((t_steps, n, 2 * hidden))
     g = np.empty((t_steps, n, hidden))
     rh = np.empty((t_steps, n, hidden))
@@ -147,34 +184,92 @@ def gru_forward(inputs: Tensor, w: Tensor, u_t: Tensor, b: Tensor) -> Tensor:
         np.tanh(xp_h[t] + rh[t] @ ut_h, out=g[t])
         z = z_steps[t]
         h[t + 1] = (1.0 - z) * h[t] + z * g[t]
-
-    def bwd(grad):
-        grad = grad.swapaxes(0, 1)
-        u_zr, u_h = np.split(np.ascontiguousarray(u_t.data.T), [2 * hidden])
-        d_zr = zr * (1.0 - zr)
-        d_g = 1.0 - g * g
-        da = np.empty((t_steps, n, 3 * hidden))  # gradient of the preactivations
-        dh = np.zeros((n, hidden))
-        for t in range(t_steps - 1, -1, -1):
-            dh = dh + grad[t]
-            z, r = zr[t, :, :hidden], zr[t, :, hidden:]
-            da[t, :, 2 * hidden :] = dh * z * d_g[t]
-            drh = da[t, :, 2 * hidden :] @ u_h
-            da[t, :, :hidden] = dh * (g[t] - h[t])
-            da[t, :, hidden : 2 * hidden] = drh * h[t]
-            da[t, :, : 2 * hidden] *= d_zr[t]
-            dh = dh * (1.0 - z) + drh * r + da[t, :, : 2 * hidden] @ u_zr
-        inputs.grad += (da @ w.data).swapaxes(0, 1)
-        da = _flat(da)
-        w.grad += da.T @ _flat(x)
-        b.grad += da.sum(axis=0)
-        u_t.grad[:, : 2 * hidden] += (da[:, : 2 * hidden].T @ _flat(h[:-1])).T
-        u_t.grad[:, 2 * hidden :] += (da[:, 2 * hidden :].T @ _flat(rh)).T
-
-    return Tensor(h[1:].swapaxes(0, 1), (inputs, w, u_t, b), bwd)
+    return zr, g, rh
 
 
-def lstm_forward(inputs: Tensor, w: Tensor, u_t: Tensor, b: Tensor) -> Tensor:
+def _gru_back(grad, d_states, states, acts, u, u_t_grad) -> tuple:
+    (dh,), (h,), (zr, g, rh) = d_states, states, acts
+    t_steps, n, hidden = grad.shape
+    u_zr, u_h = u[: 2 * hidden], u[2 * hidden :]
+    d_zr = zr * (1.0 - zr)
+    d_g = 1.0 - g * g
+    da = np.empty((t_steps, n, 3 * hidden))  # gradient of the preactivations
+    for t in range(t_steps - 1, -1, -1):
+        dh = dh + grad[t]
+        z, r = zr[t, :, :hidden], zr[t, :, hidden:]
+        da[t, :, 2 * hidden :] = dh * z * d_g[t]
+        drh = da[t, :, 2 * hidden :] @ u_h
+        da[t, :, :hidden] = dh * (g[t] - h[t])
+        da[t, :, hidden : 2 * hidden] = drh * h[t]
+        da[t, :, : 2 * hidden] *= d_zr[t]
+        dh = dh * (1.0 - z) + drh * r + da[t, :, : 2 * hidden] @ u_zr
+    flat = _flat(da)
+    u_t_grad[:, : 2 * hidden] += (flat[:, : 2 * hidden].T @ _flat(h[:-1])).T
+    u_t_grad[:, 2 * hidden :] += (flat[:, 2 * hidden :].T @ _flat(rh)).T
+    return da, (dh,)
+
+
+def gru_forward(inputs: Tensor, w: Tensor, u_t: Tensor, b: Tensor,
+                t0: int = 0, conv_b: "Tensor | None" = None) -> Tensor:
+    """Gated recurrent unit over (B, T, D) inputs; returns all T hidden
+    states, (B, T, H).  w, u_t and b are gate-major (z, r, h): W (3H, D),
+    Uᵀ (H, 3H) and b (3H,).
+
+    z_t = sigmoid(W_z x_t + U_z h + b_z)
+    r_t = sigmoid(W_r x_t + U_r h + b_r)
+    g_t = tanh(W_h x_t + U_h (r_t * h) + b_h)
+    h_t = (1 - z_t) * h + z_t * g_t
+
+    One autograd node (_recurrence: the first t0 steps of every input are
+    `conv_b`, run once on one row).  Each step multiplies the states once
+    by [U_z; U_r]ᵀ and once by U_hᵀ, column blocks of the stored Uᵀ, as
+    model._stacked_rnn does; the backward pass reads a contiguous U.
+    """
+    return _recurrence(_gru_steps, _gru_back, 1, inputs, w, u_t, b, t0, conv_b)
+
+
+def _lstm_steps(xp: np.ndarray, u_t: np.ndarray, states) -> tuple:
+    h, c = states
+    t_steps, n = xp.shape[:2]
+    hidden = u_t.shape[0]
+    act = np.empty((t_steps, n, 4 * hidden))  # i, f, o, g
+    tc = np.empty((t_steps, n, hidden))
+    sig_steps, tanh_steps = act[..., : 3 * hidden], act[..., 3 * hidden :]
+    for t in range(t_steps):
+        a = xp[t] + h[t] @ u_t
+        sigmoid(a[:, : 3 * hidden], out=sig_steps[t])
+        np.tanh(a[:, 3 * hidden :], out=tanh_steps[t])
+        i, f, o, g = act[t].reshape(n, 4, hidden).swapaxes(0, 1)
+        c[t + 1] = f * c[t] + i * g
+        np.tanh(c[t + 1], out=tc[t])
+        np.multiply(o, tc[t], out=h[t + 1])
+    return act, tc
+
+
+def _lstm_back(grad, d_states, states, acts, u, u_t_grad) -> tuple:
+    (dh, dc), (h, c), (act, tc) = d_states, states, acts
+    t_steps, n, hidden = grad.shape
+    d_act = np.empty_like(act)
+    d_act[..., : 3 * hidden] = act[..., : 3 * hidden] * (1.0 - act[..., : 3 * hidden])
+    d_act[..., 3 * hidden :] = 1.0 - act[..., 3 * hidden :] ** 2
+    da = np.empty((t_steps, n, 4 * hidden))  # gradient of the preactivations
+    for t in range(t_steps - 1, -1, -1):
+        dh = dh + grad[t]
+        i, f, o, g = act[t].reshape(n, 4, hidden).swapaxes(0, 1)
+        dc = dc + dh * o * (1.0 - tc[t] * tc[t])
+        da[t, :, :hidden] = dc * g
+        da[t, :, hidden : 2 * hidden] = dc * c[t]
+        da[t, :, 2 * hidden : 3 * hidden] = dh * tc[t]
+        da[t, :, 3 * hidden :] = dc * i
+        da[t] *= d_act[t]
+        dc = dc * f
+        dh = da[t] @ u
+    u_t_grad += (_flat(da).T @ _flat(h[:-1])).T
+    return da, (dh, dc)
+
+
+def lstm_forward(inputs: Tensor, w: Tensor, u_t: Tensor, b: Tensor,
+                 t0: int = 0, conv_b: "Tensor | None" = None) -> Tensor:
     """LSTM with forget/input/output gates over (B, T, D) inputs; returns
     all T hidden states, (B, T, H).  w, u_t and b are gate-major (i, f, o, g):
     W (4H, D), Uᵀ (H, 4H) and b (4H,).
@@ -183,55 +278,12 @@ def lstm_forward(inputs: Tensor, w: Tensor, u_t: Tensor, b: Tensor) -> Tensor:
     c_t = f * c + i * g
     h_t = o * tanh(c_t)
 
-    One autograd node with a hand-written backward pass through time that
-    adds into the blocks' gradients: one GEMM projects all steps of all
-    inputs through W, and each step multiplies the (B, H) states once by the
-    stored Uᵀ, as model._stacked_rnn does; the backward pass reads a contiguous U.
+    One autograd node (_recurrence: the first t0 steps of every input are
+    `conv_b`, run once on one row).  Each step multiplies the states once
+    by the stored Uᵀ, as model._stacked_rnn does; the backward pass reads a
+    contiguous U.
     """
-    x, xp = _projected(inputs, w, b)
-    t_steps, n = x.shape[:2]
-    hidden = u_t.data.shape[0]
-    h = np.zeros((t_steps + 1, n, hidden))  # h[t], c[t] enter step t
-    c = np.zeros((t_steps + 1, n, hidden))
-    act = np.empty((t_steps, n, 4 * hidden))  # i, f, o, g
-    tc = np.empty((t_steps, n, hidden))
-    sig_steps, tanh_steps = act[..., : 3 * hidden], act[..., 3 * hidden :]
-    for t in range(t_steps):
-        a = xp[t] + h[t] @ u_t.data
-        sigmoid(a[:, : 3 * hidden], out=sig_steps[t])
-        np.tanh(a[:, 3 * hidden :], out=tanh_steps[t])
-        i, f, o, g = act[t].reshape(n, 4, hidden).swapaxes(0, 1)
-        c[t + 1] = f * c[t] + i * g
-        np.tanh(c[t + 1], out=tc[t])
-        np.multiply(o, tc[t], out=h[t + 1])
-
-    def bwd(grad):
-        grad = grad.swapaxes(0, 1)
-        u = np.ascontiguousarray(u_t.data.T)
-        d_act = np.empty_like(act)
-        d_act[..., : 3 * hidden] = act[..., : 3 * hidden] * (1.0 - act[..., : 3 * hidden])
-        d_act[..., 3 * hidden :] = 1.0 - act[..., 3 * hidden :] ** 2
-        da = np.empty((t_steps, n, 4 * hidden))  # gradient of the preactivations
-        dh = np.zeros((n, hidden))
-        dc = np.zeros((n, hidden))
-        for t in range(t_steps - 1, -1, -1):
-            dh = dh + grad[t]
-            i, f, o, g = act[t].reshape(n, 4, hidden).swapaxes(0, 1)
-            dc = dc + dh * o * (1.0 - tc[t] * tc[t])
-            da[t, :, :hidden] = dc * g
-            da[t, :, hidden : 2 * hidden] = dc * c[t]
-            da[t, :, 2 * hidden : 3 * hidden] = dh * tc[t]
-            da[t, :, 3 * hidden :] = dc * i
-            da[t] *= d_act[t]
-            dc = dc * f
-            dh = da[t] @ u
-        inputs.grad += (da @ w.data).swapaxes(0, 1)
-        da = _flat(da)
-        w.grad += da.T @ _flat(x)
-        b.grad += da.sum(axis=0)
-        u_t.grad += (da.T @ _flat(h[:-1])).T
-
-    return Tensor(h[1:].swapaxes(0, 1), (inputs, w, u_t, b), bwd)
+    return _recurrence(_lstm_steps, _lstm_back, 2, inputs, w, u_t, b, t0, conv_b)
 
 
 def cross_entropy(probs: Tensor, targets) -> Tensor:

@@ -13,9 +13,10 @@ checks.  An ensemble stores its K members stacked (``stack``), and
 Parameters have one layout, ``stacked_shapes``: a training member is the
 K=1 stack over one flat buffer (``flat``), which validation scores in place.
 Posts are padded on the left, and a pooled step that reads only padding
-gives every member its conv bias as RNN input; so the stacked pass runs
-the steps where every post of the batch is padding on one row, and the
-batch's recurrence from the first step where some post is not.
+gives every member its conv bias as RNN input; so both passes run the
+steps where every post of the batch is padding (``_padding_steps``) on one
+row, and the batch's recurrence from the first step where some post is
+not: ``forward`` through the recurrent op's lead, forward and backward.
 
 ``conv_axis`` selects which input axis the convolution slides along:
 "sequence" treats the embedding coordinates as channels (pooled length
@@ -275,7 +276,10 @@ def features(params: ModelParams, config: TopologyConfig, batch) -> Tensor:
     """Feature-extractor output, (B, feature_dim), for a batch of posts.
 
     Each layer runs once over the batch.  The posts are constants: conv1d
-    gives them no node and no gradient.
+    gives them no node and no gradient.  The first t0 = min(lead) pooled
+    steps read only padding in every post, so each is the conv bias: the
+    recurrent layer runs them once, on one row, and the batch's steps from
+    the state they reach.
     """
     x = _conv_input(batch, config)
     fp = params.feature.params
@@ -283,7 +287,8 @@ def features(params: ModelParams, config: TopologyConfig, batch) -> Tensor:
     pooled = maxpool1d(convolved, config.pool_rate)
     if config.variant == CNN_RNN_FC:
         rnn = gru_forward if config.rnn_kind == "gru" else lstm_forward
-        return global_maxpool(rnn(pooled.transpose(), *params.rnn))
+        t0 = _padding_steps(config, x.ids)
+        return global_maxpool(rnn(pooled.transpose(), *params.rnn, t0, fp["conv_b"]))
     return pooled.reshape(len(x), -1)
 
 

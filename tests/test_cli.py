@@ -351,6 +351,20 @@ class TestTuneCommand:
         assert len(target.read_text().splitlines()) == 15
         assert calls == {"preprocess": 30, "stacked_forward": 2}
 
+    def test_empty_test_file_warns_and_reports_zeros(self, tmp_path, capsys):
+        empty = tmp_path / "empty.txt"
+        empty.write_text("")
+        out = tmp_path / "tuned"
+        assert run(["tune", "--bundle", make_bundle_dir(tmp_path),
+                    "--target", str(FIXTURES / "target_lines.txt"), "--test", str(empty),
+                    "--embeddings", "synthetic:0:6", "--out", str(out),
+                    "--tune-epochs", "1"]) == 0
+        err = capsys.readouterr().err
+        assert "warning" in err and "the test report will be all zeros" in err
+        rep = json.loads((out / "report.json").read_text())
+        for stage in ("pre_tuning", "post_tuning"):
+            assert not any(rep[stage].values()), rep[stage]
+
     def test_weak_train_config_passes_back_as_tune_config(self, tmp_path):
         # tune records no weak-training field: neither base_lr nor bounds_k
         weak = tmp_path / "weak"

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hatenet import gradcheck
+from hatenet import gradcheck, model
 from hatenet.autograd import Tensor
 from hatenet.errors import NonFiniteValue
 
@@ -40,7 +40,7 @@ class TestLayerChecks:
 
     @pytest.mark.parametrize("name", [
         "conv1d", "maxpool1d", "global_maxpool", "dropout",
-        "gru", "lstm", "cross_entropy", "weak_loss",
+        "gru", "lstm", "gru_lead", "lstm_lead", "cross_entropy", "weak_loss",
     ])
     def test_layers_within_threshold(self, name):
         report = gradcheck.check(name, trials=20)
@@ -63,6 +63,32 @@ class TestLayerChecks:
             "filters_ids", "bias_ids",
         }
         assert report.passed, str(report)
+
+    @pytest.mark.parametrize("name", ["gru_lead", "lstm_lead"])
+    def test_lead_checks_cover_conv_b_with_a_lead(self, name):
+        report = gradcheck.check(name, trials=1)
+        assert {"conv_b_t0_1", "conv_b_t0_4", "x_t0_1", "w_z_t0_1" if name == "gru_lead"
+                else "w_i_t0_1"} <= set(report.per_tensor)
+        assert report.passed, str(report)
+
+    @pytest.mark.parametrize("name, variant", [
+        ("topology_cnn_rnn_gru", model.CNN_RNN_FC), ("topology_cnn_fc", model.CNN_FC),
+    ])
+    def test_topology_lead_batch_has_a_common_lead(self, name, variant):
+        config = gradcheck._tiny_config(variant)
+        batch = gradcheck._lead_batch(np.random.default_rng(0), config)
+        leads = [model._padding_steps(config, model._conv_input(post, config).ids)
+                 for post in batch]
+        assert leads == [2, 1, 1]
+        assert "feature.conv_b_lead_batch" in gradcheck.check(name, trials=1).per_tensor
+
+    def test_all_bias_pool_windows_are_no_kink(self):
+        bias = np.array([0.5, -1.0])
+        data = np.array([[0.5, 0.5, 0.9, 0.1], [-1.0, -1.0, -1.0, -1.0]])
+        assert gradcheck._windows_well_separated(data, 2, 1e-3, bias)
+        assert not gradcheck._windows_well_separated(data, 2, 1e-3)
+        data[0, 1] = 0.5 + 1e-9  # a near tie that is not the bias alone
+        assert not gradcheck._windows_well_separated(data, 2, 1e-3, bias)
 
     def test_report_string_mentions_status(self):
         report = gradcheck.check("fc_none", trials=1)

@@ -8,7 +8,7 @@ import pytest
 
 import perpost_oracle as oracle
 from conftest import separable_corpus, tiny_topology
-from hatenet import cli, ensemble, model
+from hatenet import cli, ensemble, layers, model
 from hatenet.autograd import IdBatch, Tensor
 from hatenet.corpus import load_unlabeled
 from hatenet.embeddings import synthetic_table
@@ -29,7 +29,14 @@ from hatenet.ensemble import (
     vote_outcome,
 )
 from hatenet.errors import CheckpointIntegrityError
-from hatenet.layers import cross_entropy
+from hatenet.layers import (
+    GRU_GATES,
+    LSTM_GATES,
+    cross_entropy,
+    gru_forward,
+    init_rnn,
+    lstm_forward,
+)
 from hatenet.metrics import accumulate, report
 from hatenet.model import (
     CNN_FC,
@@ -383,3 +390,97 @@ def test_scoring_runs_the_steps_after_the_common_padding(rnn_kind, monkeypatch):
     monkeypatch.setattr(model, "_stacked_rnn", lambda *args: calls.append(1) or rnn(*args))
     ensemble.predict(bundle, corpus.posts[0], table)
     assert (len(calls), steps) == (1, [1] * config.pooled_len())
+
+
+# -- training's recurrence runs the batch's common padding once ------------
+
+LEAD_CASES = {"one_post": [4], "mixed": [4, 5, 4, 6], "all_padding": [6, 6]}
+
+
+@pytest.mark.parametrize("leads", LEAD_CASES.values(), ids=LEAD_CASES.keys())
+@pytest.mark.parametrize("rnn_kind", ["gru", "lstm"])
+def test_lead_path_matches_the_full_recurrence(rnn_kind, leads):
+    """Input b's first leads[b] steps are the conv bias.  With any t0 up to
+    min(leads), the op's outputs and gradients equal the t0 = 0 run's; the
+    t0 = 0 run's input gradient on the prefix rows, summed over batch and
+    steps, is conv_b's."""
+    rng = np.random.default_rng(len(leads))
+    gates = GRU_GATES if rnn_kind == "gru" else LSTM_GATES
+    run = gru_forward if rnn_kind == "gru" else lstm_forward
+    d_in, hidden, t_steps = 3, 4, 6
+    blocks = [block.data for block in init_rnn(rng, d_in, hidden, gates)]
+    blocks[2] = rng.standard_normal(blocks[2].shape)  # nonzero gate biases
+    conv_b = rng.standard_normal(d_in)
+    x = rng.standard_normal((len(leads), t_steps, d_in))
+    for b, lead in enumerate(leads):
+        x[b, :lead] = conv_b
+    lw = rng.standard_normal((len(leads), t_steps, hidden))
+
+    def lead_run(t0):
+        params = [Tensor(block.copy(), grad=np.zeros_like(block)) for block in blocks]
+        inputs, bias = Tensor(x.copy()), Tensor(conv_b.copy())
+        out = run(inputs, *params, t0, bias)
+        (out * lw).sum().backward()
+        return out.data, inputs.grad, bias.grad, [p.grad for p in params]
+
+    full_out, full_dx, full_db, full_grads = lead_run(0)
+    assert not full_db.any()
+    for t0 in range(min(leads) + 1):
+        out, dx, db, grads = lead_run(t0)
+        close = dict(rtol=0, atol=1e-12, err_msg=f"t0={t0}")
+        np.testing.assert_allclose(out, full_out, **close)
+        for got, want in zip(grads, full_grads):
+            np.testing.assert_allclose(got, want, **close)
+        np.testing.assert_allclose(dx[:, t0:], full_dx[:, t0:], **close)
+        assert not dx[:, :t0].any()
+        np.testing.assert_allclose(db, full_dx[:, :t0].sum(axis=(0, 1)), **close)
+
+
+@pytest.mark.parametrize("conv_axis", ["sequence", "embedding"])
+@pytest.mark.parametrize("rnn_kind", ["gru", "lstm"])
+def test_training_forward_matches_the_full_recurrence(monkeypatch, rnn_kind, conv_axis):
+    """forward's loss and every parameter's gradient, with the batch's
+    common lead run on one row, against the run with no lead."""
+    config = tiny_topology(rnn_kind=rnn_kind, conv_axis=conv_axis, **SKIPPING)
+    params = build(config, 3)
+    chunks = [[first, None] for first in range(config.conv_len())]
+    chunks += [[None], [9], [11, 3, None], [7, 8], [12, 12, 10], [0, 4]]
+    t0s = set()
+    for seed, firsts in enumerate(chunks):
+        batch = first_live_batch(config, firsts, seed)
+        t0s.add(model._padding_steps(config, model._conv_input(batch, config).ids))
+        lw = np.random.default_rng(seed).standard_normal((len(firsts), config.n_classes))
+
+        def gradients():
+            loss = (forward(params, config, batch) * lw).sum()
+            loss.backward()
+            return [loss.data] + [t.grad.copy() for t in params.named_tensors().values()]
+
+        skipped = gradients()
+        with monkeypatch.context() as patch:
+            patch.setattr(model, "_padding_steps", lambda config, ids: 0)
+            full = gradients()
+        for got, want in zip(skipped, full):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12, err_msg=str(firsts))
+    assert t0s == set(range(config.pooled_len() + 1))
+
+
+@pytest.mark.parametrize("rnn_kind", ["gru", "lstm"])
+def test_training_runs_the_steps_after_the_common_padding(rnn_kind, monkeypatch):
+    """Each recurrence step calls layers.sigmoid once: the steps before the
+    batch's first live one on one row, the rest on the batch's posts."""
+    config = tiny_topology(rnn_kind=rnn_kind, **SKIPPING)
+    params = build(config, 4)
+    batch = first_live_batch(config, [11, 7, 9], 0)
+    t0 = model._padding_steps(config, batch.ids)
+    assert 0 < t0 < config.pooled_len()
+    steps = []
+    original = layers.sigmoid
+
+    def counting(x, out=None):
+        steps.append(x.shape[0])  # (B, gates)
+        return original(x, out=out)
+
+    monkeypatch.setattr(layers, "sigmoid", counting)
+    forward(params, config, batch, train=True, rng=np.random.default_rng(0)).sum().backward()
+    assert steps == [1] * t0 + [3] * (config.pooled_len() - t0)
