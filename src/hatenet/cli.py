@@ -23,6 +23,7 @@ import numpy as np
 
 from . import gradcheck as gradcheck_mod
 from .corpus import (
+    LABEL_NAMES,
     LabeledCorpus,
     SplitSpec,
     combine,
@@ -30,6 +31,7 @@ from .corpus import (
     load_labeled_lines,
     load_olid,
     load_unlabeled,
+    open_utf8,
     split,
 )
 from .embeddings import load_table, synthetic_table
@@ -215,8 +217,9 @@ def _load_config_file(path: "str | None") -> dict:
     if not path:
         return {}
     try:
-        cfg = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+        with open_utf8(path) as fh:
+            cfg = json.load(fh)
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise InvalidConfig(f"{path} is not a JSON config file: {exc}") from None
     if not isinstance(cfg, dict):
         raise InvalidConfig(f"{path}: a config file holds one JSON object")
@@ -309,14 +312,13 @@ def _make_table(args):
     return load_table(spec, args.emb_dim)
 
 
+# the reader of each labeled dataset flag of _add_data_args, by its destination
+_DATASETS = {"hon": load_hon, "olid": load_olid, "labeled_lines": load_labeled_lines}
+
+
 def _load_labeled(args) -> LabeledCorpus:
-    corpora = []
-    if getattr(args, "hon", None):
-        corpora.append(load_hon(args.hon))
-    if getattr(args, "olid", None):
-        corpora.append(load_olid(args.olid))
-    if getattr(args, "labeled_lines", None):
-        corpora.append(load_labeled_lines(args.labeled_lines))
+    corpora = [load(getattr(args, dest)) for dest, load in _DATASETS.items()
+               if getattr(args, dest)]
     if not corpora:
         raise HatenetError(
             "no dataset given: pass --hon, --olid and/or --labeled-lines"
@@ -379,8 +381,7 @@ def cmd_train(args) -> int:
         "command": "train",
         "topology": topo.to_dict(),
         "train": {k: v for k, v in asdict(cfg).items() if k != "class_weights"},
-        "data": {"hon": args.hon, "olid": args.olid,
-                 "labeled_lines": args.labeled_lines},
+        "data": {dest: getattr(args, dest) for dest in _DATASETS},
         "embeddings": table.name,
         "split_seed": args.split_seed,
         "trials": args.trials,
@@ -506,8 +507,8 @@ def cmd_predict(args) -> int:
         for post, result in zip(posts, predictions):
             record = {
                 "source_id": post.source_id,
-                "label": ["H", "O", "N"][result.label],
-                "votes": [["H", "O", "N"][v] for v in result.votes],
+                "label": LABEL_NAMES[result.label],
+                "votes": [LABEL_NAMES[v] for v in result.votes],
                 "mean_probs": [round(p, 6) for p in result.mean_probs.tolist()],
             }
             print(json.dumps(record, sort_keys=True), file=sink)

@@ -10,6 +10,10 @@ Supported inputs:
   * plain text files, one post per line, optionally with a leading
     tab-separated numeric class code (0/1/2).
 
+Every input opens through ``open_utf8``: UTF-8, a leading byte-order
+mark ignored.  One row rule holds for every reader: blank rows and lines
+are passed over and keep their numbers; a malformed row is warned as
+``file:row``, counted in ``LabeledCorpus.skipped`` and gives no post.
 Loaders never mutate post text; normalization happens later in the
 text pipeline.
 """
@@ -21,6 +25,7 @@ import enum
 import logging
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 import numpy as np
 
@@ -76,13 +81,41 @@ class SplitSpec:
 
 @contextmanager
 def open_utf8(path: str, newline: "str | None" = None):
-    """Open an input file for reading as UTF-8 text; bytes that do not
-    decode raise InputEncodingError naming the file."""
-    with open(path, encoding="utf-8", newline=newline) as fh:
+    """Open an input file for reading as UTF-8 text, a leading byte-order
+    mark dropped; bytes that do not decode raise InputEncodingError naming
+    the file."""
+    with open(path, encoding="utf-8-sig", newline=newline) as fh:
         try:
             yield fh
         except UnicodeDecodeError as exc:
             raise InputEncodingError.of(path, exc) from None
+
+
+def nonblank_lines(path: str):
+    """(line number, line without its line end) for each line of a text
+    file that holds more than whitespace."""
+    with open_utf8(path) as fh:
+        for number, line in enumerate(fh, start=1):
+            line = line.rstrip("\n")
+            if line.strip():
+                yield number, line
+
+
+def _labeled(path: str, prefix: str, unit: str, rows, parse) -> LabeledCorpus:
+    """The corpus of numbered rows; ``parse(row)`` gives ``(label, text)``,
+    or the reason the row is malformed: such a row is warned as
+    ``path:number``, counted in ``skipped`` and gives no post."""
+    posts: list[RawPost] = []
+    skipped = 0
+    for number, row in rows:
+        parsed = parse(row)
+        if isinstance(parsed, str):
+            log.warning("%s:%d: %s; %s skipped", path, number, parsed, unit)
+            skipped += 1
+        else:
+            label, text = parsed
+            posts.append(RawPost(text=text, label=label, source_id=f"{prefix}:{number}"))
+    return LabeledCorpus(posts, provenance=prefix, skipped=skipped)
 
 
 def _find_column(header: list[str], *candidates: str) -> int:
@@ -93,36 +126,55 @@ def _find_column(header: list[str], *candidates: str) -> int:
     raise MissingColumn(f"none of {candidates} found in header {header}")
 
 
-def load_hon(path: str) -> LabeledCorpus:
-    """Load a comma-separated corpus with numeric three-class codes."""
-    posts: list[RawPost] = []
-    skipped = 0
+def _delimited(path: str, prefix: str, delimiter: str, columns, label) -> LabeledCorpus:
+    """A header-led delimited file: ``columns`` names each field that
+    ``label`` takes, by its candidate header names; blank rows are passed
+    over."""
     with open_utf8(path, newline="") as fh:
-        reader = csv.reader(fh)
+        reader = csv.reader(fh, delimiter=delimiter)
         try:
             header = next(reader)
         except StopIteration:
             raise MissingColumn(f"{path} is empty")
-        class_col = _find_column(header, "class")
-        text_col = _find_column(header, "tweet", "text")
-        for row_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) <= max(class_col, text_col):
-                log.warning("%s:%d: too few fields; row skipped", path, row_no)
-                skipped += 1
-                continue
-            code = row[class_col].strip()
-            if code not in ("0", "1", "2"):
-                log.warning("%s:%d: bad class code %r; row skipped", path, row_no, code)
-                skipped += 1
-                continue
-            posts.append(RawPost(
-                text=row[text_col],
-                label=int(code),
-                source_id=f"hon:{row_no}",
-            ))
-    return LabeledCorpus(posts, provenance="hon", skipped=skipped)
+        cols = [_find_column(header, *names) for names in columns]
+        fields = itemgetter(*cols)  # a tuple: every format names two or more columns
+        needed = max(cols) + 1
+
+        def parse(row):
+            if len(row) < needed:
+                return "too few fields"
+            return label(*fields(row))
+
+        rows = ((number, row) for number, row in enumerate(reader, start=2) if row)
+        return _labeled(path, prefix, "row", rows, parse)
+
+
+def _class_code(code: str, text: str):
+    """A numeric class code: 0 hate, 1 offensive, 2 neither."""
+    code = code.strip()
+    if code not in ("0", "1", "2"):
+        return f"bad class code {code!r}"
+    return int(code), text
+
+
+def _coded_line(line: str):
+    """A ``code<TAB>text`` line."""
+    code, _, text = line.partition("\t")
+    return _class_code(code, text)
+
+
+def _olid_label(subtask_a: str, subtask_c: str, text: str):
+    subtask_a = subtask_a.strip().upper()
+    if subtask_a == "NOT":
+        return int(ClassLabel.N), text
+    if subtask_a == "OFF":
+        return int(ClassLabel.H if subtask_c.strip().upper() == "GRP" else ClassLabel.O), text
+    return f"bad subtask_a {subtask_a!r}"
+
+
+def load_hon(path: str) -> LabeledCorpus:
+    """Load a comma-separated corpus with numeric three-class codes."""
+    return _delimited(path, "hon", ",", [("class",), ("tweet", "text")], _class_code)
 
 
 def load_olid(path: str) -> LabeledCorpus:
@@ -131,75 +183,19 @@ def load_olid(path: str) -> LabeledCorpus:
     H when subtask_a = OFF and subtask_c = GRP; O for all other OFF
     rows (including missing subtask_c); N when subtask_a = NOT.
     """
-    posts: list[RawPost] = []
-    skipped = 0
-    with open_utf8(path, newline="") as fh:
-        reader = csv.reader(fh, delimiter="\t")
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise MissingColumn(f"{path} is empty")
-        a_col = _find_column(header, "subtask_a")
-        c_col = _find_column(header, "subtask_c")
-        text_col = _find_column(header, "tweet", "text")
-        for row_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) <= max(a_col, c_col, text_col):
-                log.warning("%s:%d: too few fields; row skipped", path, row_no)
-                skipped += 1
-                continue
-            subtask_a = row[a_col].strip().upper()
-            subtask_c = row[c_col].strip().upper()
-            if subtask_a == "NOT":
-                label = ClassLabel.N
-            elif subtask_a == "OFF":
-                label = ClassLabel.H if subtask_c == "GRP" else ClassLabel.O
-            else:
-                log.warning("%s:%d: bad subtask_a %r; row skipped",
-                            path, row_no, subtask_a)
-                skipped += 1
-                continue
-            posts.append(RawPost(
-                text=row[text_col],
-                label=int(label),
-                source_id=f"olid:{row_no}",
-            ))
-    return LabeledCorpus(posts, provenance="olid", skipped=skipped)
+    return _delimited(path, "olid", "\t", [("subtask_a",), ("subtask_c",), ("tweet", "text")],
+                      _olid_label)
 
 
 def load_labeled_lines(path: str) -> LabeledCorpus:
     """Load `code<TAB>text` lines using the numeric class codes."""
-    posts: list[RawPost] = []
-    skipped = 0
-    with open_utf8(path) as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line.strip():
-                continue
-            code, _, text = line.partition("\t")
-            if code.strip() not in ("0", "1", "2"):
-                log.warning("%s:%d: bad class code %r; line skipped",
-                            path, line_no, code)
-                skipped += 1
-                continue
-            posts.append(RawPost(
-                text=text,
-                label=int(code.strip()),
-                source_id=f"lines:{line_no}",
-            ))
-    return LabeledCorpus(posts, provenance="lines", skipped=skipped)
+    return _labeled(path, "lines", "line", nonblank_lines(path), _coded_line)
 
 
 def load_unlabeled(path: str) -> list[RawPost]:
     """One post per non-blank line, no labels."""
-    posts: list[RawPost] = []
-    with open_utf8(path) as fh:
-        for line_no, line in enumerate(fh, start=1):
-            text = line.rstrip("\n")
-            if text.strip():
-                posts.append(RawPost(text=text, source_id=f"unlabeled:{line_no}"))
-    return posts
+    return [RawPost(text=line, source_id=f"unlabeled:{number}")
+            for number, line in nonblank_lines(path)]
 
 
 def combine(corpora: list[LabeledCorpus]) -> LabeledCorpus:

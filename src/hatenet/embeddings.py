@@ -11,6 +11,7 @@ downloads are needed.
 
 from __future__ import annotations
 
+import codecs
 import hashlib
 import logging
 import re
@@ -226,7 +227,9 @@ def _index(fh) -> "tuple[dict, array]":
             block.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise InputEncodingError.of(fh.name, exc) from None
-        pos, size = 0, len(block)
+        # line 1 starts after a UTF-8 byte-order mark
+        pos = len(codecs.BOM_UTF8) if offset == 0 and block.startswith(codecs.BOM_UTF8) else 0
+        size = len(block)
         while pos < size:  # one line: \n, \r\n or a lone \r ends it
             lineno += 1
             field = _FIRST_FIELD.match(block, pos)
@@ -267,15 +270,16 @@ def load_table(path: str, dim: int) -> EmbeddingTable:
 
     One pass reads the file's bytes in bounded chunks, checks that they
     are UTF-8, and notes where each token's lines are; it keeps no line
-    text and parses no number.  A ``count dim`` header on line 1 and blank
-    lines are passed over; LF, CR LF and a lone CR end a line, and a
-    line's token is its first field by ``str.split``.  The table
-    keeps the file open; ``get`` reads and parses a token's row the first
-    time it is asked for and keeps the result.  Malformed rows (wrong
-    arity, a non-numeric or non-finite component) are skipped with a
-    warning naming their line when they are first parsed; duplicates keep
-    the first well-formed row.  ``len()`` and ``skipped`` parse every row
-    not yet read, so they give the counts of a full parse.
+    text and parses no number.  A leading UTF-8 byte-order mark, a
+    ``count dim`` header on line 1 and blank lines are passed over; LF,
+    CR LF and a lone CR end a line, and a line's token is its first field
+    by ``str.split``.  The table keeps the file open; ``get`` reads and
+    parses a token's row the first time it is asked for and keeps the
+    result.  Malformed rows (wrong arity, a non-numeric or non-finite
+    component) are skipped with a warning naming their line when they are
+    first parsed; duplicates keep the first well-formed row.  ``len()``
+    and ``skipped`` parse every row not yet read, so they give the counts
+    of a full parse.
 
     Raises HatenetError when the file is not seekable (a pipe),
     InputEncodingError when it is not UTF-8, and EmptyTableError when no

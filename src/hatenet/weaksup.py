@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autograd import Tensor
-from .corpus import N_CLASSES, open_utf8
+from .corpus import N_CLASSES, nonblank_lines
 from .errors import ShapeMismatch
 from .text import TokenSequence, preprocess, stem
 
@@ -53,13 +53,8 @@ class Lexicon:
 
 
 def _read_terms(path: str) -> list[str]:
-    terms = []
-    with open_utf8(path) as fh:
-        for line in fh:
-            term = line.strip().lower()
-            if term and not term.startswith("#"):
-                terms.append(term)
-    return terms
+    terms = [line.strip().lower() for _, line in nonblank_lines(path)]
+    return [term for term in terms if not term.startswith("#")]
 
 
 def load_lexicon(hate_path: str, offensive_path: str, positive_path: str) -> Lexicon:

@@ -1,4 +1,5 @@
 import argparse
+import codecs
 import json
 import os
 import shutil
@@ -533,6 +534,13 @@ def test_config_file_faults_exit_3_without_traceback(tmp_path, content):
     assert "Traceback" not in proc.stderr
 
 
+def test_config_file_byte_order_mark_is_ignored(tmp_path):
+    plain = write_config(tmp_path)
+    marked = tmp_path / "marked.json"
+    marked.write_bytes(codecs.BOM_UTF8 + Path(plain).read_bytes())
+    assert cli._load_config_file(str(marked)) == cli._load_config_file(plain) == TINY_CONFIG
+
+
 def weak_argv(tmp_path, out, lexicon=None):
     lex = LEXICON_ARGS if lexicon is None else [
         "--lex-hate", lexicon, "--lex-offensive", lexicon, "--lex-positive", lexicon]
@@ -562,7 +570,7 @@ def test_io_and_decode_errors_exit_3_with_one_line(tmp_path, capsys, case):
 
 
 @pytest.mark.parametrize("case", ["predict_input", "labeled_lines", "lex_offensive",
-                                  "vectors"])
+                                  "vectors", "config"])
 def test_non_utf8_input_exits_3_naming_the_file(tmp_path, capsys, property_inputs, case):
     latin1 = tmp_path / "latin1.txt"
     latin1.write_bytes("1\td\xe9sol\xe9 ok\n0\tfine\n".encode("latin-1"))
@@ -580,6 +588,8 @@ def test_non_utf8_input_exits_3_naming_the_file(tmp_path, capsys, property_input
         "vectors": ["predict", "--bundle", property_inputs["bundle"],
                     "--input", str(FIXTURES / "unlabeled_lines.txt"),
                     "--embeddings", str(vectors), "--emb-dim", "8"],
+        "config": ["train", "--config", str(latin1), "--labeled-lines",
+                   property_inputs["corpus"], "--out", out, *TINY_RUN],
     }[case]
     assert run(argv) == cli.EXIT_DATA
     captured = capsys.readouterr()

@@ -1,3 +1,5 @@
+import codecs
+import logging
 from pathlib import Path
 
 import numpy as np
@@ -109,6 +111,9 @@ class TestLoadOlid:
         p.write_text("id\ttweet\tsubtask_a\tsubtask_b\n1\tx\tNOT\tNULL\n")
         with pytest.raises(MissingColumn):
             load_olid(str(p))
+        p.write_text("")
+        with pytest.raises(MissingColumn, match="empty"):
+            load_olid(str(p))
 
 
 class TestCombineAndLines:
@@ -143,6 +148,90 @@ class TestCombineAndLines:
         posts = load_unlabeled(str(p))
         assert [x.text for x in posts] == ["one", "two"]
         assert all(x.label is None for x in posts)
+
+
+def warnings_of(caplog) -> list[tuple[str, str, str]]:
+    return [(r.name, r.levelname, r.getMessage()) for r in caplog.records]
+
+
+def posts_of(posts) -> list[tuple]:
+    return [(p.source_id, p.label, p.text) for p in posts]
+
+
+class TestRowRule:
+    """Blank rows and lines pass silently and keep their numbers; a
+    malformed row is warned as file:row, counted in ``skipped`` and
+    gives no post."""
+
+    def test_hon_rows(self, tmp_path, caplog):
+        caplog.set_level(logging.WARNING, logger="hatenet")
+        p = tmp_path / "h.csv"
+        p.write_text("id,class,tweet\n1,0,a\n\n2,1\n3,7,b\n4, 2 ,c\n")
+        corpus = load_hon(str(p))
+        assert posts_of(corpus.posts) == [("hon:2", 0, "a"), ("hon:6", 2, "c")]
+        assert (corpus.provenance, corpus.skipped) == ("hon", 2)
+        assert warnings_of(caplog) == [
+            ("hatenet.corpus", "WARNING", f"{p}:4: too few fields; row skipped"),
+            ("hatenet.corpus", "WARNING", f"{p}:5: bad class code '7'; row skipped"),
+        ]
+
+    def test_olid_rows(self, tmp_path, caplog):
+        caplog.set_level(logging.WARNING, logger="hatenet")
+        p = tmp_path / "o.tsv"
+        p.write_text("id\ttweet\tsubtask_a\tsubtask_b\tsubtask_c\n"
+                     "1\tx\tOFF\tTIN\tGRP\n\n2\ty\tNOT\n3\tz\tmaybe\tNULL\tNULL\n"
+                     "4\tw\t off \tUNT\tNULL\n5\tv\tNOT\tNULL\t\n")
+        corpus = load_olid(str(p))
+        assert posts_of(corpus.posts) == [("olid:2", 0, "x"), ("olid:6", 1, "w"),
+                                          ("olid:7", 2, "v")]
+        assert all(type(post.label) is int for post in corpus.posts)
+        assert (corpus.provenance, corpus.skipped) == ("olid", 2)
+        assert warnings_of(caplog) == [
+            ("hatenet.corpus", "WARNING", f"{p}:4: too few fields; row skipped"),
+            ("hatenet.corpus", "WARNING", f"{p}:5: bad subtask_a 'MAYBE'; row skipped"),
+        ]
+
+    def test_labeled_lines(self, tmp_path, caplog):
+        caplog.set_level(logging.WARNING, logger="hatenet")
+        p = tmp_path / "lines.txt"
+        p.write_text("0\ta\n\n  \n9\tb\n1\tc\td\nno tab\n2\t\r\n")
+        corpus = load_labeled_lines(str(p))
+        assert posts_of(corpus.posts) == [("lines:1", 0, "a"), ("lines:5", 1, "c\td"),
+                                          ("lines:7", 2, "")]
+        assert (corpus.provenance, corpus.skipped) == ("lines", 2)
+        assert warnings_of(caplog) == [
+            ("hatenet.corpus", "WARNING", f"{p}:4: bad class code '9'; line skipped"),
+            ("hatenet.corpus", "WARNING", f"{p}:6: bad class code 'no tab'; line skipped"),
+        ]
+
+    def test_unlabeled_lines(self, tmp_path, caplog):
+        caplog.set_level(logging.WARNING, logger="hatenet")
+        p = tmp_path / "u.txt"
+        p.write_text("one\n\n  \ntwo \r\n\tthree")
+        assert posts_of(load_unlabeled(str(p))) == [
+            ("unlabeled:1", None, "one"), ("unlabeled:4", None, "two "),
+            ("unlabeled:5", None, "\tthree")]
+        assert caplog.records == []
+
+
+@pytest.mark.parametrize("load, content", [
+    (load_hon, "class,tweet\n0,a\n1,b\n2,c\n"),
+    (load_olid, "subtask_a\tsubtask_c\ttweet\nOFF\tGRP\tx\nNOT\tNULL\ty\n"),
+    (load_labeled_lines, "0\ta\n1\tb\n"),
+    (load_unlabeled, "hello there\nsecond\n"),
+], ids=["hon", "olid", "lines", "unlabeled"])
+def test_byte_order_mark_is_ignored(tmp_path, load, content):
+    plain, marked = tmp_path / "plain", tmp_path / "marked"
+    plain.write_bytes(content.encode("utf-8"))
+    marked.write_bytes(codecs.BOM_UTF8 + content.encode("utf-8"))
+
+    def read(path):
+        out = load(str(path))
+        if isinstance(out, LabeledCorpus):
+            return posts_of(out.posts), out.provenance, out.skipped
+        return posts_of(out)
+
+    assert read(marked) == read(plain)
 
 
 class TestSplit:

@@ -71,6 +71,15 @@ class TestLoadTable:
         table = load_table(path, dim=2)
         np.testing.assert_array_equal(table.get("cat"), [1, 2])
 
+    @pytest.mark.parametrize("header", [[], ["2 2"]])
+    def test_byte_order_mark_is_ignored(self, tmp_path, header):
+        path = tmp_path / "v.txt"
+        path.write_bytes(b"\xef\xbb\xbf" + "\n".join([*header, "hello 1 2", "bye 3 4"]).encode())
+        table = load_table(str(path), dim=2)
+        np.testing.assert_array_equal(table.get("hello"), [1, 2])
+        assert "\ufeffhello" not in table
+        assert (len(table), table.skipped) == (2, 0)
+
 
 def eager_load(path, dim):
     """The loader before rows were parsed lazily: every row parsed at load.

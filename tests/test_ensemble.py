@@ -2,6 +2,7 @@ import functools
 import hashlib
 import json
 import logging
+import re
 import tempfile
 from collections import Counter
 from pathlib import Path
@@ -516,6 +517,30 @@ class TestPredictAndBundle:
         meta_path.write_bytes(damaged)
         with pytest.raises(HatenetError, match="bundle.meta"):
             load_bundle(tmp_path / "run")
+
+    @pytest.mark.parametrize("damage, reason", [
+        (lambda raw: raw.replace(b'"file": "member_1.ckpt"', b'"file": 1'),
+         "a member file name is not a string"),
+        (lambda raw: re.sub(rb'"dim": (\d+)', rb'"dim": "\1"', raw),
+         "the fingerprint dim is not an integer"),
+    ], ids=["member file name", "fingerprint dim"])
+    def test_meta_field_of_wrong_type_exits_3(self, topo, table, tmp_path, capsys,
+                                              damage, reason):
+        from hatenet import cli
+
+        save_bundle(self._quick_bundle(topo, table), tmp_path / "run")
+        meta_path = tmp_path / "run" / "bundle.meta"
+        damaged = damage(meta_path.read_bytes())
+        assert damaged != meta_path.read_bytes()
+        meta_path.write_bytes(damaged)
+        message = f"{re.escape(str(meta_path))}: not a bundle meta file .*{reason}"
+        with pytest.raises(CheckpointIntegrityError, match=message):
+            load_bundle(tmp_path / "run")
+        posts = Path(__file__).parent / "fixtures" / "unlabeled_lines.txt"
+        assert cli.main(["predict", "--bundle", str(tmp_path / "run"), "--input", str(posts),
+                         "--embeddings", f"synthetic:0:{table.dim}"]) == cli.EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {meta_path}: ") and reason in err, err
 
 
 @functools.lru_cache(maxsize=1)

@@ -1,3 +1,4 @@
+import ast
 from pathlib import Path
 
 import hatenet as hn
@@ -33,3 +34,43 @@ def test_readme_library_tour(tmp_path):
     target = hn.load_labeled_lines(str(FIXTURES / "target_lines.txt"))
     tuned = hn.tune(hn.load_bundle(tmp_path / "demo"), target, cfg, table)
     assert tuned.size() == 1
+
+
+class _FileOpens(ast.NodeVisitor):
+    """(enclosing function, callee, mode) of each ``open`` and ``read_text`` call."""
+
+    def __init__(self):
+        self.scope = ["<module>"]
+        self.calls = []
+
+    def visit_FunctionDef(self, node):
+        self.scope.append(node.name)
+        self.generic_visit(node)
+        self.scope.pop()
+
+    visit_AsyncFunctionDef = visit_FunctionDef
+
+    def visit_Call(self, node):
+        func = node.func
+        name = getattr(func, "id", None) or getattr(func, "attr", None)
+        if name in ("open", "read_text"):
+            modes = node.args[1:2] + [k.value for k in node.keywords if k.arg == "mode"]
+            mode = modes[0].value if modes and isinstance(modes[0], ast.Constant) else None
+            self.calls.append((self.scope[-1], name, mode if modes else "r"))
+        self.generic_visit(node)
+
+
+def test_text_inputs_open_through_open_utf8():
+    """Every text input opens through corpus.open_utf8, which decodes UTF-8,
+    drops a byte-order mark and names a file that does not decode.  The
+    word-vector file is read as bytes, and predict --output is written."""
+    calls = []
+    for path in sorted(Path(hn.__file__).parent.glob("*.py")):
+        visitor = _FileOpens()
+        visitor.visit(ast.parse(path.read_text(encoding="utf-8")))
+        calls += [(path.name, *call) for call in visitor.calls]
+    assert sorted(calls) == [
+        ("cli.py", "cmd_predict", "open", "w"),
+        ("corpus.py", "open_utf8", "open", "r"),
+        ("embeddings.py", "load_table", "open", "rb"),
+    ]

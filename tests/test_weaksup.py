@@ -59,9 +59,16 @@ class TestLexicon:
 
     def test_comment_lines_ignored(self, tmp_path):
         for name in ("h", "o", "p"):
-            (tmp_path / f"{name}.txt").write_text("# comment\nterm_" + name + "\n")
+            (tmp_path / f"{name}.txt").write_text(
+                "# comment\n\n  # indented comment\n Term_" + name + "\t\r\n  \n")
         lex = load_lexicon(*(str(tmp_path / f"{n}.txt") for n in ("h", "o", "p")))
         assert lex.hate_terms == {"term_h"}
+
+    def test_byte_order_mark_is_ignored(self, tmp_path):
+        path = tmp_path / "lex.txt"
+        path.write_bytes(b"\xef\xbb\xbfwolfsbane\n")
+        lex = load_lexicon(str(path), str(path), str(path))
+        assert lex.hate_terms == {"wolfsban"}
 
 
 class TestCountLexicon:
