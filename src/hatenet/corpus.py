@@ -129,7 +129,8 @@ def _find_column(header: list[str], *candidates: str) -> int:
 def _delimited(path: str, prefix: str, delimiter: str, columns, label) -> LabeledCorpus:
     """A header-led delimited file: ``columns`` names each field that
     ``label`` takes, by its candidate header names; blank rows are passed
-    over."""
+    over.  A row is numbered by the line it starts on, so a quoted field
+    that spans lines does not shift the rows after it."""
     with open_utf8(path, newline="") as fh:
         reader = csv.reader(fh, delimiter=delimiter)
         try:
@@ -145,8 +146,14 @@ def _delimited(path: str, prefix: str, delimiter: str, columns, label) -> Labele
                 return "too few fields"
             return label(*fields(row))
 
-        rows = ((number, row) for number, row in enumerate(reader, start=2) if row)
-        return _labeled(path, prefix, "row", rows, parse)
+        def rows():
+            start = reader.line_num + 1
+            for row in reader:
+                if row:
+                    yield start, row
+                start = reader.line_num + 1
+
+        return _labeled(path, prefix, "row", rows(), parse)
 
 
 def _class_code(code: str, text: str):

@@ -37,6 +37,7 @@ from .errors import (
 from .layers import cross_entropy
 from .metrics import accumulate, report
 from .model import (
+    CNN_RNN_FC,
     ModelParams,
     TopologyConfig,
     build,
@@ -44,6 +45,7 @@ from .model import (
     flat,
     forward,
     layout,
+    padding_trajectory,
     stack,
     stacked_forward,
     stacked_heads,
@@ -124,7 +126,10 @@ class EnsembleBundle:
     """K members whose parameters the bundle holds once, stacked
     (model.stack): `stacked` maps each layer to one read-only array with a
     member axis, and each of `members` is a ModelParams of views of its
-    rows.  Built from members, the bundle copies their arrays."""
+    rows.  Built from members, the bundle copies their arrays.  `padding`
+    is the state each member reaches over a post's lead, from which scoring
+    starts the post (model.padding_trajectory; None for CNN-FC): computed
+    once when the bundle is built or loaded, never saved."""
 
     def __init__(self, members: list[ModelParams], topology: TopologyConfig,
                  fingerprint: dict, provenance: "dict | None" = None):
@@ -133,14 +138,19 @@ class EnsembleBundle:
 
     @classmethod
     def of_stack(cls, stacked: dict, topology: TopologyConfig, fingerprint: dict,
-                 provenance: "dict | None" = None) -> "EnsembleBundle":
-        """The bundle holding `stacked`, read-only arrays of model.stack."""
+                 provenance: "dict | None" = None, padding: "tuple | None" = None,
+                 ) -> "EnsembleBundle":
+        """The bundle holding `stacked`, read-only arrays of model.stack, and
+        `padding`, their padding trajectory if it is known already."""
         bundle = cls.__new__(cls)
-        bundle._hold(stacked, topology, fingerprint, provenance)
+        bundle._hold(stacked, topology, fingerprint, provenance, padding)
         return bundle
 
-    def _hold(self, stacked, topology, fingerprint, provenance) -> None:
+    def _hold(self, stacked, topology, fingerprint, provenance, padding=None) -> None:
         self.stacked = stacked
+        if padding is None and topology.variant == CNN_RNN_FC:
+            padding = padding_trajectory(topology, stacked, topology.pooled_len())
+        self.padding = padding
         self.members = stacked_members(topology, stacked)
         self.topology = topology
         self.fingerprint = fingerprint
@@ -176,14 +186,16 @@ def _batches(items, size: int):
         yield items[start : start + size]
 
 
-def _scored(topo: TopologyConfig, stacked: dict, batch: IdBatch, positions=None):
+def _scored(topo: TopologyConfig, stacked: dict, batch: IdBatch, positions=None,
+            padding=None):
     """(chunk, feats, probs) for each EVAL_CHUNK of the posts of `batch` at
     `positions` (all of them by default): one stacked_forward pass of the
-    stack's members per chunk, (K, B, F) features and (K, B, 3) probabilities."""
+    stack's members per chunk, (K, B, F) features and (K, B, 3) probabilities,
+    from the stack's padding trajectory if given (a bundle's)."""
     if positions is None:
         positions = np.arange(len(batch))
     for chunk in _batches(positions, EVAL_CHUNK):
-        yield chunk, *stacked_forward(topo, stacked, batch.take(chunk))
+        yield chunk, *stacked_forward(topo, stacked, batch.take(chunk), padding)
 
 
 def _encode(posts, table: EmbeddingTable, topo: TopologyConfig):
@@ -401,7 +413,8 @@ def predict_all(bundle: EnsembleBundle, posts, table: EmbeddingTable) -> Iterato
     _, encoded = _encode(posts, table, bundle.topology)
 
     def predictions():
-        for _, _, probs in _scored(bundle.topology, bundle.stacked, encoded):
+        for _, _, probs in _scored(bundle.topology, bundle.stacked, encoded,
+                                   padding=bundle.padding):
             votes = probs.argmax(axis=-1)  # (K, B), ties to the lowest class ordinal
             means = probs.mean(axis=0)
             for i, label in enumerate(vote_outcome(votes, probs).tolist()):
@@ -434,7 +447,8 @@ def evaluate_heads(bundles: "list[EnsembleBundle]", corpus: LabeledCorpus,
             raise ValueError("evaluate_heads needs bundles that differ only in their heads")
     _, encoded = _encode(corpus.posts, table, first.topology)
     pairs: list[list] = [[] for _ in bundles]
-    for chunk, feats, probs in _scored(first.topology, first.stacked, encoded):
+    for chunk, feats, probs in _scored(first.topology, first.stacked, encoded,
+                                       padding=first.padding):
         labels = [corpus.posts[i].label for i in chunk]
         for bundle, out in zip(bundles, pairs):
             scores = probs if bundle is first else stacked_heads(bundle.stacked, feats)
@@ -472,7 +486,8 @@ def tune(
     topo = bundle.topology
     _, encoded = _encode(target_train.posts, table, topo)
     labels = np.array([post.label for post in target_train.posts])
-    frozen = np.concatenate([feats for _, feats, _ in _scored(topo, bundle.stacked, encoded)],
+    frozen = np.concatenate([feats for _, feats, _ in _scored(topo, bundle.stacked, encoded,
+                                                              padding=bundle.padding)],
                             axis=1)  # (K, N, F)
     params = flat(topo)  # every member's head in turn; classify reads no feature block
     head = params.classifier.params
@@ -501,6 +516,7 @@ def tune(
         topology=topo,
         fingerprint=dict(bundle.fingerprint),
         provenance=provenance,
+        padding=bundle.padding,  # the trajectory reads only the shared feature arrays
     )
 
 

@@ -41,9 +41,19 @@ class GradCheckReport:
         return f"{self.name:<18} max_rel_err {self.max_rel_error:.3e}  {status}"
 
 
+# a component's error is taken relative to at least this share of its
+# tensor's largest gradient magnitude
+FLOOR_SHARE = 1e-2
+
+
 def _rel_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
-    denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-8)
-    return float(np.max(np.abs(analytic - numeric) / denom))
+    """Largest |analytic - numeric| over the larger magnitude of the two,
+    floored at FLOOR_SHARE of the tensor's largest (and at 1e-8).  A central
+    difference carries an absolute rounding error of about eps * |loss| / h,
+    so a component far below its tensor's scale is judged against the scale."""
+    magnitude = np.maximum(np.abs(analytic), np.abs(numeric))
+    floor = max(1e-8, FLOOR_SHARE * float(magnitude.max(initial=0.0)))
+    return float(np.max(np.abs(analytic - numeric) / np.maximum(magnitude, floor)))
 
 
 def compare(loss_fn, tensors: dict[str, Tensor], h: float = DEFAULT_STEP) -> dict[str, float]:

@@ -13,10 +13,13 @@ checks.  An ensemble stores its K members stacked (``stack``), and
 Parameters have one layout, ``stacked_shapes``: a training member is the
 K=1 stack over one flat buffer (``flat``), which validation scores in place.
 Posts are padded on the left, and a pooled step that reads only padding
-gives every member its conv bias as RNN input; so both passes run the
-steps where every post of the batch is padding (``_padding_steps``) on one
-row, and the batch's recurrence from the first step where some post is
-not: ``forward`` through the recurrent op's lead, forward and backward.
+gives every member its conv bias as RNN input.  So the state after a
+post's lead (``_padding_steps``) depends on the members alone:
+``padding_trajectory`` gives it for every lead, on one row, and a bundle
+holds it.  ``stacked_forward`` starts each post at its own lead from that
+state, as a packed sequence does; ``forward`` runs the steps where every
+post of the batch is padding once, on one row, through the recurrent op's
+lead, forward and backward, and the batch's recurrence from there.
 
 ``conv_axis`` selects which input axis the convolution slides along:
 "sequence" treats the embedding coordinates as channels (pooled length
@@ -287,7 +290,7 @@ def features(params: ModelParams, config: TopologyConfig, batch) -> Tensor:
     pooled = maxpool1d(convolved, config.pool_rate)
     if config.variant == CNN_RNN_FC:
         rnn = gru_forward if config.rnn_kind == "gru" else lstm_forward
-        t0 = _padding_steps(config, x.ids)
+        t0 = int(_padding_steps(config, x.ids).min())
         return global_maxpool(rnn(pooled.transpose(), *params.rnn, t0, fp["conv_b"]))
     return pooled.reshape(len(x), -1)
 
@@ -362,49 +365,86 @@ def stacked_members(config: TopologyConfig, stacked: dict) -> list[ModelParams]:
 STACKED_PRODUCT_VALUES = 1 << 17
 
 
-def _stacked_rnn(config: TopologyConfig, stacked: dict, x: np.ndarray,
-                 state: "tuple | None" = None) -> tuple:
-    """Every member's RNN state after its (K, T, B, D) inputs: (h, c, best),
-    (K, B, H) arrays, best the running max of h over time and c the LSTM's
-    cell.  It starts from `state`, whose best it updates in place, or from
-    zero.  A step multiplies all (K, B, H) states by Uᵀ in one batched
-    matmul (the GRU's reset gate takes a second for U_h)."""
+def _projected(stacked: dict, x: np.ndarray) -> np.ndarray:
+    """Every member's RNN input projection x W^T + b of its (K, T, B, D)
+    inputs, (K, T, B, G*H), in one batched matmul."""
     k, t_steps, n, d = x.shape
-    w, u_t = stacked["rnn_w"], stacked["rnn_u_t"]
-    hidden = u_t.shape[1]
+    w = stacked["rnn_w"]
     xp = np.matmul(x.reshape(k, -1, d), w.swapaxes(1, 2))
     xp += stacked["rnn_b"][:, None]
-    xp = xp.reshape(k, t_steps, n, w.shape[1])
-    if state is None:
-        state = (np.zeros((k, n, hidden)), np.zeros((k, n, hidden)),
-                 np.full((k, n, hidden), -np.inf))
-    h, c, best = state
-    for t in range(t_steps):
-        if config.rnn_kind == "gru":
-            zr = sigmoid(xp[:, t, :, : 2 * hidden] + h @ u_t[..., : 2 * hidden])
-            z, r = zr[..., :hidden], zr[..., hidden:]
-            g = np.tanh(xp[:, t, :, 2 * hidden :] + (r * h) @ u_t[..., 2 * hidden :])
-            h = (1.0 - z) * h + z * g
-        else:
-            a = xp[:, t] + h @ u_t
-            sig = sigmoid(a[..., : 3 * hidden])
-            i, f, o = (sig[..., j * hidden : (j + 1) * hidden] for j in range(3))
-            c = f * c + i * np.tanh(a[..., 3 * hidden :])
-            h = o * np.tanh(c)
+    return xp.reshape(k, t_steps, n, w.shape[1])
+
+
+def _rnn_step(config: TopologyConfig, u_t: np.ndarray, xp: np.ndarray,
+              h: np.ndarray, c: np.ndarray) -> tuple:
+    """Every member's (h, c) after one step of (K, B, G*H) projected inputs
+    from (K, B, H) states, c the LSTM's cell: one batched matmul of the
+    states by U^T (the GRU's reset gate takes a second for U_h)."""
+    hidden = u_t.shape[1]
+    if config.rnn_kind == "gru":
+        zr = sigmoid(xp[..., : 2 * hidden] + h @ u_t[..., : 2 * hidden])
+        z, r = zr[..., :hidden], zr[..., hidden:]
+        g = np.tanh(xp[..., 2 * hidden :] + (r * h) @ u_t[..., 2 * hidden :])
+        return (1.0 - z) * h + z * g, c
+    a = xp + h @ u_t
+    sig = sigmoid(a[..., : 3 * hidden])
+    i, f, o = (sig[..., j * hidden : (j + 1) * hidden] for j in range(3))
+    c = f * c + i * np.tanh(a[..., 3 * hidden :])
+    return o * np.tanh(c), c
+
+
+def padding_trajectory(config: TopologyConfig, stacked: dict, steps: int) -> tuple:
+    """The (h, c, best) that every member reaches after t = 0..steps pooled
+    steps whose input is its conv bias, as a post's lead is: read-only
+    (K, steps + 1, H) arrays indexed by t, best the running max of h (-inf
+    at t = 0).  They depend on the stack's feature arrays alone, so a
+    bundle computes them once; they run on one row, one _rnn_step per step."""
+    k, c = stacked["conv_b"].shape
+    u_t = stacked["rnn_u_t"]
+    xp = _projected(stacked, np.broadcast_to(stacked["conv_b"][:, None, None], (k, steps, 1, c)))
+    h, cell, best = np.zeros((3, k, steps + 1, u_t.shape[1]))
+    best[:, 0] = -np.inf
+    for t in range(steps):
+        state = _rnn_step(config, u_t, xp[:, t], h[:, t : t + 1], cell[:, t : t + 1])
+        h[:, t + 1 : t + 2], cell[:, t + 1 : t + 2] = state
+        np.maximum(best[:, t], h[:, t + 1], out=best[:, t + 1])
+    for array in (h, cell, best):
+        array.flags.writeable = False
+    return h, cell, best
+
+
+def _stacked_rnn(config: TopologyConfig, stacked: dict, x: np.ndarray,
+                 leads: np.ndarray, padding: tuple) -> np.ndarray:
+    """Every member's features, the max over time of its RNN state h,
+    (K, B, H), for (K, T, B, D) inputs whose rows are sorted by lead: row b
+    joins at step leads[b] with `padding`'s state there (padding_trajectory)
+    and its inputs before that step are never read.  Step t runs only the
+    rows that have joined, as a packed sequence does; a row whose lead is T
+    keeps the trajectory's end state."""
+    k, t_steps, n, _ = x.shape
+    start = leads[0] if n else t_steps
+    xp = _projected(stacked, x[:, start:])
+    joined = np.searchsorted(leads, np.arange(start, t_steps), side="right")
+    h, c, best = (state[:, :0] for state in padding)
+    for t, m in enumerate(joined):
+        if m > best.shape[1]:  # these rows join, each at the trajectory's state at its lead
+            joining = leads[best.shape[1] : m]
+            h, c, best = (np.concatenate([mine, state[:, joining]], axis=1)
+                          for mine, state in zip((h, c, best), padding))
+        h, c = _rnn_step(config, stacked["rnn_u_t"], xp[:, t, :m], h, c)
         np.maximum(best, h, out=best)
-    return h, c, best
+    return np.concatenate([best, padding[2][:, leads[best.shape[1] :]]], axis=1)
 
 
-def _padding_steps(config: TopologyConfig, ids: np.ndarray) -> int:
-    """min(lead) over the posts of (B, T) conv input ids: the leading pooled
-    steps that read only padding in every post.  With s the first live step,
-    pooled step p reads none iff (p + 1) * rate - 1 < s + pad - W + 1, the
-    first conv output that reads step s (conv_ids' j0)."""
-    live = np.flatnonzero((ids >= 0).any(axis=0))
-    if not live.size:
-        return config.pooled_len()
-    lead = (live[0] + config.conv_pad - config.conv_width + 1) // config.pool_rate
-    return int(min(max(lead, 0), config.pooled_len()))
+def _padding_steps(config: TopologyConfig, ids: np.ndarray) -> np.ndarray:
+    """Each post's lead over (B, T) conv input ids: its leading pooled
+    steps that read only padding, T_pool for a post with no live step.
+    With s the first live step, pooled step p reads none iff
+    (p + 1) * rate - 1 < s + pad - W + 1, the first conv output that reads
+    step s (conv_ids' j0)."""
+    live = ids >= 0
+    lead = (live.argmax(axis=1) + config.conv_pad - config.conv_width + 1) // config.pool_rate
+    return np.where(live.any(axis=1), np.clip(lead, 0, config.pooled_len()), config.pooled_len())
 
 
 def _stacked_conv_pool(config: TopologyConfig, stacked: dict, x: IdBatch) -> np.ndarray:
@@ -418,29 +458,35 @@ def _stacked_conv_pool(config: TopologyConfig, stacked: dict, x: IdBatch) -> np.
     return y[:, : t_pool * rate].reshape(len(y), t_pool, rate, k, c).max(axis=2)
 
 
-def stacked_forward(config: TopologyConfig, stacked: dict, batch) -> tuple[np.ndarray, np.ndarray]:
+def stacked_forward(config: TopologyConfig, stacked: dict, batch,
+                   padding: "tuple | None" = None) -> tuple[np.ndarray, np.ndarray]:
     """Every stacked member's eval-mode features, (K, B, F), and class
     probabilities, (K, B, 3), for a batch of posts (as forward takes them).
 
     One graph-free pass: each layer runs once for all members, with no
     autograd node.  The conv multiplies the batch's distinct rows by all
     members' filters, a block of taps per GEMM; the RNN steps and the dense
-    layers are batched matmuls over the member axis.  The first t0 =
-    min(lead) pooled steps read only padding in every post, so their RNN
-    input is each member's conv bias: for a batch of several posts the
-    recurrence runs them once, on one row, and the batch's steps start
-    from the state they reach.
+    layers are batched matmuls over the member axis.  A post's first lead
+    pooled steps (_padding_steps) read only padding, so their RNN input is
+    each member's conv bias and its state there is `padding`'s, the stack's
+    padding_trajectory: the recurrence orders the posts by lead and starts
+    each at its own, so step t runs only the posts whose lead is at most t.
+    Without `padding` (a stack whose parameters still change, as in
+    validation) it computes the trajectory up to the batch's smallest lead
+    alone, on one row, and every post starts there.
     """
     x = _conv_input(batch, config)
     pooled = _stacked_conv_pool(config, stacked, x)
-    n, _, k, c = pooled.shape
+    n, _, k, _ = pooled.shape
     if config.variant == CNN_RNN_FC:
-        t0 = _padding_steps(config, x.ids) if n > 1 else 0  # one post is one row already
-        state = None
-        if t0:
-            bias = np.broadcast_to(stacked["conv_b"][:, None, None], (k, t0, 1, c))
-            state = tuple(np.repeat(s, n, axis=1) for s in _stacked_rnn(config, stacked, bias))
-        feats = _stacked_rnn(config, stacked, pooled.transpose(2, 1, 0, 3)[:, t0:], state)[2]
+        leads = _padding_steps(config, x.ids)
+        if padding is None:
+            t0 = leads.min(initial=config.pooled_len())
+            leads, padding = np.full(n, t0), padding_trajectory(config, stacked, t0)
+        order = np.argsort(leads, kind="stable")
+        feats = np.empty((k, n, config.rnn_hidden))
+        feats[:, order] = _stacked_rnn(config, stacked, pooled.transpose(2, 1, 0, 3)[:, :, order],
+                                       leads[order], padding)
     else:  # each member's (B, C, T_pool) map, flattened
         feats = pooled.transpose(2, 0, 3, 1).reshape(k, n, -1)
     return feats, stacked_heads(stacked, feats)

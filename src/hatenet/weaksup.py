@@ -53,8 +53,19 @@ class Lexicon:
 
 
 def _read_terms(path: str) -> list[str]:
-    terms = [line.strip().lower() for _, line in nonblank_lines(path)]
-    return [term for term in terms if not term.startswith("#")]
+    """The lower-cased terms of a one-term-per-line file; ``#`` lines are
+    comments.  A line of more than one word, which no token can match, is
+    warned as ``path:line`` and skipped."""
+    terms = []
+    for number, line in nonblank_lines(path):
+        term = line.strip().lower()
+        if term.startswith("#"):
+            continue
+        if len(term.split()) > 1:
+            log.warning("%s:%d: a term is one word, not %r; line skipped", path, number, term)
+            continue
+        terms.append(term)
+    return terms
 
 
 def load_lexicon(hate_path: str, offensive_path: str, positive_path: str) -> Lexicon:

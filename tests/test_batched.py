@@ -266,9 +266,9 @@ def test_tune_runs_the_extractor_once_per_distinct_post(monkeypatch, epochs):
     sizes = []
     original = ensemble.stacked_forward
 
-    def counting(config, stacked, batch):
+    def counting(config, stacked, batch, *padding):
         sizes.append(len(batch))
-        return original(config, stacked, batch)
+        return original(config, stacked, batch, *padding)
 
     monkeypatch.setattr(ensemble, "stacked_forward", counting)
     monkeypatch.setattr(ensemble, "forward", None)  # no per-member pass
@@ -363,9 +363,9 @@ def test_evaluate_heads_runs_one_features_pass(monkeypatch):
     calls = []
     original = ensemble.stacked_forward
 
-    def counting(config, stacked, batch):
+    def counting(config, stacked, batch, *padding):
         calls.append(len(batch))
-        return original(config, stacked, batch)
+        return original(config, stacked, batch, *padding)
 
     monkeypatch.setattr(ensemble, "stacked_forward", counting)
     ensemble.evaluate_heads([bundle, always_neither(bundle), bundle], corpus, table)

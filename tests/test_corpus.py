@@ -175,6 +175,21 @@ class TestRowRule:
             ("hatenet.corpus", "WARNING", f"{p}:5: bad class code '7'; row skipped"),
         ]
 
+    @pytest.mark.parametrize("line_end", ["\n", "\r\n"])
+    def test_rows_are_numbered_by_the_line_they_start_on(self, tmp_path, caplog, line_end):
+        # the record on lines 7-8 holds a quoted line break
+        caplog.set_level(logging.WARNING, logger="hatenet")
+        p = tmp_path / "h.csv"
+        lines = ["id,class,tweet", "1,0,a", "2,1,b", "", "3,2,c", "4,0,d",
+                 '5,1,"multi', 'line"', "6,2,e", "7,9,f", "", "8,0,g"]
+        p.write_bytes(line_end.join(lines).encode() + b"\n")
+        corpus = load_hon(str(p))
+        assert [post.source_id for post in corpus.posts] == [
+            "hon:2", "hon:3", "hon:5", "hon:6", "hon:7", "hon:9", "hon:12"]
+        assert corpus.posts[4].text == f"multi{line_end}line"
+        assert warnings_of(caplog) == [
+            ("hatenet.corpus", "WARNING", f"{p}:10: bad class code '9'; row skipped")]
+
     def test_olid_rows(self, tmp_path, caplog):
         caplog.set_level(logging.WARNING, logger="hatenet")
         p = tmp_path / "o.tsv"

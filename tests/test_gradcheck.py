@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hatenet import gradcheck, model
+from hatenet import cli, gradcheck, layers, model
 from hatenet.autograd import Tensor
 from hatenet.errors import NonFiniteValue
 
@@ -77,9 +77,8 @@ class TestLayerChecks:
     def test_topology_lead_batch_has_a_common_lead(self, name, variant):
         config = gradcheck._tiny_config(variant)
         batch = gradcheck._lead_batch(np.random.default_rng(0), config)
-        leads = [model._padding_steps(config, model._conv_input(post, config).ids)
-                 for post in batch]
-        assert leads == [2, 1, 1]
+        leads = model._padding_steps(config, model._conv_input(batch, config).ids)
+        assert leads.tolist() == [2, 1, 1]
         assert "feature.conv_b_lead_batch" in gradcheck.check(name, trials=1).per_tensor
 
     def test_all_bias_pool_windows_are_no_kink(self):
@@ -96,6 +95,26 @@ class TestLayerChecks:
 
 
 class TestCompare:
+    def test_tiny_component_of_a_correct_gradient_passes(self, capsys):
+        # feature.u_r has a component of -5.677e-8 (central difference
+        # -5.679e-8) where the tensor's largest is 9.1e-5: a denominator
+        # floored at 1e-8 alone failed it at rel 3.3e-4
+        args = ["gradcheck", "--layer", "topology_cnn_rnn_gru", "--seed", "18000",
+                "--trials", "1"]
+        assert cli.main(args) == 0, capsys.readouterr().out
+
+    def test_a_backward_pass_off_by_a_thousandth_fails(self, monkeypatch):
+        real = layers._gru_back
+
+        def scaled(*args):
+            da, d_start = real(*args)
+            return da * 1.001, d_start
+
+        monkeypatch.setattr(layers, "_gru_back", scaled)
+        report = gradcheck.check("topology_cnn_rnn_gru", seed=18000, trials=1)
+        assert not report.passed
+        assert report.max_rel_error > 5e-4
+
     def test_detects_wrong_gradient(self):
         x = Tensor(np.array([1.0, 2.0]))
 

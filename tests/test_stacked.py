@@ -1,6 +1,7 @@
 """A bundle's K members stored stacked and scored in one graph-free pass,
 against the per-member autograd forward."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -10,7 +11,7 @@ import perpost_oracle as oracle
 from conftest import separable_corpus, tiny_topology
 from hatenet import cli, ensemble, layers, model
 from hatenet.autograd import IdBatch, Tensor
-from hatenet.corpus import load_unlabeled
+from hatenet.corpus import LabeledCorpus, load_unlabeled
 from hatenet.embeddings import synthetic_table
 from hatenet.ensemble import (
     EnsembleBundle,
@@ -49,6 +50,7 @@ from hatenet.model import (
     stacked_forward,
 )
 from hatenet.optim import Adam
+from hatenet.text import RawPost
 
 TOPOLOGIES = [
     (CNN_RNN_FC, "gru", "sequence"),
@@ -299,7 +301,7 @@ def test_training_never_relays_a_member(rnn_kind, monkeypatch):
     assert all(t.grad is None for t in trained.named_tensors().values())
 
 
-# -- the recurrence starts where the chunk's common padding ends -----------
+# -- scoring starts each post at its own lead ------------------------------
 
 # T_pool 4: windows of 3 conv outputs, each reading 5 steps; step 12 is
 # read by no pooled step
@@ -335,44 +337,111 @@ def lead_by_definition(config, live) -> int:
     return config.pooled_len()
 
 
+def no_leads(config, ids):
+    return np.zeros(len(ids), dtype=int)
+
+
 @pytest.mark.parametrize("conv_axis", ["sequence", "embedding"])
 @pytest.mark.parametrize("k", [1, 2, 5])
 @pytest.mark.parametrize("rnn_kind", ["gru", "lstm"])
 def test_skipping_pass_matches_the_full_recurrence(monkeypatch, rnn_kind, k, conv_axis):
+    """With the bundle's trajectory every post starts at its own lead, and
+    without one (validation) every post starts at the chunk's smallest;
+    both give the run in which every lead is 0."""
     config = tiny_topology(rnn_kind=rnn_kind, conv_axis=conv_axis, **SKIPPING)
     bundle = EnsembleBundle([build(config, 10 + seed) for seed in range(k)], config,
                             {"dim": config.emb_dim})
-    # every first live step, beside an empty post: each side of every pool
-    # window's boundary; then empty posts and mixed chunks.  A lone post
-    # runs its whole recurrence, so every chunk has two or more
-    chunks = [[first, None] for first in range(config.conv_len())]
-    chunks += [[None, None], [None, 9], [11, 3, None], [7, 8], [12, 12, 10], [0, 4]]
-    t0s = set()
+    # a lone post at every first live step, then beside an empty post: each
+    # side of every pool window's boundary; then empty posts and mixed chunks
+    firsts = [*range(config.conv_len()), None]
+    chunks = [[first] for first in firsts] + [[first, None] for first in firsts]
+    chunks += [[None, None], [None, 9], [11, 3, None], [7, 8], [12, 12, 10], [0, 4],
+               [12, 0, None, 6, 3, 9, 6]]
+    leads_seen = set()
     for seed, firsts in enumerate(chunks):
         batch = first_live_batch(config, firsts, seed)
         ids = model._conv_input(batch, config).ids
-        t0 = model._padding_steps(config, ids)
-        assert t0 == min(lead_by_definition(config, row >= 0) for row in ids), firsts
-        t0s.add(t0)
-        skipped = stacked_forward(config, bundle.stacked, batch)
+        leads = model._padding_steps(config, ids)
+        assert leads.tolist() == [lead_by_definition(config, row >= 0) for row in ids], firsts
+        leads_seen.update(leads.tolist())
+        from_leads = stacked_forward(config, bundle.stacked, batch, bundle.padding)
+        from_common_lead = stacked_forward(config, bundle.stacked, batch)
         with monkeypatch.context() as patch:
-            patch.setattr(model, "_padding_steps", lambda config, ids: 0)
+            patch.setattr(model, "_padding_steps", no_leads)
             full = stacked_forward(config, bundle.stacked, batch)
-        for got, want in zip(skipped, full):
-            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12, err_msg=str(firsts))
-    assert t0s == set(range(config.pooled_len() + 1))
+        for got in (from_leads, from_common_lead):
+            for array, want in zip(got, full):
+                np.testing.assert_allclose(array, want, rtol=0, atol=1e-12, err_msg=str(firsts))
+    assert leads_seen == set(range(config.pooled_len() + 1))
 
 
 @pytest.mark.parametrize("rnn_kind", ["gru", "lstm"])
-def test_scoring_runs_the_steps_after_the_common_padding(rnn_kind, monkeypatch):
-    """Each recurrence step calls model.sigmoid once: the steps before the
-    chunk's first live one on one row, the rest on the chunk's 9 posts."""
+def test_the_trajectory_is_each_step_of_the_bias_input(rnn_kind):
+    """State t of padding_trajectory is the recurrence after t steps whose
+    input is the conv bias, run as one chunk's posts are; a bundle holds the
+    one over all T_pool steps, read-only."""
+    config = tiny_topology(rnn_kind=rnn_kind, **SKIPPING)
+    bundle = EnsembleBundle([build(config, seed) for seed in (3, 4)], config,
+                            {"dim": config.emb_dim})
+    t_pool = config.pooled_len()
+    h, c, best = bundle.padding
+    recomputed = model.padding_trajectory(config, bundle.stacked, t_pool)
+    for array, want in zip(bundle.padding, recomputed):
+        assert array.shape == (2, t_pool + 1, config.rnn_hidden)
+        assert not array.flags.writeable
+        assert array.tobytes() == want.tobytes()
+    assert not h[:, 0].any() and not c[:, 0].any() and (best[:, 0] == -np.inf).all()
+    for t in range(1, t_pool + 1):
+        bias = np.broadcast_to(bundle.stacked["conv_b"][:, None, None], (2, t, 1, 2))
+        zero = tuple(array[:, :1] for array in bundle.padding)
+        got = model._stacked_rnn(config, bundle.stacked, np.ascontiguousarray(bias),
+                                 np.zeros(1, dtype=int), zero)
+        np.testing.assert_allclose(best[:, t : t + 1], got, rtol=0, atol=1e-12)
+    assert EnsembleBundle([build(tiny_topology(variant=CNN_FC), 0)], tiny_topology(
+        variant=CNN_FC), {"dim": 6}).padding is None
+
+
+@pytest.mark.parametrize("made_by", ["load_bundle", "tune"])
+def test_loaded_and_tuned_bundles_score_from_the_trajectory(trained, tmp_path, made_by):
+    bundle, table = trained
+    if made_by == "load_bundle":
+        save_bundle(bundle, tmp_path)
+        copy = load_bundle(tmp_path)
+        for got, want in zip(copy.padding, bundle.padding, strict=True):
+            assert got.tobytes() == want.tobytes()
+    else:  # the trajectory reads only the feature arrays, which the copy shares
+        copy = tune(bundle, separable_corpus(2, seed=8), TrainConfig(tune_epochs=1), table)
+        assert copy.padding is bundle.padding
+    posts = separable_corpus(2, seed=3).posts + [RawPost("")]  # an empty post: lead T
+    _, encoded = _encode(posts, table, copy.topology)
+    leads = model._padding_steps(copy.topology, encoded.ids)
+    assert len(set(leads.tolist())) > 1
+    _, probs = stacked_forward(copy.topology, copy.stacked, encoded, copy.padding)
+    for index, member in enumerate(copy.members):
+        np.testing.assert_allclose(probs[index], forward(member, copy.topology, encoded).data,
+                                   rtol=0, atol=1e-12)
+
+
+def leads_corpus():
+    """9 posts of 4 words and 9 of 7: a chunk with two or more leads."""
+    short, long = separable_corpus(3, seed=5), separable_corpus(3, seed=6, words=7)
+    return LabeledCorpus(short.posts + long.posts, provenance="synthetic")
+
+
+@pytest.mark.parametrize("rnn_kind", ["gru", "lstm"])
+def test_scoring_runs_each_post_from_its_own_lead(rnn_kind, monkeypatch):
+    """Each recurrence step calls model.sigmoid once.  A bundle's chunk
+    runs no step on one row before its posts: step t runs the posts whose
+    lead is at most t.  Without the bundle's trajectory (validation) the
+    steps before the smallest lead run on one row, then every post.  A lone
+    post runs the steps from its lead."""
     config, table = tiny_topology(rnn_kind=rnn_kind, seq_len=24), synthetic_table(0, 6)
     bundle = EnsembleBundle([build(config, seed) for seed in (1, 2)], config, {"dim": 6})
-    corpus = separable_corpus(3, seed=5)  # 9 short posts, one chunk
+    corpus = leads_corpus()
     _, encoded = _encode(corpus.posts, table, config)
-    min_lead = min(lead_by_definition(config, row >= 0) for row in encoded.ids)
-    assert 0 < min_lead < config.pooled_len()
+    leads = model._padding_steps(config, encoded.ids)
+    t_pool, first = config.pooled_len(), int(leads.min())
+    assert 0 < first < int(leads.max()) < t_pool
     steps = []
     original = model.sigmoid
 
@@ -382,14 +451,14 @@ def test_scoring_runs_the_steps_after_the_common_padding(rnn_kind, monkeypatch):
 
     monkeypatch.setattr(model, "sigmoid", counting)
     evaluate(bundle, corpus, table)
-    assert steps == [1] * min_lead + [len(corpus.posts)] * (config.pooled_len() - min_lead)
-    # a lone post is one row already: one recurrence over every step
+    assert steps == [int((leads <= t).sum()) for t in range(first, t_pool)]
     steps.clear()
-    calls = []
-    rnn = model._stacked_rnn
-    monkeypatch.setattr(model, "_stacked_rnn", lambda *args: calls.append(1) or rnn(*args))
-    ensemble.predict(bundle, corpus.posts[0], table)
-    assert (len(calls), steps) == (1, [1] * config.pooled_len())
+    stacked_forward(config, bundle.stacked, encoded)
+    assert steps == [1] * first + [len(corpus.posts)] * (t_pool - first)
+    for post, lead in zip(corpus.posts, leads.tolist()):
+        steps.clear()
+        ensemble.predict(bundle, post, table)
+        assert steps == [1] * (t_pool - lead)
 
 
 # -- training's recurrence runs the batch's common padding once ------------
@@ -448,7 +517,7 @@ def test_training_forward_matches_the_full_recurrence(monkeypatch, rnn_kind, con
     t0s = set()
     for seed, firsts in enumerate(chunks):
         batch = first_live_batch(config, firsts, seed)
-        t0s.add(model._padding_steps(config, model._conv_input(batch, config).ids))
+        t0s.add(int(model._padding_steps(config, model._conv_input(batch, config).ids).min()))
         lw = np.random.default_rng(seed).standard_normal((len(firsts), config.n_classes))
 
         def gradients():
@@ -458,7 +527,7 @@ def test_training_forward_matches_the_full_recurrence(monkeypatch, rnn_kind, con
 
         skipped = gradients()
         with monkeypatch.context() as patch:
-            patch.setattr(model, "_padding_steps", lambda config, ids: 0)
+            patch.setattr(model, "_padding_steps", no_leads)
             full = gradients()
         for got, want in zip(skipped, full):
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12, err_msg=str(firsts))
@@ -472,7 +541,7 @@ def test_training_runs_the_steps_after_the_common_padding(rnn_kind, monkeypatch)
     config = tiny_topology(rnn_kind=rnn_kind, **SKIPPING)
     params = build(config, 4)
     batch = first_live_batch(config, [11, 7, 9], 0)
-    t0 = model._padding_steps(config, batch.ids)
+    t0 = int(model._padding_steps(config, batch.ids).min())
     assert 0 < t0 < config.pooled_len()
     steps = []
     original = layers.sigmoid
@@ -484,3 +553,25 @@ def test_training_runs_the_steps_after_the_common_padding(rnn_kind, monkeypatch)
     monkeypatch.setattr(layers, "sigmoid", counting)
     forward(params, config, batch, train=True, rng=np.random.default_rng(0)).sum().backward()
     assert steps == [1] * t0 + [3] * (config.pooled_len() - t0)
+
+
+# sha256 of the saved bundle's files, in name order, then repr of each
+# member's (epochs, best_epoch), for the CLI tests' training run
+# (test_cli.make_bundle_dir) as it was before scoring started posts at their
+# own leads; like every byte-identical run, they assume one BLAS build
+FIXTURE_RUN_DIGESTS = {
+    "gru": "9400117e070dbb145bdb65c653681b6d9beab463e2850b8c2aa28f6f4fec46e2",
+    "lstm": "f385069f2dc8117f15d98a210d15d9231498914958ea15ff373216a580ae1ebe",
+}
+
+
+@pytest.mark.parametrize("rnn_kind", ["gru", "lstm"])
+def test_validation_keeps_the_training_run_byte_identical(rnn_kind, tmp_path):
+    corpus = separable_corpus(6, seed=22)
+    cfg = TrainConfig(ensemble_size=2, epochs=2, seed=0, batch_size=8)
+    bundle, traces = train_ensemble(cfg, tiny_topology(rnn_kind=rnn_kind),
+                                    synthetic_table(0, 6), corpus, corpus)
+    save_bundle(bundle, tmp_path)
+    digest = hashlib.sha256(b"".join(p.read_bytes() for p in sorted(tmp_path.iterdir())))
+    digest.update(repr([(trace.epochs, trace.best_epoch) for trace in traces]).encode())
+    assert digest.hexdigest() == FIXTURE_RUN_DIGESTS[rnn_kind]

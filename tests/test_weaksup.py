@@ -1,3 +1,4 @@
+import logging
 import math
 from pathlib import Path
 
@@ -63,6 +64,19 @@ class TestLexicon:
                 "# comment\n\n  # indented comment\n Term_" + name + "\t\r\n  \n")
         lex = load_lexicon(*(str(tmp_path / f"{n}.txt") for n in ("h", "o", "p")))
         assert lex.hate_terms == {"term_h"}
+
+    def test_multi_word_lines_are_warned_and_skipped(self, tmp_path, caplog):
+        caplog.set_level(logging.WARNING, logger="hatenet")
+        path = tmp_path / "hate.txt"
+        path.write_text("wolfsbane\n# kill all, a comment\n\nKill  All\nthorn\tbush\nslur \n")
+        lex = load_lexicon(str(path), str(FIXTURES / "lex_offensive.txt"),
+                           str(FIXTURES / "lex_positive.txt"))
+        assert lex.hate_terms == {"wolfsban", "slur"}
+        assert count_lexicon(preprocess(RawPost("we kill all of them wolfsbane")), lex).n_h == 1
+        assert [(r.name, r.getMessage()) for r in caplog.records] == [
+            ("hatenet.weaksup", f"{path}:4: a term is one word, not 'kill  all'; line skipped"),
+            ("hatenet.weaksup", f"{path}:5: a term is one word, not 'thorn\\tbush'; line skipped"),
+        ]
 
     def test_byte_order_mark_is_ignored(self, tmp_path):
         path = tmp_path / "lex.txt"
