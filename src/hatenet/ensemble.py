@@ -398,11 +398,15 @@ def vote_outcome(votes: "np.ndarray | list[int]",
 
 
 def _check_table(bundle: EnsembleBundle, table: EmbeddingTable) -> None:
-    """Raise PreprocessingMismatch unless the table fits the bundle's fingerprint."""
+    """Raise PreprocessingMismatch unless the table fits the bundle's fingerprint:
+    its dim, and its name where the fingerprint's or the table's is synthetic."""
     if table.dim != bundle.fingerprint["dim"]:
         raise PreprocessingMismatch(
             f"table dim {table.dim} != bundle dim {bundle.fingerprint['dim']}"
         )
+    named = bundle.fingerprint.get("embedding", table.name)
+    if named != table.name and any(str(n).startswith("synthetic:") for n in (named, table.name)):
+        raise PreprocessingMismatch(f"table {table.name} != bundle table {named}")
 
 
 def predict_all(bundle: EnsembleBundle, posts, table: EmbeddingTable) -> Iterator[Prediction]:
@@ -660,6 +664,9 @@ def load_bundle(dirpath) -> EnsembleBundle:
             raise TypeError("a member file name is not a string")
         if not isinstance(fingerprint["dim"], int):
             raise TypeError("the fingerprint dim is not an integer")
+        provenance = meta.get("provenance")
+        if not isinstance(provenance, (dict, type(None))):
+            raise TypeError("the provenance is not an object")
     except (ValueError, KeyError, TypeError, AttributeError, RecursionError, InvalidConfig) as exc:
         raise CheckpointIntegrityError(
             f"{meta_path}: not a bundle meta file ({type(exc).__name__}: {exc})"
@@ -676,5 +683,5 @@ def load_bundle(dirpath) -> EnsembleBundle:
         stack(topology, len(entries), member_arrays()),  # each file read into the stack
         topology=topology,
         fingerprint=fingerprint,
-        provenance=meta.get("provenance", {}),
+        provenance=provenance,
     )

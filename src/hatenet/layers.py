@@ -1,6 +1,7 @@
 """Layer-level building blocks: parameter groups, initialization, the
 dense forward pass composed from autograd primitives, and the GRU/LSTM
-layers as single autograd operations with hand-written backward passes."""
+layers as single autograd operations with hand-written backward passes;
+gru_cell and lstm_cell, their one step each, also run model's stacked pass."""
 
 from __future__ import annotations
 
@@ -118,8 +119,8 @@ def _recurrence(steps, back, n_states: int, inputs: Tensor, w: Tensor, u_t: Tens
     the prefix outputs' gradients, each summed over the batch; the prefix's
     input gradient goes to conv_b.  With t0 = 0 it is the plain recurrence.
 
-    The cell is `steps(xp, u_t, states)`, which runs over (T', B', G*H)
-    projected inputs from each (T' + 1, B', H) state history's [0], writes
+    The step loop is `steps(xp, u_t, states)`, which runs over (T', ..., G*H)
+    projected inputs from each (T' + 1, ..., H) state history's [0], writes
     the states after step t at [t + 1] and returns its activations; and
     `back(grad, d_states, states, acts, u, u_t_grad)`, which runs back from
     d_states, the gradients on the last states, given the (T', B', H)
@@ -168,22 +169,25 @@ def _recurrence(steps, back, n_states: int, inputs: Tensor, w: Tensor, u_t: Tens
     return Tensor(full[0][1:].swapaxes(0, 1), parents, bwd)
 
 
+def gru_cell(xp: np.ndarray, u_t: np.ndarray, h: np.ndarray,
+             zr=None, g=None, rh=None) -> tuple:
+    """One GRU step over any leading axes: (h', zr, g, rh) from the projected
+    inputs xp (..., 3H), Uᵀ (..., H, 3H) and the states h (..., H), each
+    activation written into its given array or a fresh one."""
+    hidden = h.shape[-1]
+    zr = sigmoid(xp[..., : 2 * hidden] + h @ u_t[..., : 2 * hidden], out=zr)
+    z, r = zr[..., :hidden], zr[..., hidden:]
+    rh = np.multiply(r, h, out=rh)
+    g = np.tanh(xp[..., 2 * hidden :] + rh @ u_t[..., 2 * hidden :], out=g)
+    return (1.0 - z) * h + z * g, zr, g, rh
+
+
 def _gru_steps(xp: np.ndarray, u_t: np.ndarray, states) -> tuple:
     (h,) = states
-    t_steps, n = xp.shape[:2]
-    hidden = u_t.shape[0]
-    ut_zr, ut_h = u_t[:, : 2 * hidden], u_t[:, 2 * hidden :]
-    zr = np.empty((t_steps, n, 2 * hidden))
-    g = np.empty((t_steps, n, hidden))
-    rh = np.empty((t_steps, n, hidden))
-    xp_zr, xp_h = xp[..., : 2 * hidden], xp[..., 2 * hidden :]
-    z_steps, r_steps = zr[..., :hidden], zr[..., hidden:]
-    for t in range(t_steps):
-        sigmoid(xp_zr[t] + h[t] @ ut_zr, out=zr[t])
-        np.multiply(r_steps[t], h[t], out=rh[t])
-        np.tanh(xp_h[t] + rh[t] @ ut_h, out=g[t])
-        z = z_steps[t]
-        h[t + 1] = (1.0 - z) * h[t] + z * g[t]
+    zr = np.empty((*xp.shape[:-1], 2 * h.shape[-1]))
+    g, rh = np.empty((2, *h[1:].shape))
+    for t in range(len(xp)):
+        h[t + 1] = gru_cell(xp[t], u_t, h[t], zr[t], g[t], rh[t])[0]
     return zr, g, rh
 
 
@@ -221,28 +225,35 @@ def gru_forward(inputs: Tensor, w: Tensor, u_t: Tensor, b: Tensor,
     h_t = (1 - z_t) * h + z_t * g_t
 
     One autograd node (_recurrence: the first t0 steps of every input are
-    `conv_b`, run once on one row).  Each step multiplies the states once
-    by [U_z; U_r]ᵀ and once by U_hᵀ, column blocks of the stored Uᵀ, as
-    model._stacked_rnn does; the backward pass reads a contiguous U.
+    `conv_b`, run once on one row).  Each step is gru_cell, shared with
+    model._stacked_rnn: one product of the states by [U_z; U_r]ᵀ and one by
+    U_hᵀ, column blocks of the stored Uᵀ.  The backward reads a contiguous U.
     """
     return _recurrence(_gru_steps, _gru_back, 1, inputs, w, u_t, b, t0, conv_b)
 
 
+def lstm_cell(xp: np.ndarray, u_t: np.ndarray, h: np.ndarray, c: np.ndarray,
+              sig=None, g=None, tc=None) -> tuple:
+    """One LSTM step over any leading axes: (h', c', sig, g, tc) from the
+    projected inputs xp (..., 4H), Uᵀ (..., H, 4H) and the states h, c
+    (..., H), each activation written into its given array or a fresh one."""
+    hidden = h.shape[-1]
+    a = xp + h @ u_t
+    sig = sigmoid(a[..., : 3 * hidden], out=sig)  # i, f, o
+    g = np.tanh(a[..., 3 * hidden :], out=g)
+    c = sig[..., hidden : 2 * hidden] * c + sig[..., :hidden] * g
+    tc = np.tanh(c, out=tc)
+    return sig[..., 2 * hidden :] * tc, c, sig, g, tc
+
+
 def _lstm_steps(xp: np.ndarray, u_t: np.ndarray, states) -> tuple:
     h, c = states
-    t_steps, n = xp.shape[:2]
-    hidden = u_t.shape[0]
-    act = np.empty((t_steps, n, 4 * hidden))  # i, f, o, g
-    tc = np.empty((t_steps, n, hidden))
-    sig_steps, tanh_steps = act[..., : 3 * hidden], act[..., 3 * hidden :]
-    for t in range(t_steps):
-        a = xp[t] + h[t] @ u_t
-        sigmoid(a[:, : 3 * hidden], out=sig_steps[t])
-        np.tanh(a[:, 3 * hidden :], out=tanh_steps[t])
-        i, f, o, g = act[t].reshape(n, 4, hidden).swapaxes(0, 1)
-        c[t + 1] = f * c[t] + i * g
-        np.tanh(c[t + 1], out=tc[t])
-        np.multiply(o, tc[t], out=h[t + 1])
+    hidden = h.shape[-1]
+    act = np.empty((*xp.shape[:-1], 4 * hidden))  # i, f, o, g
+    tc = np.empty(h[1:].shape)
+    for t in range(len(xp)):
+        h[t + 1], c[t + 1] = lstm_cell(xp[t], u_t, h[t], c[t], act[t, ..., : 3 * hidden],
+                                       act[t, ..., 3 * hidden :], tc[t])[:2]
     return act, tc
 
 
@@ -279,9 +290,9 @@ def lstm_forward(inputs: Tensor, w: Tensor, u_t: Tensor, b: Tensor,
     h_t = o * tanh(c_t)
 
     One autograd node (_recurrence: the first t0 steps of every input are
-    `conv_b`, run once on one row).  Each step multiplies the states once
-    by the stored Uᵀ, as model._stacked_rnn does; the backward pass reads a
-    contiguous U.
+    `conv_b`, run once on one row).  Each step is lstm_cell, shared with
+    model._stacked_rnn: one product of the states by the stored Uᵀ.  The
+    backward pass reads a contiguous U.
     """
     return _recurrence(_lstm_steps, _lstm_back, 2, inputs, w, u_t, b, t0, conv_b)
 

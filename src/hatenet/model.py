@@ -19,7 +19,8 @@ post's lead (``_padding_steps``) depends on the members alone:
 holds it.  ``stacked_forward`` starts each post at its own lead from that
 state, as a packed sequence does; ``forward`` runs the steps where every
 post of the batch is padding once, on one row, through the recurrent op's
-lead, forward and backward, and the batch's recurrence from there.
+lead, forward and backward, and the batch's recurrence from there.  All
+three step with layers' gru_cell or lstm_cell, the trajectory in the op's loop.
 
 ``conv_axis`` selects which input axis the convolution slides along:
 "sequence" treats the embedding coordinates as channels (pooled length
@@ -50,13 +51,16 @@ from .layers import (
     GRU_GATES,
     LSTM_GATES,
     ParamGroup,
+    _gru_steps,
+    _lstm_steps,
     fc_forward,
+    gru_cell,
     gru_forward,
     init_param,
+    lstm_cell,
     lstm_forward,
     rnn_shapes,
     rnn_views,
-    sigmoid,
 )
 
 CNN_RNN_FC = "cnn_rnn_fc"
@@ -170,16 +174,8 @@ class ModelParams:
 
 
 def param_count(config: TopologyConfig) -> int:
-    """Closed-form trainable parameter count for a topology."""
-    c_in = config.conv_channels()
-    n = config.conv_filters * c_in * config.conv_width + config.conv_filters
-    if config.variant == CNN_RNN_FC:
-        gates = 3 if config.rnn_kind == "gru" else 4
-        h = config.rnn_hidden
-        n += gates * (h * config.conv_filters + h * h + h)
-    n += config.fc_hidden * config.feature_dim() + config.fc_hidden
-    n += config.n_classes * config.fc_hidden + config.n_classes
-    return n
+    """Trainable parameter count for a topology: the sizes of its layout."""
+    return sum(math.prod(shape) for _, _, shape in layout(config))
 
 
 def _gates(config: TopologyConfig) -> tuple[str, ...]:
@@ -375,42 +371,23 @@ def _projected(stacked: dict, x: np.ndarray) -> np.ndarray:
     return xp.reshape(k, t_steps, n, w.shape[1])
 
 
-def _rnn_step(config: TopologyConfig, u_t: np.ndarray, xp: np.ndarray,
-              h: np.ndarray, c: np.ndarray) -> tuple:
-    """Every member's (h, c) after one step of (K, B, G*H) projected inputs
-    from (K, B, H) states, c the LSTM's cell: one batched matmul of the
-    states by U^T (the GRU's reset gate takes a second for U_h)."""
-    hidden = u_t.shape[1]
-    if config.rnn_kind == "gru":
-        zr = sigmoid(xp[..., : 2 * hidden] + h @ u_t[..., : 2 * hidden])
-        z, r = zr[..., :hidden], zr[..., hidden:]
-        g = np.tanh(xp[..., 2 * hidden :] + (r * h) @ u_t[..., 2 * hidden :])
-        return (1.0 - z) * h + z * g, c
-    a = xp + h @ u_t
-    sig = sigmoid(a[..., : 3 * hidden])
-    i, f, o = (sig[..., j * hidden : (j + 1) * hidden] for j in range(3))
-    c = f * c + i * np.tanh(a[..., 3 * hidden :])
-    return o * np.tanh(c), c
-
-
 def padding_trajectory(config: TopologyConfig, stacked: dict, steps: int) -> tuple:
     """The (h, c, best) that every member reaches after t = 0..steps pooled
     steps whose input is its conv bias, as a post's lead is: read-only
     (K, steps + 1, H) arrays indexed by t, best the running max of h (-inf
     at t = 0).  They depend on the stack's feature arrays alone, so a
-    bundle computes them once; they run on one row, one _rnn_step per step."""
+    bundle computes them once, on one row, through the op's step loop."""
     k, c = stacked["conv_b"].shape
     u_t = stacked["rnn_u_t"]
     xp = _projected(stacked, np.broadcast_to(stacked["conv_b"][:, None, None], (k, steps, 1, c)))
-    h, cell, best = np.zeros((3, k, steps + 1, u_t.shape[1]))
-    best[:, 0] = -np.inf
-    for t in range(steps):
-        state = _rnn_step(config, u_t, xp[:, t], h[:, t : t + 1], cell[:, t : t + 1])
-        h[:, t + 1 : t + 2], cell[:, t + 1 : t + 2] = state
-        np.maximum(best[:, t], h[:, t + 1], out=best[:, t + 1])
-    for array in (h, cell, best):
+    h, cell = np.zeros((2, steps + 1, k, 1, u_t.shape[1]))
+    run, states = (_gru_steps, (h,)) if config.rnn_kind == "gru" else (_lstm_steps, (h, cell))
+    run(xp.swapaxes(0, 1), u_t, states)
+    best = np.maximum.accumulate(np.concatenate([np.full_like(h[:1], -np.inf), h[1:]]))
+    trajectory = tuple(array[:, :, 0].swapaxes(0, 1) for array in (h, cell, best))
+    for array in trajectory:
         array.flags.writeable = False
-    return h, cell, best
+    return trajectory
 
 
 def _stacked_rnn(config: TopologyConfig, stacked: dict, x: np.ndarray,
@@ -418,22 +395,24 @@ def _stacked_rnn(config: TopologyConfig, stacked: dict, x: np.ndarray,
     """Every member's features, the max over time of its RNN state h,
     (K, B, H), for (K, T, B, D) inputs whose rows are sorted by lead: row b
     joins at step leads[b] with `padding`'s state there (padding_trajectory)
-    and its inputs before that step are never read.  Step t runs only the
-    rows that have joined, as a packed sequence does; a row whose lead is T
-    keeps the trajectory's end state."""
+    and its inputs before that step are never read.  Step t runs the cell
+    only on the rows that have joined, as a packed sequence does; a row
+    whose lead is T keeps the trajectory's end state."""
     k, t_steps, n, _ = x.shape
     start = leads[0] if n else t_steps
     xp = _projected(stacked, x[:, start:])
     joined = np.searchsorted(leads, np.arange(start, t_steps), side="right")
-    h, c, best = (state[:, :0] for state in padding)
+    cell, n_states = (gru_cell, 1) if config.rnn_kind == "gru" else (lstm_cell, 2)
+    padding = padding[:n_states] + padding[2:]  # a GRU has no cell state
+    *states, best = (state[:, :0] for state in padding)
     for t, m in enumerate(joined):
         if m > best.shape[1]:  # these rows join, each at the trajectory's state at its lead
             joining = leads[best.shape[1] : m]
-            h, c, best = (np.concatenate([mine, state[:, joining]], axis=1)
-                          for mine, state in zip((h, c, best), padding))
-        h, c = _rnn_step(config, stacked["rnn_u_t"], xp[:, t, :m], h, c)
-        np.maximum(best, h, out=best)
-    return np.concatenate([best, padding[2][:, leads[best.shape[1] :]]], axis=1)
+            *states, best = (np.concatenate([mine, state[:, joining]], axis=1)
+                             for mine, state in zip((*states, best), padding))
+        states = cell(xp[:, t, :m], stacked["rnn_u_t"], *states)[:n_states]
+        np.maximum(best, states[0], out=best)
+    return np.concatenate([best, padding[-1][:, leads[best.shape[1] :]]], axis=1)
 
 
 def _padding_steps(config: TopologyConfig, ids: np.ndarray) -> np.ndarray:

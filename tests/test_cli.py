@@ -261,6 +261,22 @@ class TestPredictCommand:
         assert out.read_bytes() == b'{"label": "H"}\n'
 
 
+@pytest.mark.parametrize("command", ["predict", "evaluate", "tune"])
+def test_another_synthetic_table_exits_3(tmp_path, capsys, command):
+    """A bundle trained on synthetic:0:6 scores with that table alone:
+    another seed of the same dim exits 3 naming both tables."""
+    bundle_dir, lines = make_bundle_dir(tmp_path), write_lines_corpus(tmp_path)
+    argv = [command, "--bundle", bundle_dir, *{
+        "predict": ["--input", str(FIXTURES / "unlabeled_lines.txt")],
+        "evaluate": ["--labeled-lines", lines],
+        "tune": ["--target", lines, "--out", str(tmp_path / "tuned"), "--tune-epochs", "1"],
+    }[command], "--embeddings"]
+    assert run([*argv, "synthetic:1:6"]) == cli.EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "synthetic:1:6 != bundle table synthetic:0:6" in err
+    assert run([*argv, "synthetic:0:6"]) == cli.EXIT_OK
+
+
 class TestEvaluateCommand:
     def test_memorization_scores_one(self, tmp_path, capsys):
         corpus_lines = write_lines_corpus(tmp_path, n_per_class=10)

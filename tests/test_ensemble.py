@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from conftest import separable_corpus, tiny_topology
 from hatenet.corpus import LabeledCorpus
-from hatenet.embeddings import embed, synthetic_table
+from hatenet.embeddings import EmbeddingTable, embed, synthetic_table
 from hatenet.ensemble import (
     EnsembleBundle,
     SUPERVISED,
@@ -358,6 +358,41 @@ def test_chunk_vote_matches_the_per_post_rule(chunk):
         assert label == one == brute_force_vote(votes[:, j].tolist(), probs[:, j])
 
 
+@pytest.mark.parametrize("named, table_name, mismatch", [
+    ("synthetic:0:6", "synthetic:0:6", False),
+    ("synthetic:0:6", "synthetic:1:6", True),
+    ("synthetic:0:6", "vectors.txt", True),
+    ("vectors.txt", "synthetic:0:6", True),
+    ("vectors.txt", "/data/vectors.txt", False),  # two files: not checked
+    (None, "synthetic:1:6", False),  # the fingerprint names no table
+])
+def test_a_synthetic_table_is_checked_by_name(topo, named, table_name, mismatch):
+    fingerprint = {"dim": 6} if named is None else {"embedding": named, "dim": 6}
+    bundle = EnsembleBundle([build(topo, 0)], topo, fingerprint)
+    table = EmbeddingTable(6, {}, table_name)
+    corpus = LabeledCorpus([RawPost(text, label=label) for label, text in
+                            enumerate(["wolfsbane in the sun", "thornbush day", "a walk"])],
+                           provenance="three")
+    calls = [lambda: predict_all(bundle, corpus.posts, table),
+             lambda: evaluate(bundle, corpus, table),
+             lambda: tune(bundle, corpus, TrainConfig(tune_epochs=1), table)]
+    for call in calls:
+        if mismatch:
+            with pytest.raises(PreprocessingMismatch, match=f"{table_name} != .*{named}"):
+                call()
+        else:
+            call()
+
+
+# bundle.meta provenance values that are not a JSON object (nor null)
+WRONG_PROVENANCE = ["x", 5, [1, 2]]
+
+
+def with_provenance(raw: bytes, value) -> bytes:
+    """A bundle.meta's bytes with its provenance set to `value`."""
+    return json.dumps({**json.loads(raw), "provenance": value}).encode()
+
+
 class TestPredictAndBundle:
     def _quick_bundle(self, topo, table, k=2):
         corpus = separable_corpus(4, seed=11)
@@ -523,7 +558,9 @@ class TestPredictAndBundle:
          "a member file name is not a string"),
         (lambda raw: re.sub(rb'"dim": (\d+)', rb'"dim": "\1"', raw),
          "the fingerprint dim is not an integer"),
-    ], ids=["member file name", "fingerprint dim"])
+        *((lambda raw, value=value: with_provenance(raw, value), "the provenance is not an object")
+          for value in WRONG_PROVENANCE),
+    ], ids=["member file name", "fingerprint dim", *map(repr, WRONG_PROVENANCE)])
     def test_meta_field_of_wrong_type_exits_3(self, topo, table, tmp_path, capsys,
                                               damage, reason):
         from hatenet import cli
@@ -541,6 +578,33 @@ class TestPredictAndBundle:
                          "--embeddings", f"synthetic:0:{table.dim}"]) == cli.EXIT_DATA
         err = capsys.readouterr().err
         assert err.startswith(f"error: {meta_path}: ") and reason in err, err
+
+    @pytest.mark.parametrize("value", WRONG_PROVENANCE, ids=repr)
+    def test_tune_of_a_provenance_not_an_object_exits_3(self, topo, table, tmp_path, capsys,
+                                                        value):
+        from hatenet import cli
+
+        save_bundle(self._quick_bundle(topo, table), tmp_path / "run")
+        meta_path = tmp_path / "run" / "bundle.meta"
+        meta_path.write_bytes(with_provenance(meta_path.read_bytes(), value))
+        target = Path(__file__).parent / "fixtures" / "target_lines.txt"
+        assert cli.main(["tune", "--bundle", str(tmp_path / "run"), "--target", str(target),
+                         "--embeddings", f"synthetic:0:{table.dim}",
+                         "--out", str(tmp_path / "tuned")]) == cli.EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {meta_path}: ") and "provenance" in err, err
+
+    @pytest.mark.parametrize("value", [None, "absent"])
+    def test_a_null_or_absent_provenance_loads_empty(self, topo, table, tmp_path, value):
+        save_bundle(self._quick_bundle(topo, table), tmp_path / "run")
+        meta_path = tmp_path / "run" / "bundle.meta"
+        meta = json.loads(meta_path.read_bytes())
+        if value == "absent":
+            del meta["provenance"]
+        else:
+            meta["provenance"] = value
+        meta_path.write_text(json.dumps(meta))
+        assert load_bundle(tmp_path / "run").provenance == {}
 
 
 @functools.lru_cache(maxsize=1)

@@ -430,7 +430,7 @@ def leads_corpus():
 
 @pytest.mark.parametrize("rnn_kind", ["gru", "lstm"])
 def test_scoring_runs_each_post_from_its_own_lead(rnn_kind, monkeypatch):
-    """Each recurrence step calls model.sigmoid once.  A bundle's chunk
+    """Each recurrence step calls layers.sigmoid once.  A bundle's chunk
     runs no step on one row before its posts: step t runs the posts whose
     lead is at most t.  Without the bundle's trajectory (validation) the
     steps before the smallest lead run on one row, then every post.  A lone
@@ -443,13 +443,13 @@ def test_scoring_runs_each_post_from_its_own_lead(rnn_kind, monkeypatch):
     t_pool, first = config.pooled_len(), int(leads.min())
     assert 0 < first < int(leads.max()) < t_pool
     steps = []
-    original = model.sigmoid
+    original = layers.sigmoid
 
-    def counting(x):
+    def counting(x, out=None):
         steps.append(x.shape[1])  # (K, B, gates)
-        return original(x)
+        return original(x, out=out)
 
-    monkeypatch.setattr(model, "sigmoid", counting)
+    monkeypatch.setattr(layers, "sigmoid", counting)
     evaluate(bundle, corpus, table)
     assert steps == [int((leads <= t).sum()) for t in range(first, t_pool)]
     steps.clear()
@@ -553,6 +553,57 @@ def test_training_runs_the_steps_after_the_common_padding(rnn_kind, monkeypatch)
     monkeypatch.setattr(layers, "sigmoid", counting)
     forward(params, config, batch, train=True, rng=np.random.default_rng(0)).sum().backward()
     assert steps == [1] * t0 + [3] * (config.pooled_len() - t0)
+
+
+@pytest.mark.parametrize("rnn_kind", ["gru", "lstm"])
+def test_one_cell_runs_every_recurrent_step(rnn_kind, monkeypatch):
+    """layers' gru_cell or lstm_cell is the step of a training forward, of
+    padding_trajectory and of a bundle's stacked_forward, each on its own
+    rows: (B, ·) in training, (K, B, ·) with the member axis."""
+    config = tiny_topology(rnn_kind=rnn_kind, **SKIPPING)
+    bundle = EnsembleBundle([build(config, seed) for seed in (1, 2)], config,
+                            {"dim": config.emb_dim})
+    batch = first_live_batch(config, [11, 7, 9], 0)
+    leads = model._padding_steps(config, batch.ids)
+    t_pool, t0 = config.pooled_len(), int(leads.min())
+    assert 0 < t0 < int(leads.max()) < t_pool
+    name, calls = f"{rnn_kind}_cell", []
+    original = getattr(layers, name)
+
+    def counting(xp, *args):
+        calls.append(xp.shape[:-1])
+        return original(xp, *args)
+
+    for module in (layers, model):  # model imports the cell by name
+        monkeypatch.setattr(module, name, counting)
+    forward(build(config, 4), config, batch, train=True, rng=np.random.default_rng(0))
+    assert calls == [(1,)] * t0 + [(3,)] * (t_pool - t0)
+    calls.clear()
+    model.padding_trajectory(config, bundle.stacked, t_pool)
+    assert calls == [(2, 1)] * t_pool
+    calls.clear()
+    stacked_forward(config, bundle.stacked, batch, bundle.padding)
+    assert calls == [(2, int((leads <= t).sum())) for t in range(t0, t_pool)]
+
+
+@pytest.mark.parametrize("members", [(), (3,)], ids=["B", "K_B"])
+@pytest.mark.parametrize("rnn_kind", ["gru", "lstm"])
+def test_a_cell_gives_the_same_bytes_into_given_arrays(rnn_kind, members):
+    """A cell writes each activation into the strided array it is given, as
+    training's history slices are, with the bytes of its fresh arrays."""
+    rng = np.random.default_rng(7)
+    cell, gates, n_states = {"gru": (layers.gru_cell, 3, 1),
+                             "lstm": (layers.lstm_cell, 4, 2)}[rnn_kind]
+    hidden, n = 4, 5
+    xp = rng.standard_normal((*members, n, gates * hidden))
+    u_t = rng.standard_normal((*members, hidden, gates * hidden))
+    states = [rng.standard_normal((*members, n, hidden)) for _ in range(n_states)]
+    fresh = cell(xp, u_t, *states)
+    outs = [np.full((*a.shape[:-1], a.shape[-1] + 1), np.nan)[..., 1:] for a in fresh[n_states:]]
+    given = cell(xp, u_t, *states, *outs)
+    for got, want in zip(given, fresh, strict=True):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    assert all(got is out for got, out in zip(given[n_states:], outs, strict=True))
 
 
 # sha256 of the saved bundle's files, in name order, then repr of each
