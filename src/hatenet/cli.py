@@ -33,12 +33,14 @@ from .corpus import (
     load_unlabeled,
     open_utf8,
     split,
+    write_whole,
 )
 from .embeddings import load_table, synthetic_table
 from .ensemble import (
     SUPERVISED,
     WEAK,
     TrainConfig,
+    check_tuning,
     evaluate,
     evaluate_heads,
     load_bundle,
@@ -227,8 +229,8 @@ def _load_config_file(path: "str | None") -> dict:
 
 
 def _config_section(file_cfg: dict, name: str, cls) -> dict:
-    """The config file's `name` section, each value checked against the
-    type of the matching field's default in `cls`."""
+    """The config file's `name` section, whose keys must be fields of `cls`;
+    the values' types are checked where `cls.validate` runs."""
     section = file_cfg.get(name, {})
     if not isinstance(section, dict):
         raise InvalidConfig(f"config section {name!r} must be a JSON object")
@@ -236,18 +238,9 @@ def _config_section(file_cfg: dict, name: str, cls) -> dict:
     for key, value in section.items():
         if key not in defaults:
             raise InvalidConfig(f"unknown {name} config field {key!r}")
-        default = defaults[key]
-        if default is None:  # class_weights: set from --class-weights, never the file
-            if value is None:
-                continue
+        if defaults[key] is None and value is not None:  # class_weights
             raise InvalidConfig(f"config field {name}.{key} is {value!r}, but only "
                                 "weak-train's --class-weights sets the class weights")
-        expected = (int, float) if isinstance(default, float) else type(default)
-        if isinstance(value, bool) or not isinstance(value, expected):
-            raise InvalidConfig(
-                f"{name} config field {key!r} must be of type "
-                f"{type(default).__name__}, got {value!r}"
-            )
     return dict(section)
 
 
@@ -329,30 +322,20 @@ def _load_labeled(args) -> LabeledCorpus:
 def _write_json(out: Path, name: str, payload: dict) -> None:
     """Write <out>/<name>.json, making the run directory on the first write."""
     out.mkdir(parents=True, exist_ok=True)
-    (out / f"{name}.json").write_text(
-        json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
+    write_whole(out / f"{name}.json", json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
 def _write_telemetry(out: Path, traces) -> None:
-    lines = []
+    records = []
     for member, trace in enumerate(traces):
         for rec in trace.epochs:
-            for split_name, loss in (("train", rec.train_loss),
-                                     ("valid", rec.valid_loss)):
-                entry = {
-                    "member": member,
-                    "epoch": rec.epoch,
-                    "split": split_name,
-                    "loss": loss,
-                    "hate_recall": rec.valid_hate_recall
-                    if split_name == "valid" else None,
-                }
-                lines.append(json.dumps(entry, sort_keys=True))
-        lines.append(json.dumps(
-            {"member": member, "best_epoch": trace.best_epoch}, sort_keys=True
-        ))
-    (out / "telemetry.jsonl").write_text("\n".join(lines) + "\n", encoding="utf-8")
+            records += [{"member": member, "epoch": rec.epoch, "split": "train",
+                         "loss": rec.train_loss, "hate_recall": None},
+                        {"member": member, "epoch": rec.epoch, "split": "valid",
+                         "loss": rec.valid_loss, "hate_recall": rec.valid_hate_recall}]
+        records.append({"member": member, "best_epoch": trace.best_epoch})
+    write_whole(out / "telemetry.jsonl",
+                "".join(json.dumps(record, sort_keys=True) + "\n" for record in records))
 
 
 def _mean_reports(reports: list[dict]) -> dict:
@@ -463,8 +446,9 @@ def cmd_tune(args) -> int:
     file_cfg = _load_config_file(args.config)
     cfg = _resolve_train(args, file_cfg, SUPERVISED)
     bundle = load_bundle(args.bundle)
-    _check_agrees(_config_section(file_cfg, "topology", TopologyConfig), "topology",
-                  bundle.topology.to_dict(), f"--bundle {args.bundle}")
+    topology = _config_section(file_cfg, "topology", TopologyConfig)
+    _check_agrees(topology, "topology", bundle.topology.to_dict(), f"--bundle {args.bundle}")
+    TopologyConfig.from_dict({**bundle.topology.to_dict(), **topology})  # the values' types
     # training fields that tune does not use: the bundle's run set them
     trained = {key: bundle.provenance[key] for key in ("ensemble_size", "epochs", "loss_mode")
                if key in bundle.provenance}
@@ -472,8 +456,9 @@ def cmd_tune(args) -> int:
                   f"--bundle {args.bundle}")
     table = _make_table(args)
     target = load_labeled_lines(args.target)
+    check_tuning(bundle, target, table)  # before the run directory is made
     test = load_labeled_lines(args.test) if args.test else target
-    if args.test and len(test) == 0:  # an empty target fails in tune
+    if args.test and len(test) == 0:  # an empty target fails check_tuning
         print(f"warning: --test {args.test} holds no posts; "
               "the test report will be all zeros", file=sys.stderr)
     out = Path(args.out)
@@ -501,20 +486,16 @@ def cmd_predict(args) -> int:
     bundle = load_bundle(args.bundle)
     table = _make_table(args)
     posts = load_unlabeled(args.input)
-    predictions = predict_all(bundle, posts, table)  # checks the table before --output opens
-    sink = open(args.output, "w", encoding="utf-8") if args.output else sys.stdout
-    try:
-        for post, result in zip(posts, predictions):
-            record = {
-                "source_id": post.source_id,
-                "label": LABEL_NAMES[result.label],
-                "votes": [LABEL_NAMES[v] for v in result.votes],
-                "mean_probs": [round(p, 6) for p in result.mean_probs.tolist()],
-            }
-            print(json.dumps(record, sort_keys=True), file=sink)
-    finally:
-        if args.output:
-            sink.close()
+    lines = (json.dumps({
+        "source_id": post.source_id,
+        "label": LABEL_NAMES[result.label],
+        "votes": [LABEL_NAMES[v] for v in result.votes],
+        "mean_probs": [round(p, 6) for p in result.mean_probs.tolist()],
+    }, sort_keys=True) + "\n" for post, result in zip(posts, predict_all(bundle, posts, table)))
+    if args.output:  # replaced only once every line is built
+        write_whole(args.output, "".join(lines))
+    else:
+        sys.stdout.writelines(lines)  # streamed
     return EXIT_OK
 
 

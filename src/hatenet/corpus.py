@@ -11,9 +11,10 @@ Supported inputs:
     tab-separated numeric class code (0/1/2).
 
 Every input opens through ``open_utf8``: UTF-8, a leading byte-order
-mark ignored.  One row rule holds for every reader: blank rows and lines
-are passed over and keep their numbers; a malformed row is warned as
-``file:row``, counted in ``LabeledCorpus.skipped`` and gives no post.
+mark ignored; every file the package writes goes through ``write_whole``.
+One row rule holds for every reader: blank rows and lines are passed
+over and keep their numbers; a malformed row is warned as ``file:row``,
+counted in ``LabeledCorpus.skipped`` and gives no post.
 Loaders never mutate post text; normalization happens later in the
 text pipeline.
 """
@@ -23,9 +24,11 @@ from __future__ import annotations
 import csv
 import enum
 import logging
+import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from operator import itemgetter
+from pathlib import Path
 
 import numpy as np
 
@@ -89,6 +92,17 @@ def open_utf8(path: str, newline: "str | None" = None):
             yield fh
         except UnicodeDecodeError as exc:
             raise InputEncodingError.of(path, exc) from None
+
+
+def write_whole(path, data: "str | bytes") -> None:
+    """Write `path` whole, text as UTF-8: a temporary sibling, then a rename
+    over `path`, so a write cut short leaves the previous file or none."""
+    tmp = Path(f"{path}.tmp")
+    try:
+        tmp.write_bytes(data.encode("utf-8") if isinstance(data, str) else data)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def nonblank_lines(path: str):

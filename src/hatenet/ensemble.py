@@ -15,7 +15,6 @@ import hashlib
 import json
 import logging
 import math
-import os
 import struct
 from collections.abc import Iterator
 from dataclasses import dataclass, field
@@ -24,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .autograd import IdBatch, Tensor
-from .corpus import ClassLabel, LabeledCorpus, N_CLASSES, open_utf8
+from .corpus import ClassLabel, LabeledCorpus, N_CLASSES, open_utf8, write_whole
 from .embeddings import EmbeddingTable, encode as embed  # perfbench's embeddings.embed
 from .errors import (
     CheckpointIntegrityError,
@@ -41,11 +40,13 @@ from .model import (
     ModelParams,
     TopologyConfig,
     build,
+    check_types,
     classify,
     flat,
     forward,
     layout,
     padding_trajectory,
+    param_count,
     stack,
     stacked_forward,
     stacked_heads,
@@ -88,6 +89,7 @@ class TrainConfig:
     class_weights: "ClassWeights | None" = None
 
     def validate(self) -> None:
+        check_types(self)
         if self.ensemble_size < 1:
             raise InvalidConfig("ensemble size must be >= 1")
         if self.epochs < 1 or self.tune_epochs < 1:
@@ -465,6 +467,14 @@ def evaluate(bundle: EnsembleBundle, corpus: LabeledCorpus, table: EmbeddingTabl
     return evaluate_heads([bundle], corpus, table)[0]
 
 
+def check_tuning(bundle: EnsembleBundle, target_train: LabeledCorpus,
+                 table: EmbeddingTable) -> None:
+    """What tune checks before it trains: PreprocessingMismatch, EmptyClass."""
+    _check_table(bundle, table)
+    if min(target_train.class_counts) == 0:
+        raise EmptyClass(f"tuning set is missing a class: counts {target_train.class_counts}")
+
+
 def tune(
     bundle: EnsembleBundle,
     target_train: LabeledCorpus,
@@ -481,12 +491,9 @@ def tune(
     so they are untouched byte for byte.
     """
     cfg.validate()
-    _check_table(bundle, table)
-    counts = target_train.class_counts
-    if len(set(counts)) != 1:
-        log.warning("tuning set is unbalanced: H/O/N counts %s", counts)
-    if min(counts) == 0:
-        raise EmptyClass(f"tuning set is missing a class: counts {counts}")
+    check_tuning(bundle, target_train, table)
+    if len(set(target_train.class_counts)) != 1:
+        log.warning("tuning set is unbalanced: H/O/N counts %s", target_train.class_counts)
     topo = bundle.topology
     _, encoded = _encode(target_train.posts, table, topo)
     labels = np.array([post.label for post in target_train.posts])
@@ -603,16 +610,6 @@ def _member_arrays(raw: bytes, path: str, topology: TopologyConfig) -> list[np.n
             in zip(np.split(block, np.cumsum(sizes)[:-1]), entries)]
 
 
-def _replace_with(path, data: bytes) -> None:
-    """Write `path` whole: a temporary sibling first, then a rename."""
-    tmp = path.with_name(path.name + ".tmp")
-    try:
-        tmp.write_bytes(data)
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
-
-
 def save_bundle(bundle: EnsembleBundle, dirpath) -> None:
     """Write each member, then bundle.meta with their digests, each file
     whole: a save cut short never leaves a mixed bundle that loads."""
@@ -623,11 +620,8 @@ def save_bundle(bundle: EnsembleBundle, dirpath) -> None:
     for i, member in enumerate(bundle.members):
         raw = _member_bytes(member, topo_hash)
         name = f"member_{i}.ckpt"
-        _replace_with(out / name, raw)
-        members_meta.append({
-            "file": name,
-            "sha256": hashlib.sha256(raw).hexdigest(),
-        })
+        write_whole(out / name, raw)
+        members_meta.append({"file": name, "sha256": hashlib.sha256(raw).hexdigest()})
     meta = {
         "format_version": CKPT_VERSION,
         "topology": bundle.topology.to_dict(),
@@ -635,8 +629,7 @@ def save_bundle(bundle: EnsembleBundle, dirpath) -> None:
         "provenance": bundle.provenance,
         "members": members_meta,
     }
-    _replace_with(out / META_NAME,
-                  (json.dumps(meta, sort_keys=True, indent=2) + "\n").encode("utf-8"))
+    write_whole(out / META_NAME, json.dumps(meta, sort_keys=True, indent=2) + "\n")
 
 
 def load_bundle(dirpath) -> EnsembleBundle:
@@ -650,11 +643,12 @@ def load_bundle(dirpath) -> EnsembleBundle:
     try:
         with open_utf8(meta_path) as fh:
             meta = json.load(fh)
-        if meta.get("format_version") != CKPT_VERSION:
-            raise CheckpointVersionError(
-                f"{meta_path}: format version {meta.get('format_version')}, "
-                f"supported {CKPT_VERSION}"
-            )
+        version = meta.get("format_version")
+        if type(version) is not int:  # a bool is not a version
+            raise TypeError(f"format_version {version!r} is not an integer")
+        if version != CKPT_VERSION:
+            raise CheckpointVersionError(f"{meta_path}: format version {version}, "
+                                         f"supported {CKPT_VERSION}")
         topology = TopologyConfig.from_dict(meta["topology"])
         entries = [(entry["file"], entry["sha256"]) for entry in meta["members"]]
         fingerprint = meta["fingerprint"]
@@ -662,11 +656,18 @@ def load_bundle(dirpath) -> EnsembleBundle:
             raise ValueError("the bundle lists no member")
         if not all(isinstance(name, str) for name, _ in entries):
             raise TypeError("a member file name is not a string")
-        if not isinstance(fingerprint["dim"], int):
+        if type(fingerprint["dim"]) is not int:
             raise TypeError("the fingerprint dim is not an integer")
+        if type(fingerprint["seq_len"]) is not int or fingerprint["seq_len"] != topology.seq_len:
+            raise ValueError(f"the fingerprint seq_len {fingerprint['seq_len']!r} is not "
+                             f"the topology's {topology.seq_len}")
         provenance = meta.get("provenance")
         if not isinstance(provenance, (dict, type(None))):
             raise TypeError("the provenance is not an object")
+        least = 48 + 8 * param_count(topology)  # prefix, payload and digest, before stack allocates
+        for name, _ in entries:
+            if (size := (src / name).stat().st_size) < least:
+                raise CheckpointIntegrityError(f"{name}: {size} bytes, its topology needs {least}")
     except (ValueError, KeyError, TypeError, AttributeError, RecursionError, InvalidConfig) as exc:
         raise CheckpointIntegrityError(
             f"{meta_path}: not a bundle meta file ({type(exc).__name__}: {exc})"

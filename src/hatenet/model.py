@@ -31,7 +31,7 @@ seq_len // pool_rate), "embedding" slides along the embedding axis
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass, asdict, fields
 
 import numpy as np
 
@@ -67,6 +67,18 @@ CNN_RNN_FC = "cnn_rnn_fc"
 CNN_FC = "cnn_fc"
 
 
+def check_types(config) -> None:
+    """Raise InvalidConfig unless each field of the dataclass `config` but one
+    defaulting to None has its default's type (a real field may take an int),
+    never a bool."""
+    for f in fields(config):
+        value, default = getattr(config, f.name), f.default
+        expected = (int, float) if isinstance(default, float) else type(default)
+        if default is not None and (isinstance(value, bool) or not isinstance(value, expected)):
+            raise InvalidConfig(f"{type(config).__name__} field {f.name!r} must be of type "
+                                f"{type(default).__name__}, got {value!r}")
+
+
 @dataclass
 class TopologyConfig:
     variant: str = CNN_RNN_FC
@@ -84,6 +96,7 @@ class TopologyConfig:
     conv_axis: str = "sequence"  # or "embedding"
 
     def validate(self) -> None:
+        check_types(self)
         if self.variant not in (CNN_RNN_FC, CNN_FC):
             raise InvalidConfig(f"unknown variant {self.variant!r}")
         if self.rnn_kind not in ("gru", "lstm"):

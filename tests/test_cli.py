@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from hatenet import cli
 from hatenet.ensemble import EnsembleBundle, TrainConfig, save_bundle, train_ensemble
 from hatenet.embeddings import synthetic_table
+from hatenet.model import TopologyConfig
 
 from conftest import separable_corpus, tiny_topology
 
@@ -685,6 +686,137 @@ def test_tune_does_not_check_a_field_the_provenance_lacks(tmp_path, property_inp
     assert run([*argv, "--config", str(config)]) == cli.EXIT_OK
     train = json.loads((out / "config.json").read_text())["train"]
     assert "epochs" not in train and train["ensemble_size"] == 1
+
+
+# -- bundle.meta values: every one exits 0 or 3 ----------------------------
+
+SWEEP_VALUES = ["x", 5, 1.5, True, None, [], {}, [1, 2], -1, 0, 10**9]
+# the topology fields that size the stack: a float, a bool or 10**9 raised out of main
+SIZING_FIELDS = ("conv_filters", "emb_dim", "fc_hidden", "rnn_hidden")
+
+
+@pytest.fixture(scope="module")
+def sweep_bundle(tmp_path_factory):
+    """The bundle of `hatenet train` on the HON fixture at the default
+    topology (synthetic:0:8, seq_len 8, K=2, one epoch), and its meta."""
+    bundle = tmp_path_factory.mktemp("meta_sweep") / "bundle"
+    assert cli.main(["train", "--hon", str(FIXTURES / "hon_sample.csv"),
+                     "--embeddings", "synthetic:0:8", "--seq-len", "8",
+                     "--ensemble-size", "2", "--epochs", "1", "--out", str(bundle)]) == 0
+    return bundle, json.loads((bundle / "bundle.meta").read_text())
+
+
+def run_with_meta(tmp_path, sweep_bundle, meta: dict, command: str):
+    """`command` on a copy of the sweep bundle whose bundle.meta is `meta`:
+    its exit code, or the exception that escaped main."""
+    bundle = tmp_path / "bundle"
+    shutil.copytree(sweep_bundle[0], bundle, dirs_exist_ok=True)
+    (bundle / "bundle.meta").write_text(json.dumps(meta))
+    argv = [command, "--bundle", str(bundle), "--embeddings", "synthetic:0:8", *{
+        "predict": ["--input", str(FIXTURES / "unlabeled_lines.txt")],
+        "evaluate": ["--hon", str(FIXTURES / "hon_sample.csv")],
+        "tune": ["--target", str(FIXTURES / "target_lines.txt"), "--tune-epochs", "1",
+                 "--out", str(tmp_path / "tuned")],
+    }[command]]
+    try:
+        return cli.main(argv)
+    except Exception as exc:  # noqa: BLE001 - the outcome under test
+        return type(exc).__name__
+
+
+@pytest.mark.parametrize("field", list(TopologyConfig().to_dict()))
+def test_every_topology_value_in_the_meta_exits_3(tmp_path, capsys, monkeypatch,
+                                                  sweep_bundle, field):
+    """Each sweep value in one topology field of bundle.meta: `predict` exits 3
+    (and `evaluate` and `tune` on the fields that size the stack), and a
+    10**9 size is refused before the stack is allocated."""
+    from hatenet import ensemble, model
+
+    stacked = []
+    monkeypatch.setattr(ensemble, "stack",
+                        lambda topo, *rest: stacked.append(topo) or model.stack(topo, *rest))
+    commands = ["predict", "evaluate", "tune"] if field in SIZING_FIELDS else ["predict"]
+    outcomes = {}
+    for value in SWEEP_VALUES:
+        meta = json.loads(json.dumps(sweep_bundle[1]))
+        meta["topology"][field] = value
+        for command in commands:
+            outcomes[command, repr(value)] = run_with_meta(tmp_path, sweep_bundle, meta, command)
+    assert {case: code for case, code in outcomes.items() if code != cli.EXIT_DATA} == {}
+    errors = capsys.readouterr().err.splitlines()
+    assert len(errors) == len(outcomes) and all(e.startswith("error: ") for e in errors)
+    assert not [topo for topo in stacked if getattr(topo, field) == 10**9]
+    assert not (tmp_path / "tuned").exists()
+
+
+@pytest.mark.parametrize("key, value", [
+    ("format_version", True), ("format_version", 1.0), ("format_version", "1"),
+    ("seq_len", "x"), ("seq_len", 9), ("seq_len", True), ("seq_len", None),
+])
+def test_a_meta_format_version_or_seq_len_that_is_not_the_bundles_exits_3(
+        tmp_path, capsys, sweep_bundle, key, value):
+    meta = json.loads(json.dumps(sweep_bundle[1]))
+    (meta if key == "format_version" else meta["fingerprint"])[key] = value
+    assert run_with_meta(tmp_path, sweep_bundle, meta, "predict") == cli.EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "bundle.meta" in err and f"{key} {value!r}" in err, err
+
+
+def test_the_sweep_bundle_loads_as_written(tmp_path, capsys, sweep_bundle):
+    assert run_with_meta(tmp_path, sweep_bundle, sweep_bundle[1], "predict") == cli.EXIT_OK
+
+
+# -- files are written whole ---------------------------------------------
+
+
+def failing_write(monkeypatch, name: str) -> None:
+    """Make the write of `name`'s temporary sibling stop half way with an
+    OSError, as a full disk would."""
+    write_bytes = Path.write_bytes
+
+    def failing(path, data):
+        if path.name == f"{name}.tmp":
+            write_bytes(path, data[: len(data) // 2])
+            raise OSError("no space left on device")
+        return write_bytes(path, data)
+
+    monkeypatch.setattr(Path, "write_bytes", failing)
+
+
+@pytest.mark.parametrize("name", ["report.json", "telemetry.jsonl", "labels.jsonl"])
+def test_a_failed_write_leaves_the_previous_file_as_it_was(tmp_path, capsys, monkeypatch,
+                                                           property_inputs, name):
+    out = tmp_path / "run"
+    out.mkdir()
+    previous = {n: f"previous {n}\n".encode() for n in ("report.json", "telemetry.jsonl",
+                                                         "labels.jsonl")}
+    for n, data in previous.items():
+        (out / n).write_bytes(data)
+    if name == "labels.jsonl":
+        argv = [*base_argv("predict", property_inputs, ""), "--output", str(out / name)]
+    else:
+        argv = base_argv("train", property_inputs, str(out))
+    failing_write(monkeypatch, name)
+    assert run(argv) == cli.EXIT_DATA
+    monkeypatch.undo()
+    assert "no space left on device" in capsys.readouterr().err
+    assert (out / name).read_bytes() == previous[name]
+    assert not list(out.glob("*.tmp"))
+
+
+@pytest.mark.parametrize("case", ["table of another dim", "target missing a class"])
+def test_tune_that_exits_3_writes_no_run_directory(tmp_path, capsys, property_inputs, case):
+    argv = base_argv("tune", property_inputs, str(tmp_path / "tuned"))
+    if case == "table of another dim":
+        argv[argv.index("synthetic:0:8")] = "synthetic:0:9"
+    else:
+        target = tmp_path / "target.txt"
+        target.write_text("0\tthornbush day\n1\twolfsbane in the sun\n")
+        argv[argv.index(property_inputs["corpus"])] = str(target)
+    assert run(argv) == cli.EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert not (tmp_path / "tuned").exists()
 
 
 # -- property: no argument vector exits 1 or raises ----------------------

@@ -999,6 +999,8 @@ def test_nonfinite_validation_loss_names_epoch(topo):
     {"tune_lr": 0.0}, {"batch_size": 0}, {"loss_mode": "other"},
     {"base_lr": float("nan")}, {"tune_lr": float("inf")}, {"bounds_k": float("nan")},
     {"bounds_k": float("inf")}, {"bounds_k": -1.0}, {"bounds_k": 0.0}, {"seed": -1},
+    {"seed": True}, {"epochs": 2.0}, {"batch_size": "8"}, {"base_lr": None},
+    {"loss_mode": 1}, {"bounds_k": False},
 ])
 def test_train_config_rejects_bad_values(bad):
     from hatenet.errors import InvalidConfig

@@ -116,6 +116,17 @@ class TestBuild:
         with pytest.raises(InvalidConfig):
             TopologyConfig(seq_len=2, pool_rate=4).validate()
 
+    @pytest.mark.parametrize("field, value", [
+        ("seq_len", 8.0), ("emb_dim", True), ("fc_hidden", 1.5), ("rnn_hidden", "5"),
+        ("conv_filters", None), ("dropout_p", "0.2"), ("dropout_p", False), ("variant", 1),
+    ])
+    def test_a_value_of_another_type_is_invalid(self, field, value):
+        with pytest.raises(InvalidConfig, match=f"{field}.* must be of type"):
+            TopologyConfig(**{field: value}).validate()
+
+    def test_a_real_field_takes_an_int(self):
+        TopologyConfig(dropout_p=0).validate()
+
 
 def oracle_forward(params, cfg, values):
     """Layer-by-layer plain-numpy recomputation (eval mode)."""

@@ -37,7 +37,10 @@ def test_readme_library_tour(tmp_path):
 
 
 class _FileOpens(ast.NodeVisitor):
-    """(enclosing function, callee, mode) of each ``open`` and ``read_text`` call."""
+    """(enclosing function, callee, mode) of each call that opens, reads or
+    writes a file: ``open``, ``read_text``, ``write_text`` and ``write_bytes``."""
+
+    WRITE_MODES = {"write_text": "w", "write_bytes": "wb"}
 
     def __init__(self):
         self.scope = ["<module>"]
@@ -57,20 +60,24 @@ class _FileOpens(ast.NodeVisitor):
             modes = node.args[1:2] + [k.value for k in node.keywords if k.arg == "mode"]
             mode = modes[0].value if modes and isinstance(modes[0], ast.Constant) else None
             self.calls.append((self.scope[-1], name, mode if modes else "r"))
+        elif name in self.WRITE_MODES:
+            self.calls.append((self.scope[-1], name, self.WRITE_MODES[name]))
         self.generic_visit(node)
 
 
 def test_text_inputs_open_through_open_utf8():
     """Every text input opens through corpus.open_utf8, which decodes UTF-8,
-    drops a byte-order mark and names a file that does not decode.  The
-    word-vector file is read as bytes, and predict --output is written."""
+    drops a byte-order mark and names a file that does not decode; the
+    word-vector file is read as bytes.  Every file the package writes (run
+    directory files, bundles, predict --output) goes through
+    corpus.write_whole, which writes it whole or not at all."""
     calls = []
     for path in sorted(Path(hn.__file__).parent.glob("*.py")):
         visitor = _FileOpens()
         visitor.visit(ast.parse(path.read_text(encoding="utf-8")))
         calls += [(path.name, *call) for call in visitor.calls]
     assert sorted(calls) == [
-        ("cli.py", "cmd_predict", "open", "w"),
         ("corpus.py", "open_utf8", "open", "r"),
+        ("corpus.py", "write_whole", "write_bytes", "wb"),
         ("embeddings.py", "load_table", "open", "rb"),
     ]
