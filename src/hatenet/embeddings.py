@@ -335,15 +335,26 @@ def encode(seqs: "list[TokenSequence]", table: EmbeddingTable, L: int = 100) -> 
     ids = np.full((len(seqs), L), -1, dtype=np.intp)
     index: dict[str, int] = {}  # looked-up string -> its row, -1 for no vector
     rows: list[np.ndarray] = []
+
+    def lookup(key: str) -> int:  # a string not looked up before
+        vec = table.get(key)
+        index[key] = -1 if vec is None else len(rows)
+        if vec is not None:
+            rows.append(vec)
+        return index[key]
+
+    get = index.get
     for out, seq in zip(ids, seqs):
-        tokens = seq.tokens[:L]
-        for i, token in enumerate(tokens):
-            for key in (token, *seq.surfaces[i : i + 1]):
-                if key not in index:
-                    vec = table.get(key)
-                    index[key] = -1 if vec is None else len(rows)
-                    rows += [] if vec is None else [vec]
-                if index[key] >= 0:
-                    break
-            out[L - len(tokens) + i] = index[key]
+        surfaces = seq.surfaces
+        post = []
+        for i, token in enumerate(seq.tokens[:L]):
+            found = get(token)
+            if found is None:
+                found = lookup(token)
+            if found < 0 and i < len(surfaces):  # the surface, only when the token has no row
+                found = get(surfaces[i])
+                if found is None:
+                    found = lookup(surfaces[i])
+            post.append(found)
+        out[L - len(post) :] = post
     return IdBatch(ids, np.array(rows, dtype=np.float64).reshape(len(rows), table.dim))

@@ -369,9 +369,10 @@ def stacked_members(config: TopologyConfig, stacked: dict) -> list[ModelParams]:
             for k in range(len(stacked["conv_b"]))]
 
 
-# values per product buffer of the stacked conv, which bounds its transients:
-# each GEMM covers as many taps as fit, at least one
-STACKED_PRODUCT_VALUES = 1 << 17
+# values per product buffer of the stacked conv (4 MiB), which bounds its
+# transients: each GEMM covers as many taps as fit, at least one, since one
+# wide GEMM packs its row block once where narrow ones pack it per tap
+STACKED_PRODUCT_VALUES = 1 << 19
 
 
 def _projected(stacked: dict, x: np.ndarray) -> np.ndarray:

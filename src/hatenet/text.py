@@ -22,7 +22,6 @@ _SENTINELS = frozenset({MENTION_SENTINEL, HASHTAG_SENTINEL})
 URL_RE = re.compile(r"(?:^|(?<=\s))(?:https?://|www\.)\S*", re.IGNORECASE)
 MENTION_RE = re.compile(r"@\w+")
 HASHTAG_RE = re.compile(r"#(\w+)")
-_WS_RE = re.compile(r"\s+")
 
 # Emoji and other pictographic blocks stripped during normalization.
 # Non-ASCII letters outside these ranges are kept.
@@ -57,14 +56,15 @@ def normalize(text: str) -> str:
     """
     # emoji go first: deleting them later could splice a bare URL together
     text = _strip_emoji(text)
-    text = URL_RE.sub(" ", text)
+    lowered = text.lower()
+    if "http" in lowered or "www." in lowered:  # else URL_RE cannot match
+        text = URL_RE.sub(" ", text)
     text = MENTION_RE.sub(f" {MENTION_SENTINEL} ", text)
     text = HASHTAG_RE.sub(lambda m: f" {HASHTAG_SENTINEL} {m.group(1)} ", text)
     # stray markers not followed by word characters are deleted outright
     text = text.replace("@", " ").replace("#", " ")
-    words = _WS_RE.split(text.strip())
-    lowered = [w if w in _SENTINELS else w.lower() for w in words if w]
-    return " ".join(lowered)
+    # str.split cuts at all Unicode whitespace: \x1c-\x1f, U+00A0, U+3000, ...
+    return " ".join([w if w in _SENTINELS else w.lower() for w in text.split()])
 
 
 @dataclass
@@ -123,7 +123,7 @@ def tokenize(text: str) -> list[str]:
     """
     out: list[str] = []
     for raw in text.split():
-        if raw in _SENTINELS:
+        if raw.isalnum():  # nothing to strip or split; the sentinels are alnum
             out.append(raw)
             continue
         stripped = _strip_edges(raw)

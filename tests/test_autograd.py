@@ -234,9 +234,9 @@ def test_training_conv_multiplies_all_taps_in_one_product(monkeypatch):
     monkeypatch.setattr(model, "tap_products", recording)
     monkeypatch.setattr(model, "STACKED_PRODUCT_VALUES", 1)  # scoring: one tap per GEMM
     rng = np.random.default_rng(3)
-    # 600 rows by 17 taps of 32 filters: over 2^17 product values, the
+    # 1,000 rows by 17 taps of 32 filters: over 2^19 product values, the
     # scoring pass's bound
-    batch = IdBatch(rng.integers(-1, 600, size=(4, 200)), rng.standard_normal((600, 3)))
+    batch = IdBatch(rng.integers(-1, 1000, size=(4, 200)), rng.standard_normal((1000, 3)))
     conv1d(batch, Tensor(rng.standard_normal((3, 17, 32))), Tensor(np.zeros(32)), pad=8)
     assert groups == [17]
     config = tiny_topology()

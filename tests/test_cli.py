@@ -766,6 +766,38 @@ def test_the_sweep_bundle_loads_as_written(tmp_path, capsys, sweep_bundle):
     assert run_with_meta(tmp_path, sweep_bundle, sweep_bundle[1], "predict") == cli.EXIT_OK
 
 
+@pytest.mark.parametrize("provenance", [
+    {"ensemble_size": True}, {"ensemble_size": "2"}, {"ensemble_size": 2.0},
+    {"epochs": "x"}, {"epochs": None}, {"loss_mode": 0},
+    {"epochs": "x", "ensemble_size": True},
+])
+def test_tune_refuses_provenance_training_fields_of_another_type(tmp_path, capsys,
+                                                                 sweep_bundle, provenance):
+    """tune echoes the bundle's ensemble_size, epochs and loss_mode into
+    config.json, so each must pass TrainConfig's type rule, which --config
+    applies when it reads that file back."""
+    meta = json.loads(json.dumps(sweep_bundle[1]))
+    meta["provenance"].update(provenance)
+    assert run_with_meta(tmp_path, sweep_bundle, meta, "tune") == cli.EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "provenance: TrainConfig field" in err and "must be of type" in err, err
+    assert not (tmp_path / "tuned").exists()
+
+
+def test_tune_echoes_well_typed_provenance_fields_that_pass_back_as_config(tmp_path,
+                                                                           sweep_bundle):
+    provenance = sweep_bundle[1]["provenance"]
+    assert run_with_meta(tmp_path, sweep_bundle, sweep_bundle[1], "tune") == cli.EXIT_OK
+    config = tmp_path / "tuned" / "config.json"
+    train = json.loads(config.read_text())["train"]
+    assert {key: train[key] for key in ("ensemble_size", "epochs", "loss_mode")} == {
+        key: provenance[key] for key in ("ensemble_size", "epochs", "loss_mode")}
+    assert cli.main(["tune", "--bundle", str(tmp_path / "bundle"), "--config", str(config),
+                     "--embeddings", "synthetic:0:8", "--target",
+                     str(FIXTURES / "target_lines.txt"), "--out", str(tmp_path / "again")]) == 0
+
+
 # -- files are written whole ---------------------------------------------
 
 

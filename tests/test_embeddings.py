@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hatenet import cli, embeddings
+from hatenet.autograd import IdBatch
 from hatenet.embeddings import EmbeddingTable, embed, encode, load_table, synthetic_table
 from hatenet.errors import EmptyTableError, HatenetError, InputEncodingError
 from hatenet.text import TokenSequence
@@ -523,6 +524,68 @@ class TestEmbed:
     def test_rejects_bad_length(self):
         with pytest.raises(ValueError):
             embed(TokenSequence(), synthetic_table(0, 4), L=0)
+
+
+def reference_encode(seqs, table, L):
+    """encode as one loop over (token, surface) keys, one store per token."""
+    ids = np.full((len(seqs), L), -1, dtype=np.intp)
+    index, rows = {}, []
+    for out, seq in zip(ids, seqs):
+        tokens = seq.tokens[:L]
+        for i, token in enumerate(tokens):
+            for key in (token, *seq.surfaces[i : i + 1]):
+                if key not in index:
+                    vec = table.get(key)
+                    index[key] = -1 if vec is None else len(rows)
+                    rows += [] if vec is None else [vec]
+                if index[key] >= 0:
+                    break
+            out[L - len(tokens) + i] = index[key]
+    return IdBatch(ids, np.array(rows, dtype=np.float64).reshape(len(rows), table.dim))
+
+
+class AskedTable(EmbeddingTable):
+    """A dict table that records every key `get` is asked for."""
+
+    def __init__(self, vectors):
+        super().__init__(2, vectors, "asked")
+        self.asked = []
+
+    def get(self, token):
+        self.asked.append(token)
+        return super().get(token)
+
+
+VOCAB = ["run", "running", "cat", "cats", "dog", "dogs", "gone", "zz", "MENTIONHERE"]
+HALF = {w: np.array([float(i), -float(i) / 3]) for i, w in enumerate(VOCAB) if i % 2 == 0}
+words = st.lists(st.sampled_from(VOCAB), max_size=12)
+
+
+class TestEncodeAgainstReference:
+    """ids, rows and the table lookups, in order, equal the reference's;
+    posts run past L, and a post may have fewer surfaces than tokens (its
+    extra tokens get a token-only lookup) or more."""
+
+    @given(posts=st.lists(st.tuples(words, words), max_size=6), L=st.integers(1, 8))
+    @settings(max_examples=400, deadline=None)
+    def test_encode_matches_reference(self, posts, L):
+        seqs = [TokenSequence(tokens, surfaces) for tokens, surfaces in posts]
+        got_table, want_table = AskedTable(HALF), AskedTable(HALF)
+        got, want = encode(seqs, got_table, L), reference_encode(seqs, want_table, L)
+        assert got.ids.dtype == want.ids.dtype
+        np.testing.assert_array_equal(got.ids, want.ids)
+        assert got.rows.shape == want.rows.shape and got.rows.tobytes() == want.rows.tobytes()
+        assert got_table.asked == want_table.asked
+
+    def test_fewer_surfaces_than_tokens(self):
+        seqs = [TokenSequence(["run", "walk", "cat", "runn", "dogs"], ["running", "walking"]),
+                TokenSequence(["gone", "running"], [])]
+        got_table, want_table = AskedTable(HALF), AskedTable(HALF)
+        got, want = encode(seqs, got_table, 4), reference_encode(seqs, want_table, 4)
+        np.testing.assert_array_equal(got.ids, want.ids)
+        assert got.rows.tobytes() == want.rows.tobytes()
+        assert got_table.asked == want_table.asked == ["run", "walk", "walking", "cat",
+                                                       "runn", "gone", "running"]
 
 
 class TestEncode:

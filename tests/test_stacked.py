@@ -96,6 +96,31 @@ def test_stacked_pass_matches_per_member_forward(monkeypatch, variant, rnn_kind,
                                    rtol=0, atol=1e-12)
 
 
+@pytest.mark.parametrize("rnn_kind", ["gru", "lstm"])
+def test_paper_shape_k5_bytes_do_not_depend_on_taps_per_gemm(monkeypatch, rnn_kind):
+    """A K=5 bundle at the paper shape gives the same feature and probability
+    bytes whether its conv multiplies 1, 6 or all 17 taps per GEMM."""
+    config = model.TopologyConfig(rnn_kind=rnn_kind)
+    bundle = EnsembleBundle([build(config, seed) for seed in range(5)], config,
+                            {"dim": config.emb_dim})
+    rng = np.random.default_rng(11)
+    ids = rng.integers(-1, 400, size=(20, config.seq_len))
+    ids[:, : 60] = -1  # leads of their own, as short posts have
+    ids[3] = -1
+    batch = IdBatch(ids, rng.standard_normal((400, config.emb_dim)))
+    rows = len(model._conv_input(batch, config).rows) + 1
+    groups, real = [], model.tap_products
+    monkeypatch.setattr(model, "tap_products",
+                        lambda rows, taps, group: groups.append(group) or real(rows, taps, group))
+    runs = []
+    for taps in (1, 6, 17):
+        monkeypatch.setattr(model, "STACKED_PRODUCT_VALUES", taps * rows * 5 * config.conv_filters)
+        runs.append([a.tobytes() for a in stacked_forward(config, bundle.stacked, batch,
+                                                          bundle.padding)])
+    assert groups == [1, 6, 17]
+    assert runs[0] == runs[1] == runs[2]
+
+
 def per_member_predictions(bundle, posts, table):
     """predict_all as one autograd forward per member and chunk."""
     _, encoded = _encode(posts, table, bundle.topology)

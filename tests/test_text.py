@@ -8,10 +8,15 @@ from hypothesis import strategies as st
 
 from hatenet.text import (
     _EMOJI_RANGES,
+    _split_clitics,
+    _strip_edges,
     _strip_emoji,
+    HASHTAG_RE,
     HASHTAG_SENTINEL,
+    MENTION_RE,
     MENTION_SENTINEL,
     RawPost,
+    URL_RE,
     normalize,
     preprocess,
     stem,
@@ -184,3 +189,72 @@ class TestPreprocess:
             again = preprocess(post)
             assert again.tokens == first.tokens
             assert again.surfaces == first.surfaces
+
+
+# -- the earlier step-by-step normalize and tokenize, as references ------
+
+_SENTINELS = (MENTION_SENTINEL, HASHTAG_SENTINEL)
+
+
+def reference_normalize(text: str) -> str:
+    """normalize with URL_RE on every text and a regex whitespace split."""
+    text = _strip_emoji(text)
+    text = URL_RE.sub(" ", text)
+    text = MENTION_RE.sub(f" {MENTION_SENTINEL} ", text)
+    text = HASHTAG_RE.sub(lambda m: f" {HASHTAG_SENTINEL} {m.group(1)} ", text)
+    text = text.replace("@", " ").replace("#", " ")
+    words = re.split(r"\s+", text.strip())
+    return " ".join(w if w in _SENTINELS else w.lower() for w in words if w)
+
+
+def reference_tokenize(text: str) -> list[str]:
+    """tokenize that strips and splits every word but a sentinel."""
+    out = []
+    for raw in text.split():
+        if raw in _SENTINELS:
+            out.append(raw)
+            continue
+        stripped = _strip_edges(raw)
+        if stripped:
+            out.extend(_split_clitics(stripped))
+    return out
+
+
+# pieces the shortcuts could get wrong: Unicode whitespace (str.split and
+# \s), URL prefixes in mixed case and in fullwidth letters (which URL_RE
+# does not match), apostrophe clitics, sentinels, markers and emoji
+PIECES = [
+    " ", "\t", "\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f", "\x85",
+    "\u00a0", "\u2028", "\u3000",
+    "http://", "https://", "HtTp://", "HTTPS://", "www.", "WwW.", "wWw", "http", "ftp://",
+    "\uff48\uff54\uff54\uff50://", "\uff37\uff37\uff37.", "\uff48ttp://", "htt\uff50s://",
+    "don't", "can’t", "’", "'", "s’", MENTION_SENTINEL, HASHTAG_SENTINEL, "mentionhere",
+    "@", "#", "@Bob", "#MAGA", "a", "B", "7", "é", "İ", "ſ", "-", ".", "!", "?!", "…",
+    "\U0001F600", "\u2764\ufe0f", "\u200d", "\U0001F1FA\U0001F1F8", "\u20e3",
+]
+texts = st.lists(st.one_of(st.sampled_from(PIECES), st.text(max_size=3)),
+                 max_size=30).map("".join)
+
+
+class TestAgainstReference:
+    @given(texts)
+    @settings(max_examples=500, deadline=None)
+    def test_normalize_matches_reference(self, text):
+        assert normalize(text) == reference_normalize(text)
+
+    @given(texts)
+    @settings(max_examples=500, deadline=None)
+    def test_tokenize_matches_reference(self, text):
+        assert tokenize(text) == reference_tokenize(text)
+        normalized = reference_normalize(text)
+        assert tokenize(normalized) == reference_tokenize(normalized)
+
+    @pytest.mark.parametrize("text", [
+        "a\x1cb\x1dc\x1ed\x1fe", "x\u00a0y\u3000z", " \u3000 ", "\x1c",
+        "HTTP://A.B c", "see Www.X.y", "\uff48\uff54\uff54\uff50://x.y ok",
+        "WWW\uff0ex", "\U0001F600https://x.y", "it’s @A_1 #Tag_2 \u2764\ufe0f",
+        "MENTIONHERE HASHTAGHERE", "İstanbul ſtraße",
+    ])
+    def test_edge_cases_match_reference(self, text):
+        assert normalize(text) == reference_normalize(text)
+        assert tokenize(text) == reference_tokenize(text)
