@@ -51,7 +51,7 @@ from .ensemble import (
 )
 from .errors import CorpusTooSmall, HatenetError, InvalidConfig, NonFiniteValue, NumericError
 from .metrics import format_report
-from .model import TopologyConfig, check_types
+from .model import TopologyConfig
 from .text import RawPost, preprocess
 from .weaksup import ClassWeights, imbalance_weights, load_lexicon, weak_label_stats
 
@@ -452,8 +452,8 @@ def cmd_tune(args) -> int:
     # training fields that tune does not use: the bundle's run set them
     trained = {key: bundle.provenance[key] for key in ("ensemble_size", "epochs", "loss_mode")
                if key in bundle.provenance}
-    try:  # echoed into config.json, which --config reads back through the same rule
-        check_types(replace(cfg, **trained))
+    try:  # echoed into config.json, which --config reads back through these rules
+        replace(cfg, **trained).validate()
     except InvalidConfig as exc:
         raise InvalidConfig(f"--bundle {args.bundle} provenance: {exc}") from None
     _check_agrees(_config_section(file_cfg, "train", TrainConfig), "train", trained,

@@ -766,22 +766,29 @@ def test_the_sweep_bundle_loads_as_written(tmp_path, capsys, sweep_bundle):
     assert run_with_meta(tmp_path, sweep_bundle, sweep_bundle[1], "predict") == cli.EXIT_OK
 
 
-@pytest.mark.parametrize("provenance", [
-    {"ensemble_size": True}, {"ensemble_size": "2"}, {"ensemble_size": 2.0},
-    {"epochs": "x"}, {"epochs": None}, {"loss_mode": 0},
-    {"epochs": "x", "ensemble_size": True},
+@pytest.mark.parametrize("provenance, message", [
+    ({"ensemble_size": True}, "field 'ensemble_size' must be of type int"),
+    ({"ensemble_size": "2"}, "field 'ensemble_size' must be of type int"),
+    ({"ensemble_size": 2.0}, "field 'ensemble_size' must be of type int"),
+    ({"epochs": "x"}, "field 'epochs' must be of type int"),
+    ({"epochs": None}, "field 'epochs' must be of type int"),
+    ({"loss_mode": 0}, "field 'loss_mode' must be of type str"),
+    ({"epochs": "x", "ensemble_size": True}, "field 'ensemble_size' must be of type int"),
+    ({"ensemble_size": 0}, "ensemble size must be >= 1"),
+    ({"epochs": -3}, "epochs and tune epochs must be >= 1"),
+    ({"loss_mode": "bogus"}, "unknown loss mode 'bogus'"),
 ])
-def test_tune_refuses_provenance_training_fields_of_another_type(tmp_path, capsys,
-                                                                 sweep_bundle, provenance):
+def test_tune_refuses_provenance_training_fields_config_would_refuse(
+        tmp_path, capsys, sweep_bundle, provenance, message):
     """tune echoes the bundle's ensemble_size, epochs and loss_mode into
-    config.json, so each must pass TrainConfig's type rule, which --config
+    config.json, so each must pass TrainConfig's rules, which --config
     applies when it reads that file back."""
     meta = json.loads(json.dumps(sweep_bundle[1]))
     meta["provenance"].update(provenance)
     assert run_with_meta(tmp_path, sweep_bundle, meta, "tune") == cli.EXIT_DATA
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
-    assert "provenance: TrainConfig field" in err and "must be of type" in err, err
+    assert "provenance: " in err and message in err, err
     assert not (tmp_path / "tuned").exists()
 
 
