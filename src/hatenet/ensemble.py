@@ -36,7 +36,6 @@ from .errors import (
 from .layers import cross_entropy
 from .metrics import accumulate, report
 from .model import (
-    CNN_RNN_FC,
     ModelParams,
     TopologyConfig,
     build,
@@ -150,7 +149,7 @@ class EnsembleBundle:
 
     def _hold(self, stacked, topology, fingerprint, provenance, padding=None) -> None:
         self.stacked = stacked
-        if padding is None and topology.variant == CNN_RNN_FC:
+        if padding is None:
             padding = padding_trajectory(topology, stacked, topology.pooled_len())
         self.padding = padding
         self.members = stacked_members(topology, stacked)
@@ -193,7 +192,8 @@ def _scored(topo: TopologyConfig, stacked: dict, batch: IdBatch, positions=None,
     """(chunk, feats, probs) for each EVAL_CHUNK of the posts of `batch` at
     `positions` (all of them by default): one stacked_forward pass of the
     stack's members per chunk, (K, B, F) features and (K, B, 3) probabilities,
-    from the stack's padding trajectory if given (a bundle's)."""
+    from `padding`, the stack's padding trajectory, which each caller
+    computes once."""
     if positions is None:
         positions = np.arange(len(batch))
     for chunk in _batches(positions, EVAL_CHUNK):
@@ -242,11 +242,13 @@ class _TrainData:
 def _mean_loss_eval(params, topo, data: _TrainData) -> tuple[float, "float | None"]:
     """Mean eval-mode loss over the validation posts, plus hate recall when
     the targets are labels: the member's own K=1 stack (model.flat) scored
-    in place, one stacked_forward pass per EVAL_CHUNK posts."""
+    in place, one stacked_forward pass per EVAL_CHUNK posts, every pass from
+    the one padding trajectory the call computes."""
     valid = np.arange(data.n_train, len(data.batch))
+    padding = padding_trajectory(topo, params.stacked, topo.pooled_len())
     total = 0.0
     pairs = []
-    for chunk, _, (probs,) in _scored(topo, params.stacked, data.batch, valid):
+    for chunk, _, (probs,) in _scored(topo, params.stacked, data.batch, valid, padding):
         total += data.loss(Tensor(probs), chunk).data.item() * len(chunk)
         if data.weights is None:
             pairs.extend((data.targets[i], int(np.argmax(row))) for i, row in zip(chunk, probs))
@@ -654,10 +656,16 @@ def load_bundle(dirpath) -> EnsembleBundle:
         fingerprint = meta["fingerprint"]
         if not entries:
             raise ValueError("the bundle lists no member")
-        if not all(isinstance(name, str) for name, _ in entries):
-            raise TypeError("a member file name is not a string")
+        for name, _ in entries:
+            if not isinstance(name, str):
+                raise TypeError("a member file name is not a string")
+            if name in ("", ".", "..") or "/" in name or "\\" in name:
+                raise ValueError(f"the member file name {name!r} is not a plain file name")
         if type(fingerprint["dim"]) is not int:
             raise TypeError("the fingerprint dim is not an integer")
+        if not isinstance(fingerprint.get("embedding", ""), str):
+            raise TypeError(f"the fingerprint embedding {fingerprint['embedding']!r} "
+                            f"is not a string")
         if type(fingerprint["seq_len"]) is not int or fingerprint["seq_len"] != topology.seq_len:
             raise ValueError(f"the fingerprint seq_len {fingerprint['seq_len']!r} is not "
                              f"the topology's {topology.seq_len}")

@@ -16,11 +16,12 @@ Posts are padded on the left, and a pooled step that reads only padding
 gives every member its conv bias as RNN input.  So the state after a
 post's lead (``_padding_steps``) depends on the members alone:
 ``padding_trajectory`` gives it for every lead, on one row, and a bundle
-holds it.  ``stacked_forward`` starts each post at its own lead from that
-state, as a packed sequence does; ``forward`` runs the steps where every
-post of the batch is padding once, on one row, through the recurrent op's
-lead, forward and backward, and the batch's recurrence from there.  All
-three step with layers' gru_cell or lstm_cell, the trajectory in the op's loop.
+holds it and validation computes it once per call.  ``stacked_forward``
+starts each post at its own lead from that state, as a packed sequence
+does; ``forward`` runs the steps where every post of the batch is padding
+once, on one row, through the recurrent op's lead, forward and backward,
+and the batch's recurrence from there.  All three step with layers'
+gru_cell or lstm_cell, the trajectory in the op's loop.
 
 ``conv_axis`` selects which input axis the convolution slides along:
 "sequence" treats the embedding coordinates as channels (pooled length
@@ -385,12 +386,15 @@ def _projected(stacked: dict, x: np.ndarray) -> np.ndarray:
     return xp.reshape(k, t_steps, n, w.shape[1])
 
 
-def padding_trajectory(config: TopologyConfig, stacked: dict, steps: int) -> tuple:
+def padding_trajectory(config: TopologyConfig, stacked: dict, steps: int) -> "tuple | None":
     """The (h, c, best) that every member reaches after t = 0..steps pooled
     steps whose input is its conv bias, as a post's lead is: read-only
     (K, steps + 1, H) arrays indexed by t, best the running max of h (-inf
-    at t = 0).  They depend on the stack's feature arrays alone, so a
-    bundle computes them once, on one row, through the op's step loop."""
+    at t = 0); None for CNN-FC, which has no recurrence.  They depend on
+    the stack's feature arrays alone, so a bundle computes them once, on
+    one row, through the op's step loop."""
+    if config.variant != CNN_RNN_FC:
+        return None
     k, c = stacked["conv_b"].shape
     u_t = stacked["rnn_u_t"]
     xp = _projected(stacked, np.broadcast_to(stacked["conv_b"][:, None, None], (k, steps, 1, c)))
@@ -464,9 +468,9 @@ def stacked_forward(config: TopologyConfig, stacked: dict, batch,
     each member's conv bias and its state there is `padding`'s, the stack's
     padding_trajectory: the recurrence orders the posts by lead and starts
     each at its own, so step t runs only the posts whose lead is at most t.
-    Without `padding` (a stack whose parameters still change, as in
-    validation) it computes the trajectory up to the batch's smallest lead
-    alone, on one row, and every post starts there.
+    Without `padding` it computes the stack's trajectory itself, the one a
+    bundle holds; a caller scoring one stack in several passes, as
+    validation does, computes it once and passes it to each.
     """
     x = _conv_input(batch, config)
     pooled = _stacked_conv_pool(config, stacked, x)
@@ -474,8 +478,7 @@ def stacked_forward(config: TopologyConfig, stacked: dict, batch,
     if config.variant == CNN_RNN_FC:
         leads = _padding_steps(config, x.ids)
         if padding is None:
-            t0 = leads.min(initial=config.pooled_len())
-            leads, padding = np.full(n, t0), padding_trajectory(config, stacked, t0)
+            padding = padding_trajectory(config, stacked, config.pooled_len())
         order = np.argsort(leads, kind="stable")
         feats = np.empty((k, n, config.rnn_hidden))
         feats[:, order] = _stacked_rnn(config, stacked, pooled.transpose(2, 1, 0, 3)[:, :, order],

@@ -706,13 +706,15 @@ def sweep_bundle(tmp_path_factory):
     return bundle, json.loads((bundle / "bundle.meta").read_text())
 
 
-def run_with_meta(tmp_path, sweep_bundle, meta: dict, command: str):
-    """`command` on a copy of the sweep bundle whose bundle.meta is `meta`:
-    its exit code, or the exception that escaped main."""
+def run_with_meta(tmp_path, sweep_bundle, meta: dict, command: str,
+                  embeddings=("synthetic:0:8",)):
+    """`command` on a copy of the sweep bundle whose bundle.meta is `meta`,
+    with the table of `embeddings`' flags: its exit code, or the exception
+    that escaped main."""
     bundle = tmp_path / "bundle"
     shutil.copytree(sweep_bundle[0], bundle, dirs_exist_ok=True)
     (bundle / "bundle.meta").write_text(json.dumps(meta))
-    argv = [command, "--bundle", str(bundle), "--embeddings", "synthetic:0:8", *{
+    argv = [command, "--bundle", str(bundle), "--embeddings", *embeddings, *{
         "predict": ["--input", str(FIXTURES / "unlabeled_lines.txt")],
         "evaluate": ["--hon", str(FIXTURES / "hon_sample.csv")],
         "tune": ["--target", str(FIXTURES / "target_lines.txt"), "--tune-epochs", "1",
@@ -746,6 +748,40 @@ def test_every_topology_value_in_the_meta_exits_3(tmp_path, capsys, monkeypatch,
     errors = capsys.readouterr().err.splitlines()
     assert len(errors) == len(outcomes) and all(e.startswith("error: ") for e in errors)
     assert not [topo for topo in stacked if getattr(topo, field) == 10**9]
+    assert not (tmp_path / "tuned").exists()
+
+
+@pytest.mark.parametrize("section, field", [
+    ("fingerprint", "embedding"), ("fingerprint", "dim"), ("fingerprint", "seq_len"),
+    ("members", "file"), ("members", "sha256"),
+])
+def test_every_fingerprint_and_member_value_in_the_meta_exits_3(tmp_path, capsys,
+                                                                sweep_bundle, section, field):
+    """Each sweep value in one fingerprint field, or in the first member's
+    entry, of bundle.meta: `predict` exits 3 with one error line, with the
+    bundle's synthetic table and with a vector file of its dim, and so does
+    `tune` on the embedding; only a string embedding with a vector file
+    loads, since two vector files are not compared by name."""
+    vectors = tmp_path / "vectors.txt"
+    vectors.write_text("".join(f"{word} {' '.join(['0.5'] * 8)}\n"
+                               for word in ("hate", "love", "the")))
+    tables = {"synthetic": ("synthetic:0:8",), "file": (str(vectors), "--emb-dim", "8")}
+    commands = ["predict", "tune"] if field == "embedding" else ["predict"]
+    outcomes = {}
+    for value in SWEEP_VALUES:
+        meta = json.loads(json.dumps(sweep_bundle[1]))
+        (meta["fingerprint"] if section == "fingerprint" else meta["members"][0])[field] = value
+        for table, flags in tables.items():
+            for command in commands:
+                if not (command == "tune" and table == "file" and value == "x"):  # would train
+                    outcomes[command, table, repr(value)] = run_with_meta(
+                        tmp_path, sweep_bundle, meta, command, flags)
+    loads = {("predict", "file", "'x'")} if field == "embedding" else set()
+    assert {case: code for case, code in outcomes.items() if code != cli.EXIT_DATA} == {
+        case: cli.EXIT_OK for case in loads}
+    errors = capsys.readouterr().err.splitlines()
+    assert len(errors) == len(outcomes) - len(loads)
+    assert all(e.startswith("error: ") for e in errors), errors
     assert not (tmp_path / "tuned").exists()
 
 

@@ -553,14 +553,44 @@ class TestPredictAndBundle:
         with pytest.raises(HatenetError, match="bundle.meta"):
             load_bundle(tmp_path / "run")
 
+    @pytest.mark.parametrize("name", ["../other/member_0.ckpt", "ABSOLUTE", "sub/member_0.ckpt",
+                                      "sub\\member_0.ckpt", "", ".", ".."])
+    def test_member_file_outside_the_bundle_is_refused_unread(self, topo, table, tmp_path,
+                                                               monkeypatch, name):
+        """A member file name that is not a plain name inside the bundle
+        directory fails before any member file is opened, even when it names
+        another bundle's member with that member's digest."""
+        bundle = self._quick_bundle(topo, table, k=1)
+        for directory in ("other", "run"):
+            save_bundle(bundle, tmp_path / directory)
+        (tmp_path / "run" / "sub").mkdir()
+        other = tmp_path / "other" / "member_0.ckpt"
+        name = str(other) if name == "ABSOLUTE" else name
+        meta_path = tmp_path / "run" / "bundle.meta"
+        meta = json.loads(meta_path.read_text())
+        meta["members"][0] = {"file": name, "sha256": hashlib.sha256(other.read_bytes()).hexdigest()}
+        meta_path.write_text(json.dumps(meta))
+        touched = []
+        for method in ("stat", "read_bytes"):
+            original = getattr(Path, method)
+            monkeypatch.setattr(Path, method, lambda path, *args, original=original, **kw:
+                                touched.append(path) or original(path, *args, **kw))
+        message = f"{re.escape(str(meta_path))}: not a bundle meta file .*not a plain file name"
+        with pytest.raises(CheckpointIntegrityError, match=message):
+            load_bundle(tmp_path / "run")
+        assert set(touched) <= {meta_path}
+
     @pytest.mark.parametrize("damage, reason", [
         (lambda raw: raw.replace(b'"file": "member_1.ckpt"', b'"file": 1'),
          "a member file name is not a string"),
         (lambda raw: re.sub(rb'"dim": (\d+)', rb'"dim": "\1"', raw),
          "the fingerprint dim is not an integer"),
+        (lambda raw: re.sub(rb'"embedding": "[^"]*"', b'"embedding": 5', raw),
+         "the fingerprint embedding 5 is not a string"),
         *((lambda raw, value=value: with_provenance(raw, value), "the provenance is not an object")
           for value in WRONG_PROVENANCE),
-    ], ids=["member file name", "fingerprint dim", *map(repr, WRONG_PROVENANCE)])
+    ], ids=["member file name", "fingerprint dim", "fingerprint embedding",
+            *map(repr, WRONG_PROVENANCE)])
     def test_meta_field_of_wrong_type_exits_3(self, topo, table, tmp_path, capsys,
                                               damage, reason):
         from hatenet import cli

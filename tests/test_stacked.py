@@ -369,9 +369,9 @@ def no_leads(config, ids):
 @pytest.mark.parametrize("k", [1, 2, 5])
 @pytest.mark.parametrize("rnn_kind", ["gru", "lstm"])
 def test_skipping_pass_matches_the_full_recurrence(monkeypatch, rnn_kind, k, conv_axis):
-    """With the bundle's trajectory every post starts at its own lead, and
-    without one (validation) every post starts at the chunk's smallest;
-    both give the run in which every lead is 0."""
+    """With the bundle's trajectory, and without one (the pass then computes
+    it), every post starts at its own lead; both give the run in which
+    every lead is 0."""
     config = tiny_topology(rnn_kind=rnn_kind, conv_axis=conv_axis, **SKIPPING)
     bundle = EnsembleBundle([build(config, 10 + seed) for seed in range(k)], config,
                             {"dim": config.emb_dim})
@@ -389,11 +389,11 @@ def test_skipping_pass_matches_the_full_recurrence(monkeypatch, rnn_kind, k, con
         assert leads.tolist() == [lead_by_definition(config, row >= 0) for row in ids], firsts
         leads_seen.update(leads.tolist())
         from_leads = stacked_forward(config, bundle.stacked, batch, bundle.padding)
-        from_common_lead = stacked_forward(config, bundle.stacked, batch)
+        from_own_trajectory = stacked_forward(config, bundle.stacked, batch)
         with monkeypatch.context() as patch:
             patch.setattr(model, "_padding_steps", no_leads)
             full = stacked_forward(config, bundle.stacked, batch)
-        for got in (from_leads, from_common_lead):
+        for got in (from_leads, from_own_trajectory):
             for array, want in zip(got, full):
                 np.testing.assert_allclose(array, want, rtol=0, atol=1e-12, err_msg=str(firsts))
     assert leads_seen == set(range(config.pooled_len() + 1))
@@ -456,9 +456,9 @@ def leads_corpus():
 def test_scoring_runs_each_post_from_its_own_lead(rnn_kind, monkeypatch):
     """Each recurrence step calls layers.sigmoid once.  A bundle's chunk
     runs no step on one row before its posts: step t runs the posts whose
-    lead is at most t.  Without the bundle's trajectory (validation) the
-    steps before the smallest lead run on one row, then every post.  A lone
-    post runs the steps from its lead."""
+    lead is at most t.  Without the bundle's trajectory the pass first
+    computes it, every step on one row, then steps the posts the same way.
+    A lone post runs the steps from its lead."""
     config, table = tiny_topology(rnn_kind=rnn_kind, seq_len=24), synthetic_table(0, 6)
     bundle = EnsembleBundle([build(config, seed) for seed in (1, 2)], config, {"dim": 6})
     corpus = leads_corpus()
@@ -474,15 +474,58 @@ def test_scoring_runs_each_post_from_its_own_lead(rnn_kind, monkeypatch):
         return original(x, out=out)
 
     monkeypatch.setattr(layers, "sigmoid", counting)
+    staircase = [int((leads <= t).sum()) for t in range(first, t_pool)]
     evaluate(bundle, corpus, table)
-    assert steps == [int((leads <= t).sum()) for t in range(first, t_pool)]
+    assert steps == staircase
     steps.clear()
     stacked_forward(config, bundle.stacked, encoded)
-    assert steps == [1] * first + [len(corpus.posts)] * (t_pool - first)
+    assert steps == [1] * t_pool + staircase
     for post, lead in zip(corpus.posts, leads.tolist()):
         steps.clear()
         ensemble.predict(bundle, post, table)
         assert steps == [1] * (t_pool - lead)
+
+
+@pytest.mark.parametrize("rnn_kind", ["gru", "lstm"])
+def test_validation_runs_one_trajectory_and_each_post_from_its_lead(rnn_kind, monkeypatch):
+    """Validation of more than EVAL_CHUNK posts of mixed leads computes the
+    member's padding trajectory once per call, steps each chunk's posts from
+    their own leads (step t runs those whose lead is at most t), and gives
+    the loss of the per-member autograd forward."""
+    config, table = tiny_topology(rnn_kind=rnn_kind, seq_len=24), synthetic_table(0, 6)
+    valid = [post for words in (2, 4, 7, 11)
+             for post in separable_corpus(3, seed=words, words=words).posts]
+    valid = [valid[i] for i in np.random.default_rng(0).permutation(len(valid))]
+    data = ensemble._TrainData(TrainConfig(ensemble_size=1), config, table,
+                               separable_corpus(2, seed=1), valid, None)
+    params = build(config, 4)
+    positions = np.arange(data.n_train, len(data.batch))
+    assert len(positions) > ensemble.EVAL_CHUNK
+    leads = model._padding_steps(config, model._conv_input(data.batch, config).ids)
+    chunks = [leads[chunk] for chunk in _batches(positions, ensemble.EVAL_CHUNK)]
+    assert all(len(set(chunk.tolist())) > 1 and chunk.min() > 0 for chunk in chunks)
+    t_pool = config.pooled_len()
+    trajectories, steps = [], []
+    original_trajectory, original_sigmoid = model.padding_trajectory, layers.sigmoid
+
+    def trajectory(config, stacked, steps):
+        trajectories.append(steps)
+        return original_trajectory(config, stacked, steps)
+
+    def counting(x, out=None):
+        steps.append(x.shape[1])  # (K, B, gates)
+        return original_sigmoid(x, out=out)
+
+    for module in (model, ensemble):
+        monkeypatch.setattr(module, "padding_trajectory", trajectory)
+    monkeypatch.setattr(layers, "sigmoid", counting)
+    loss, _ = ensemble._mean_loss_eval(params, config, data)
+    assert trajectories == [t_pool]
+    assert steps == [1] * t_pool + [int((chunk <= t).sum()) for chunk in chunks
+                                    for t in range(int(chunk.min()), t_pool)]
+    monkeypatch.undo()
+    probs = forward(params, config, data.batch.take(positions))
+    assert abs(loss - data.loss(probs, positions).data.item()) <= 1e-12
 
 
 # -- training's recurrence runs the batch's common padding once ------------
